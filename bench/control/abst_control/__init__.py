@@ -1,0 +1,76 @@
+"""Biased binary search trees from order-preserving entropy codes, with a
+drift-triggered rebuild policy priced for reconfigurable topologies: each
+search costs its depth, each tree swap costs a flat alpha."""
+
+from .baselines import (
+    WeightVector,
+    balanced_static_cost,
+    brute_force_static_cost,
+    optimal_static_cost,
+    stat_entropy_bounds,
+    tree_cost,
+)
+from .dynamic import (
+    SMOOTHING_LAPLACE,
+    SMOOTHING_NONE,
+    CounterState,
+    RebuildRecord,
+    SimulationReport,
+    SimulationState,
+    StepRecord,
+    empirical_q,
+    guarded_invariant_holds,
+    init,
+    run,
+    step,
+    theorem_threshold,
+    tree_for_probs,
+)
+from .errors import (
+    AbstError,
+    BoundViolationError,
+    CorruptCodeError,
+    DimensionMismatchError,
+    InvalidDistributionError,
+    InvalidMatchingError,
+    InvalidRequestError,
+    KeyNotFoundError,
+    TraceParseError,
+)
+from .matching import MatchingPair, bst_to_matchings, matchings_to_bst, route
+from .sfe import (
+    CodeEntry,
+    CodeTable,
+    ProbabilityDistribution,
+    average_code_length,
+    build_sfe_code,
+    ceil_log2_inverse,
+    entropy,
+    entropy_of_weights,
+    fraction_bits,
+    is_prefix_free,
+    parse_distribution,
+)
+from .trees import (
+    PrefixTree,
+    SearchTree,
+    build_balanced,
+    build_prefix_tree,
+    depth_map,
+    depth_of,
+    format_tree,
+    in_order,
+    parse_tree,
+    prefix_tree_to_bst,
+    sfe_to_bst,
+)
+from .workload import (
+    DEFAULT_SEED,
+    WorkloadSpec,
+    generate,
+    parse_workload,
+    read_trace,
+    write_trace,
+)
+
+__version__ = "0.1.0"

@@ -1,0 +1,138 @@
+"""Exact hindsight-optimal static BST cost, with a brute-force oracle."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterator
+
+from .sfe import entropy_of_weights
+from .trees import Node, SearchTree, build_balanced, depth_map
+
+BRUTE_FORCE_MAX_N = 12
+
+
+@dataclass(frozen=True)
+class WeightVector:
+    """Nonnegative per-key access counts with positive total."""
+
+    weights: tuple[int, ...]
+
+    def __post_init__(self):
+        weights = tuple(int(w) for w in self.weights)
+        if not weights:
+            raise ValueError("empty weight vector")
+        if any(w < 0 for w in weights):
+            raise ValueError("weights must be nonnegative")
+        if sum(weights) < 1:
+            raise ValueError("total weight must be at least 1")
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
+
+    @property
+    def total(self) -> int:
+        return sum(self.weights)
+
+
+def tree_cost(tree: SearchTree, weights: WeightVector) -> int:
+    """Sum of weight * depth over all keys."""
+    depths = depth_map(tree)
+    return sum(w * depths[k + 1] for k, w in enumerate(weights.weights))
+
+
+def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
+    """Minimum total depth-weighted cost over all BSTs on 1..n, with an argmin.
+
+    Interval dynamic program: the cost of the best subtree on keys i..j is
+    the interval's weight (every key pays one visit to the subtree root)
+    plus the best split. Only successful searches carry weight, so there are
+    no gap terms. Root ties break toward the smaller key.
+    """
+    n = weights.n
+    w = weights.weights
+    prefix = [0] * (n + 1)
+    for i, wi in enumerate(w):
+        prefix[i + 1] = prefix[i] + wi
+
+    def wsum(i: int, j: int) -> int:
+        return prefix[j] - prefix[i - 1]
+
+    # cost[i][j] for 1 <= i <= j <= n; empty intervals cost 0
+    cost = [[0] * (n + 2) for _ in range(n + 2)]
+    root = [[0] * (n + 2) for _ in range(n + 2)]
+    for i in range(1, n + 1):
+        cost[i][i] = w[i - 1]
+        root[i][i] = i
+    for length in range(2, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            best, best_r = None, None
+            for r in range(i, j + 1):
+                c = cost[i][r - 1] + cost[r + 1][j]
+                if best is None or c < best:
+                    best, best_r = c, r
+            cost[i][j] = best + wsum(i, j)
+            root[i][j] = best_r
+
+    def build(i: int, j: int) -> Node | None:
+        if i > j:
+            return None
+        node = Node(root[i][j])
+        node.left = build(i, node.key - 1)
+        node.right = build(node.key + 1, j)
+        return node
+
+    return cost[1][n], SearchTree(build(1, n))
+
+
+def _all_shapes(lo: int, hi: int) -> Iterator:
+    if lo > hi:
+        yield None
+        return
+    for r in range(lo, hi + 1):
+        for left in _all_shapes(lo, r - 1):
+            for right in _all_shapes(r + 1, hi):
+                yield (r, left, right)
+
+
+def brute_force_static_cost(weights: WeightVector) -> int:
+    """Exact minimum by enumerating every BST shape. Oracle use only."""
+    if weights.n > BRUTE_FORCE_MAX_N:
+        raise ValueError(
+            f"refusing n={weights.n}: shape count grows as the Catalan numbers"
+        )
+    w = weights.weights
+    best = None
+    for shape in _all_shapes(1, weights.n):
+        total = 0
+        stack = [(shape, 1)]
+        while stack:
+            item, depth = stack.pop()
+            if item is None:
+                continue
+            r, left, right = item
+            total += w[r - 1] * depth
+            stack.append((left, depth + 1))
+            stack.append((right, depth + 1))
+        if best is None or total < best:
+            best = total
+    return best
+
+
+def stat_entropy_bounds(weights: WeightVector) -> tuple[float, float]:
+    """Entropy-based annotation band around the optimal static cost.
+
+    Lower constant 1/log2(3) is the classical comparison-tree bound; upper
+    constant 2 is generous. Report context only, never asserted.
+    """
+    h = entropy_of_weights(weights.weights)
+    m = weights.total
+    return m * max(1.0, h) / math.log2(3), 2.0 * m * (1.0 + h)
+
+
+def balanced_static_cost(weights: WeightVector) -> int:
+    """Cost of serving the weights on the median-balanced tree."""
+    return tree_cost(build_balanced(weights.n), weights)

@@ -1,0 +1,435 @@
+"""Randomized property suites behind `verify` and the acceptance harness.
+
+Every suite takes an explicit seed, returns a list of violation strings
+(empty means pass), and uses exact arithmetic wherever the quantity under
+test is rational; floats only enter through entropy terms, compared at 1e-9.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+from typing import Sequence
+
+from .baselines import (
+    WeightVector,
+    balanced_static_cost,
+    brute_force_static_cost,
+    optimal_static_cost,
+    tree_cost,
+)
+from .dynamic import (
+    SMOOTHING_LAPLACE,
+    SMOOTHING_NONE,
+    SimulationReport,
+    init,
+    run,
+    step,
+    theorem_threshold,
+    tree_for_probs,
+)
+from .errors import CorruptCodeError
+from .matching import bst_to_matchings, matchings_to_bst, route
+from .sfe import (
+    ProbabilityDistribution,
+    average_code_length,
+    build_sfe_code,
+    entropy,
+    is_prefix_free,
+)
+from .trees import (
+    build_prefix_tree,
+    depth_map,
+    in_order,
+    prefix_tree_to_bst,
+    sfe_to_bst,
+)
+from .workload import DEFAULT_SEED, generate, parse_workload
+
+ENTROPY_TOL = 1e-9
+
+THEOREM_GRID_N = (5, 16, 64)
+THEOREM_GRID_ALPHA = (2, 8, 32)
+THEOREM_GRID_WORKLOADS = ("uniform", "zipf:1.0", "zipf:1.5")
+
+
+def random_distribution(
+    rng: random.Random, n_lo: int = 2, n_hi: int = 128
+) -> ProbabilityDistribution:
+    """Random exact distribution from integer weights.
+
+    Occasionally forces a power-of-two total so some probabilities land
+    exactly on dyadic boundaries, where ceiling logs are most fragile.
+    """
+    n = rng.randint(n_lo, n_hi)
+    if rng.random() < 0.2:
+        weights = [2 ** rng.randrange(0, 4) for _ in range(n - 1)]
+        total = 1 << (sum(weights)).bit_length()
+        weights.append(total - sum(weights))
+    else:
+        weights = [rng.randint(1, 1000) for _ in range(n)]
+        total = sum(weights)
+    return ProbabilityDistribution(tuple(Fraction(w, total) for w in weights))
+
+
+def depth_bound_ok(depth: int, p: Fraction) -> bool:
+    """Exact test of depth < log2(1/p) + 3 via integer comparison."""
+    e = depth - 3
+    num, den = p.numerator, p.denominator
+    if e >= 0:
+        return (num << e) < den
+    return num < (den << -e)
+
+
+def _ceil_log2_oracle(p: Fraction) -> int:
+    # independent route: compare 1/p against successive powers of two
+    k = 0
+    inv = Fraction(p.denominator, p.numerator)
+    while inv > 2**k:
+        k += 1
+    return k
+
+
+def suite_code_properties(cases: int, n_hi: int, seed: int) -> list[str]:
+    """Prefix-freeness, entropy sandwich, length formula, codeword order,
+    determinism."""
+    rng = random.Random(seed)
+    violations: list[str] = []
+    for case in range(cases):
+        dist = random_distribution(rng, 2, n_hi)
+        table = build_sfe_code(dist)
+        words = table.codewords()
+        if not is_prefix_free(words):
+            violations.append(f"case {case}: codewords not prefix-free")
+        try:
+            build_prefix_tree(table)
+        except CorruptCodeError as exc:
+            violations.append(f"case {case}: trie insertion failed: {exc}")
+        if any(a >= b for a, b in zip(words, words[1:])):
+            violations.append(f"case {case}: codewords not strictly increasing")
+        for entry, p in zip(table.entries, dist.probs):
+            if entry.length - 1 != _ceil_log2_oracle(p):
+                violations.append(
+                    f"case {case}: length {entry.length} disagrees with oracle for p={p}"
+                )
+                break
+        length = average_code_length(table, dist)
+        h = entropy(dist)
+        if not (float(length) >= h + 1 - ENTROPY_TOL):
+            violations.append(
+                f"case {case}: L={float(length)} below H+1={h + 1} for n={dist.n}"
+            )
+        if not (float(length) < h + 2 + ENTROPY_TOL):
+            violations.append(
+                f"case {case}: L={float(length)} reaches H+2={h + 2} for n={dist.n}"
+            )
+        if build_sfe_code(dist) != table:
+            violations.append(f"case {case}: rebuild is not bit-identical")
+    return violations
+
+
+def suite_tree_properties(cases: int, n_hi: int, seed: int) -> list[str]:
+    """Depth bound, depth never increases, symmetric order, totality,
+    determinism of the trie-to-BST conversion."""
+    rng = random.Random(seed)
+    violations: list[str] = []
+    for case in range(cases):
+        dist = random_distribution(rng, 2, n_hi)
+        table = build_sfe_code(dist)
+        trie = build_prefix_tree(table)
+        trie_depths = trie.leaf_depths()
+        leaves = trie.leaf_items()
+        if [k for k, _ in leaves] != list(range(1, dist.n + 1)):
+            violations.append(f"case {case}: trie leaves out of order")
+        for entry in table.entries:
+            if trie_depths[entry.key] != entry.length + 1:
+                violations.append(
+                    f"case {case}: leaf depth != codeword length + 1 for key {entry.key}"
+                )
+                break
+        tree = prefix_tree_to_bst(trie)
+        depths = depth_map(tree)
+        if in_order(tree) != list(range(1, dist.n + 1)):
+            violations.append(f"case {case}: output violates symmetric order")
+        if set(depths) != set(range(1, dist.n + 1)):
+            violations.append(f"case {case}: key set changed in conversion")
+        for key, p in enumerate(dist.probs, start=1):
+            if not depth_bound_ok(depths[key], p):
+                violations.append(
+                    f"case {case}: depth {depths[key]} >= log2(1/p)+3 for key {key}, p={p}"
+                )
+            if depths[key] > trie_depths[key]:
+                violations.append(
+                    f"case {case}: key {key} deeper than in the trie "
+                    f"({depths[key]} > {trie_depths[key]})"
+                )
+        if prefix_tree_to_bst(trie) != tree:
+            violations.append(f"case {case}: conversion not deterministic")
+    return violations
+
+
+def suite_matching_properties(cases: int, n_hi: int, seed: int) -> list[str]:
+    """Round-trip identity and route length equals depth."""
+    rng = random.Random(seed)
+    violations: list[str] = []
+    for case in range(cases):
+        dist = random_distribution(rng, 2, n_hi)
+        tree = sfe_to_bst(dist)
+        pair = bst_to_matchings(tree)
+        try:
+            back = matchings_to_bst(pair)
+        except Exception as exc:
+            violations.append(f"case {case}: round trip raised {exc}")
+            continue
+        if back != tree:
+            violations.append(f"case {case}: round trip changed the tree")
+        depths = depth_map(tree)
+        for key in range(1, dist.n + 1):
+            if len(route(pair, key)) != depths[key]:
+                violations.append(
+                    f"case {case}: route length != depth for key {key}"
+                )
+                break
+    return violations
+
+
+def suite_baseline_properties(cases: int, n_hi: int, seed: int) -> list[str]:
+    """DP equals brute force; certificate and baseline orderings hold."""
+    rng = random.Random(seed)
+    violations: list[str] = []
+    for case in range(cases):
+        n = rng.randint(1, n_hi)
+        weights = WeightVector(
+            tuple(rng.randint(0, 20) for _ in range(n - 1)) + (rng.randint(1, 20),)
+        )
+        cost, tree = optimal_static_cost(weights)
+        oracle = brute_force_static_cost(weights)
+        if cost != oracle:
+            violations.append(
+                f"case {case}: DP={cost} != brute force={oracle} for w={weights.weights}"
+            )
+        if tree_cost(tree, weights) != cost:
+            violations.append(f"case {case}: argmin tree does not evaluate to its cost")
+        if in_order(tree) != list(range(1, n + 1)):
+            violations.append(f"case {case}: argmin tree violates symmetric order")
+        if cost > balanced_static_cost(weights):
+            violations.append(f"case {case}: optimal exceeds the balanced tree")
+        m = weights.total
+        coded = tree_for_probs(tuple(Fraction(w, m) for w in weights.weights))
+        if cost > tree_cost(coded, weights):
+            violations.append(f"case {case}: optimal exceeds the coded tree")
+    return violations
+
+
+def grid_m(n: int, alpha: int) -> int:
+    """Trace length for a guarantee-regime cell: ceil(2 n alpha log2 alpha),
+    at least 20."""
+    return max(20, math.ceil(theorem_threshold(n, Fraction(alpha))))
+
+
+def run_cell(
+    n: int,
+    alpha: int,
+    workload: str,
+    smoothing: str,
+    seed: int = DEFAULT_SEED,
+    m: int | None = None,
+) -> SimulationReport:
+    """Generate one grid cell's trace and run it with per-step guard checks."""
+    if m is None:
+        m = grid_m(n, alpha)
+    trace = generate(parse_workload(workload, n=n, m=m, seed=seed))
+    state = init(n, alpha, smoothing)
+    return run(state, trace, check_guarded=True)
+
+
+def check_report_bounds(report: SimulationReport) -> list[str]:
+    """Cost-accounting invariants on a finished run.
+
+    Checks, in order: count doubling between consecutive rebuilds, the
+    per-key and aggregate frequency-log bounds, the adjustment-cost cap,
+    the total-cost guarantee when applicable, and internal consistency of
+    the report's totals.
+    """
+    v: list[str] = []
+    m = report.m
+    tol = ENTROPY_TOL * max(1.0, m)
+    for rec in report.rebuild_log:
+        if not 2 * rec.count_at_prev < rec.count_now:
+            v.append(
+                f"rebuild at t={rec.t}: count {rec.count_now} did not double "
+                f"from {rec.count_at_prev}"
+            )
+    for key, w in enumerate(report.weights, start=1):
+        if w == 0:
+            continue
+        qlog = report.qlog_by_key.get(key, 0.0)
+        limit = w * math.log2(m / w) + 2 * w
+        if qlog > limit + tol:
+            v.append(f"key {key}: frequency-log sum {qlog:.6f} > {limit:.6f}")
+    total_qlog = sum(report.qlog_by_key.values())
+    agg_limit = m * report.entropy_empirical + 2 * m
+    if total_qlog > agg_limit + tol:
+        v.append(f"aggregate frequency-log sum {total_qlog:.6f} > {agg_limit:.6f}")
+    adjust_limit = 2 * report.n * float(report.alpha) * math.log2(float(report.alpha)) + m
+    if report.alpha >= 2 and float(report.adjust_cost) > adjust_limit + tol:
+        v.append(f"adjust cost {float(report.adjust_cost)} > {adjust_limit:.6f}")
+    if report.theorem_applicable and float(report.total) > report.theorem_bound + tol:
+        v.append(
+            f"total {float(report.total)} > bound {report.theorem_bound:.6f} "
+            f"(n={report.n}, alpha={report.alpha}, m={m})"
+        )
+    if report.total != report.search_cost + report.adjust_cost:
+        v.append("total != search + adjust")
+    if report.adjust_cost != report.alpha * report.rebuilds:
+        v.append("adjust != alpha * rebuilds")
+    return v
+
+
+def check_laplace_vs_raw(report: SimulationReport) -> list[str]:
+    """Smoothed frequency dominates half the raw one once t >= n, exactly."""
+    if report.smoothing != SMOOTHING_LAPLACE:
+        return []
+    v = []
+    n = report.n
+    for rec in report.steps:
+        if rec.t < n:
+            continue
+        if not 2 * rec.t * (rec.count + 1) >= rec.count * (rec.t + n):
+            v.append(f"t={rec.t}: smoothed frequency below half raw for key {rec.key}")
+    return v
+
+
+def check_trigger_locality(
+    n: int, alpha: int, trace: Sequence[int], smoothing: str
+) -> list[str]:
+    """A request may newly violate the drift test only for its own key."""
+    state = init(n, alpha, smoothing)
+    v: list[str] = []
+    for key in trace:
+        probs = state.tree_probs
+        counts = list(state.counters.counts)
+        t_next = state.counters.t + 1
+        for j in range(1, n + 1):
+            w_next = counts[j - 1] + (1 if j == key else 0)
+            p = probs[j - 1]
+            if smoothing == SMOOTHING_LAPLACE:
+                fires = 2 * p.numerator * (t_next + n) < p.denominator * (w_next + 1)
+            else:
+                fires = 2 * p.numerator * t_next < p.denominator * w_next
+            if fires and j != key:
+                v.append(f"t={t_next}: request for {key} fired the test for {j}")
+        step(state, key)
+    return v
+
+
+def check_rebuild_matchings(
+    n: int, alpha: int, trace: Sequence[int], smoothing: str
+) -> list[str]:
+    """Every swapped-in tree yields valid matchings that round-trip."""
+    state = init(n, alpha, smoothing)
+    v: list[str] = []
+    for key in trace:
+        rec = step(state, key)
+        if rec.rebuilt:
+            pair = bst_to_matchings(state.tree)
+            try:
+                back = matchings_to_bst(pair)
+            except Exception as exc:
+                v.append(f"t={rec.t}: rebuilt tree gives invalid matchings: {exc}")
+                continue
+            if back != state.tree:
+                v.append(f"t={rec.t}: matchings round trip changed the tree")
+    return v
+
+
+def suite_dynamic_properties(
+    cells: Sequence[tuple[int, int, str]], seed: int
+) -> list[str]:
+    """Run each (n, alpha, workload) cell in both smoothing modes with the
+    drift guard on, then apply every cost-accounting check."""
+    violations: list[str] = []
+    for n, alpha, workload in cells:
+        for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
+            label = f"n={n} alpha={alpha} {workload} {smoothing}"
+            try:
+                report = run_cell(n, alpha, workload, smoothing, seed=seed)
+            except Exception as exc:
+                violations.append(f"{label}: run failed: {exc}")
+                continue
+            for msg in check_report_bounds(report):
+                violations.append(f"{label}: {msg}")
+            for msg in check_laplace_vs_raw(report):
+                violations.append(f"{label}: {msg}")
+    return violations
+
+
+def fault_injection_selftest() -> list[str]:
+    """The prefix-freeness checks must flag a deliberately corrupted table."""
+    import dataclasses
+
+    from .sfe import CodeTable
+
+    table = build_sfe_code(
+        ProbabilityDistribution(
+            (Fraction(1, 10), Fraction(2, 10), Fraction(4, 10), Fraction(2, 10), Fraction(1, 10))
+        )
+    )
+    bad_word = table.entries[0].codeword[:-1]  # a prefix of key 1's codeword
+    corrupted = CodeTable(
+        tuple(
+            dataclasses.replace(e, codeword=bad_word) if e.key == 3 else e
+            for e in table.entries
+        )
+    )
+    v = []
+    if is_prefix_free(corrupted.codewords()):
+        v.append("corrupted codeword set passed the prefix-freeness check")
+    try:
+        build_prefix_tree(corrupted)
+        v.append("trie insertion accepted a corrupted codeword set")
+    except CorruptCodeError:
+        pass
+    return v
+
+
+def theorem_grid() -> list[tuple[int, int, str]]:
+    return [
+        (n, a, w)
+        for n in THEOREM_GRID_N
+        for a in THEOREM_GRID_ALPHA
+        for w in THEOREM_GRID_WORKLOADS
+    ]
+
+
+def run_verify(scale: str, seed: int = DEFAULT_SEED) -> dict[str, list[str]]:
+    """All suites at the chosen scale; maps suite name to its violations."""
+    if scale == "quick":
+        code_cases, struct_hi = 80, 48
+        baseline_cases, baseline_hi = 40, 6
+        cells = [(5, 2, "uniform"), (5, 2, "zipf:1.0"), (16, 8, "zipf:1.0")]
+        local = [(5, 2, "uniform", 60), (8, 2, "zipf:1.0", 80)]
+    elif scale == "full":
+        code_cases, struct_hi = 500, 128
+        baseline_cases, baseline_hi = 200, 8
+        cells = theorem_grid()
+        local = [(5, 2, "uniform", 200), (16, 4, "zipf:1.0", 400)]
+    else:
+        raise ValueError(f"unknown scale {scale!r}, use quick or full")
+    results = {
+        "code-properties": suite_code_properties(code_cases, struct_hi, seed),
+        "tree-properties": suite_tree_properties(code_cases, struct_hi, seed + 1),
+        "matching-properties": suite_matching_properties(code_cases, struct_hi, seed + 2),
+        "baseline-properties": suite_baseline_properties(baseline_cases, baseline_hi, seed + 3),
+        "dynamic-properties": suite_dynamic_properties(cells, seed + 4),
+        "fault-injection": fault_injection_selftest(),
+    }
+    locality = []
+    for n, alpha, workload, m in local:
+        trace = generate(parse_workload(workload, n=n, m=m, seed=seed + 5))
+        for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
+            locality += check_trigger_locality(n, alpha, trace, smoothing)
+            locality += check_rebuild_matchings(n, alpha, trace, smoothing)
+    results["trigger-locality"] = locality
+    return results

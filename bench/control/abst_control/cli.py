@@ -1,0 +1,253 @@
+"""Command-line front end: encode, build, simulate, compare, verify.
+
+Exit codes: 0 success, 1 verify failure, 2 bad configuration or input,
+3 trace parse error, 4 cost-bound violation during a checked run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+from fractions import Fraction
+
+from . import checks
+from .baselines import WeightVector, optimal_static_cost
+from .dynamic import SMOOTHING_LAPLACE, SMOOTHING_NONE, SimulationReport, init, run
+from .errors import AbstError, BoundViolationError, TraceParseError
+from .matching import bst_to_matchings
+from .sfe import average_code_length, build_sfe_code, entropy, parse_distribution
+from .trees import format_tree, sfe_to_bst
+from .workload import DEFAULT_SEED, generate, parse_workload
+
+EXIT_OK = 0
+EXIT_VERIFY_FAILED = 1
+EXIT_CONFIG = 2
+EXIT_PARSE = 3
+EXIT_BOUND = 4
+
+
+def _parse_alpha(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"alpha must be a number, got {text!r}") from None
+
+
+def cmd_encode(args) -> int:
+    dist = parse_distribution(args.distribution)
+    table = build_sfe_code(dist)
+    print(f"{'i':>3} {'p':>10} {'F':>10} {'Fmid':>10} {'len':>4}  codeword")
+    for p, e in zip(dist.probs, table.entries):
+        print(f"{e.key:>3} {str(p):>10} {str(e.cum):>10} {str(e.midpoint):>10} "
+              f"{e.length:>4}  {e.codeword}")
+    length = average_code_length(table, dist)
+    print(f"H = {entropy(dist):.6f} bits")
+    print(f"L = {length} ({float(length):.6f} bits)")
+    return EXIT_OK
+
+
+def cmd_build(args) -> int:
+    dist = parse_distribution(args.distribution)
+    tree = sfe_to_bst(dist)
+    print(format_tree(tree))
+    print(json.dumps(bst_to_matchings(tree).to_json_dict()))
+    return EXIT_OK
+
+
+def _emit_report(report: SimulationReport, fmt: str, out_path: str | None) -> None:
+    data = report.to_dict()
+    if fmt == "json":
+        text = json.dumps(data, indent=2) + "\n"
+    else:
+        cols = list(data)
+        rows = [[_csv_cell(data[c]) for c in cols]]
+        text = _csv_text(cols, rows)
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def _csv_text(cols, rows) -> str:
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(cols)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_steps_csv(report: SimulationReport, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "key", "depth", "rebuilt"])
+        for rec in report.steps:
+            writer.writerow([rec.t, rec.key, rec.depth, int(rec.rebuilt)])
+
+
+def _simulate_once(args) -> SimulationReport:
+    spec = parse_workload(args.workload, n=args.n, m=args.m, seed=args.seed)
+    trace = generate(spec)
+    state = init(args.n, _parse_alpha(args.alpha), args.smoothing)
+    report = run(state, trace, check_guarded=args.check_bounds)
+    if args.with_stat:
+        stat, _ = optimal_static_cost(WeightVector(report.weights))
+        report.stat_cost = stat
+        report.rho = float(report.total) / stat
+    return report
+
+
+def cmd_simulate(args) -> int:
+    report = _simulate_once(args)
+    if args.check_bounds:
+        problems = checks.check_report_bounds(report) + checks.check_laplace_vs_raw(report)
+        if problems:
+            for msg in problems:
+                print(f"bound violation: {msg}", file=sys.stderr)
+            return EXIT_BOUND
+    if args.steps_csv:
+        _write_steps_csv(report, args.steps_csv)
+    _emit_report(report, args.format, args.out)
+    return EXIT_OK
+
+
+def cmd_compare(args) -> int:
+    alphas = [a.strip() for a in args.alphas.split(",") if a.strip()]
+    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
+    rows = []
+    for alpha_text in alphas:
+        alpha = _parse_alpha(alpha_text)
+        for workload in workloads:
+            m = args.m if args.m else checks.grid_m(args.n, alpha)
+            spec = parse_workload(workload, n=args.n, m=m, seed=args.seed)
+            trace = generate(spec)
+            state = init(args.n, alpha, args.smoothing)
+            report = run(state, trace)
+            stat, _ = optimal_static_cost(WeightVector(report.weights))
+            report.stat_cost = stat
+            report.rho = float(report.total) / stat
+            row = report.to_dict()
+            row["workload"] = workload
+            rows.append(row)
+    cols = ["n", "alpha", "workload", "m", "smoothing", "search_cost", "adjust_cost",
+            "rebuilds", "total", "entropy_empirical", "theorem_bound",
+            "theorem_applicable", "stat_cost", "rho"]
+    if args.format == "json":
+        text = json.dumps(rows, indent=2) + "\n"
+    else:
+        text = _csv_text(cols, [[_csv_cell(r.get(c)) for c in cols] for r in rows])
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
+def cmd_verify(args) -> int:
+    results = checks.run_verify(args.scale, seed=args.seed)
+    failed = False
+    for name, violations in results.items():
+        status = "PASS" if not violations else "FAIL"
+        print(f"[{status}] {name}")
+        for msg in violations[:10]:
+            print(f"    {msg}")
+        if len(violations) > 10:
+            print(f"    ... and {len(violations) - 10} more")
+        failed = failed or bool(violations)
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="abst",
+        description="Coded biased search trees with a drift-triggered rebuild "
+        "policy, priced in the matching cost model.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("encode", help="print the code table for a distribution")
+    p.add_argument("distribution", help='comma-separated, e.g. "0.1,0.2,0.4,0.2,0.1"')
+    p.set_defaults(func=cmd_encode)
+
+    p = sub.add_parser("build", help="print the biased BST and its matchings")
+    p.add_argument("distribution")
+    p.set_defaults(func=cmd_build)
+
+    p = sub.add_parser("simulate", help="run one trace and report costs")
+    _add_sim_args(p)
+    p.add_argument("--with-stat", action="store_true",
+                   help="also compute the hindsight-optimal static cost and rho")
+    p.add_argument("--check-bounds", action="store_true",
+                   help="verify cost-accounting invariants; exit 4 on violation")
+    p.add_argument("--steps-csv", metavar="PATH",
+                   help="write per-step records (t,key,depth,rebuilt)")
+    p.set_defaults(func=cmd_simulate)
+
+    p = sub.add_parser("compare", help="simulate across alphas/workloads with rho")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, default=None,
+                   help="trace length (default: guarantee threshold per alpha)")
+    p.add_argument("--alphas", default="2,8,32")
+    p.add_argument("--workloads", default="uniform,zipf:1.0,zipf:1.5")
+    p.add_argument("--smoothing", choices=[SMOOTHING_LAPLACE, SMOOTHING_NONE],
+                   default=SMOOTHING_LAPLACE)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
+    p.add_argument("--out", metavar="PATH")
+    p.set_defaults(func=cmd_compare)
+
+    p = sub.add_parser("verify", help="run the randomized property suites")
+    p.add_argument("scale", choices=["quick", "full"])
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.set_defaults(func=cmd_verify)
+
+    return parser
+
+
+def _add_sim_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, help="number of keys")
+    p.add_argument("--alpha", required=True, help="reconfiguration cost")
+    p.add_argument("--m", type=int, default=None,
+                   help="trace length (defaults to the file length for file:)")
+    p.add_argument("--workload", required=True,
+                   help="uniform | zipf:S | freq:w1,...,wn | file:PATH")
+    p.add_argument("--smoothing", choices=[SMOOTHING_LAPLACE, SMOOTHING_NONE],
+                   default=SMOOTHING_LAPLACE)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--out", metavar="PATH")
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except BoundViolationError as exc:
+        print(f"bound violation: {exc}", file=sys.stderr)
+        return EXIT_BOUND
+    except TraceParseError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (AbstError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def entry() -> None:
+    raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

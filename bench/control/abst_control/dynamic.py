@@ -1,0 +1,328 @@
+"""The online arithmetic BST: rebuild when a key's tree probability drifts
+below half its observed frequency.
+
+Costs follow the matching model: serving a request costs the served key's
+depth, every tree swap costs a flat `alpha`. All trigger comparisons are done
+with integer cross-multiplication, so drift decisions are exact.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from .errors import BoundViolationError, InvalidRequestError
+from .sfe import ProbabilityDistribution, entropy_of_weights
+from .trees import SearchTree, build_balanced, depth_map, insert_key, sfe_to_bst
+
+SMOOTHING_LAPLACE = "laplace"
+SMOOTHING_NONE = "none"
+SMOOTHING_MODES = (SMOOTHING_LAPLACE, SMOOTHING_NONE)
+
+
+@dataclass
+class CounterState:
+    """Per-key request counts; invariant: counts sum to t."""
+
+    counts: list[int]
+    t: int = 0
+
+    def __post_init__(self):
+        if any(c < 0 for c in self.counts):
+            raise ValueError("counts must be nonnegative")
+        if sum(self.counts) != self.t:
+            raise ValueError(f"counts sum to {sum(self.counts)}, t is {self.t}")
+
+    @property
+    def n(self) -> int:
+        return len(self.counts)
+
+    @classmethod
+    def zeros(cls, n: int) -> "CounterState":
+        return cls(counts=[0] * n, t=0)
+
+
+def empirical_q(counters: CounterState, key: int, smoothing: str) -> Fraction:
+    """Observed frequency of `key`: w/t raw, (w+1)/(t+n) add-one smoothed."""
+    w = counters.counts[key - 1]
+    if smoothing == SMOOTHING_LAPLACE:
+        return Fraction(w + 1, counters.t + counters.n)
+    if smoothing == SMOOTHING_NONE:
+        if counters.t < 1:
+            raise ValueError("raw frequency is undefined before the first request")
+        return Fraction(w, counters.t)
+    raise ValueError(f"unknown smoothing mode {smoothing!r}")
+
+
+@dataclass
+class StepRecord:
+    """One served request; `depth_pre` is the key's depth in the tree that
+    was current before any rebuild, so either cost accounting can be
+    recomputed from the log."""
+
+    t: int
+    key: int
+    count: int
+    depth: int
+    depth_pre: int
+    rebuilt: bool
+    q: Fraction
+    p_before: Fraction
+
+
+@dataclass
+class RebuildRecord:
+    """A tree swap: who fired it, their count now and at the previous swap."""
+
+    t: int
+    key: int
+    count_now: int
+    count_at_prev: int
+    prev_t: int
+
+
+@dataclass
+class SimulationReport:
+    n: int
+    m: int
+    alpha: Fraction
+    smoothing: str
+    search_cost: int
+    adjust_cost: Fraction
+    rebuilds: int
+    total: Fraction
+    entropy_empirical: float
+    theorem_bound: float
+    theorem_applicable: bool
+    weights: tuple[int, ...]
+    stat_cost: int | None = None
+    rho: float | None = None
+    steps: list[StepRecord] = field(default_factory=list, repr=False)
+    rebuild_log: list[RebuildRecord] = field(default_factory=list, repr=False)
+    qlog_by_key: dict[int, float] = field(default_factory=dict, repr=False)
+
+    def to_dict(self) -> dict:
+        out = {
+            "n": self.n,
+            "m": self.m,
+            "alpha": _as_number(self.alpha),
+            "smoothing": self.smoothing,
+            "search_cost": self.search_cost,
+            "adjust_cost": _as_number(self.adjust_cost),
+            "rebuilds": self.rebuilds,
+            "total": _as_number(self.total),
+            "entropy_empirical": self.entropy_empirical,
+            "theorem_bound": self.theorem_bound,
+            "theorem_applicable": self.theorem_applicable,
+        }
+        if self.stat_cost is not None:
+            out["stat_cost"] = self.stat_cost
+            out["rho"] = self.rho
+        return out
+
+
+def _as_number(x: Fraction | int) -> int | float:
+    frac = Fraction(x)
+    return int(frac) if frac.denominator == 1 else float(frac)
+
+
+@dataclass
+class SimulationState:
+    """Mutable state of one run; confine to a single execution context."""
+
+    n: int
+    alpha: Fraction
+    smoothing: str
+    counters: CounterState
+    tree: SearchTree
+    tree_probs: tuple[Fraction, ...]
+    depth_by_key: dict[int, int]
+    search_cost: int = 0
+    rebuilds: int = 0
+    last_rebuild_t: int = 0
+    counts_at_last_rebuild: list[int] = field(default_factory=list)
+    steps: list[StepRecord] = field(default_factory=list)
+    rebuild_log: list[RebuildRecord] = field(default_factory=list)
+    qlog_by_key: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def adjust_cost(self) -> Fraction:
+        return self.alpha * self.rebuilds
+
+
+def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
+    """Fresh state: balanced tree, uniform tree distribution, zero counts.
+
+    alpha below 2 is accepted with a warning; the cost-bound guarantee does
+    not apply there and reports flag themselves not applicable.
+    """
+    if n < 1:
+        raise ValueError("need at least one key")
+    if smoothing not in SMOOTHING_MODES:
+        raise ValueError(f"unknown smoothing mode {smoothing!r}")
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if alpha < 2:
+        warnings.warn(
+            "alpha < 2: accepted, but the total-cost guarantee is off",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    tree = build_balanced(n)
+    return SimulationState(
+        n=n,
+        alpha=alpha,
+        smoothing=smoothing,
+        counters=CounterState.zeros(n),
+        tree=tree,
+        tree_probs=tuple(Fraction(1, n) for _ in range(n)),
+        depth_by_key=depth_map(tree),
+        counts_at_last_rebuild=[0] * n,
+    )
+
+
+def _frequency_vector(counters: CounterState, smoothing: str) -> tuple[Fraction, ...]:
+    if smoothing == SMOOTHING_LAPLACE:
+        den = counters.t + counters.n
+        return tuple(Fraction(w + 1, den) for w in counters.counts)
+    return tuple(Fraction(w, counters.t) for w in counters.counts)
+
+
+def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
+    """Biased tree for a probability vector that may contain zeros.
+
+    Zero-probability keys (possible in raw-frequency mode before every key
+    has been seen) cannot get a codeword, so the coded tree is built over the
+    positive keys, whose probabilities already sum to one, and the rest are
+    grafted as leaves in increasing order. Grafting never moves an existing
+    key, so the coded keys keep their depth guarantee.
+    """
+    positive = [(k, p) for k, p in enumerate(probs, start=1) if p > 0]
+    if len(positive) == len(probs):
+        return sfe_to_bst(ProbabilityDistribution(tuple(probs)))
+    dist = ProbabilityDistribution(tuple(p for _, p in positive))
+    tree = sfe_to_bst(dist, keys=[k for k, _ in positive])
+    for key, p in enumerate(probs, start=1):
+        if p == 0:
+            insert_key(tree, key)
+    return tree
+
+
+def step(state: SimulationState, key: int) -> StepRecord:
+    """Serve one request: count it, rebuild if the key drifted, then search.
+
+    Order matters: counters update first, the drift test compares the tree
+    probability against half the updated frequency, and the request is served
+    on the post-rebuild tree.
+    """
+    if not 1 <= key <= state.n:
+        raise InvalidRequestError(f"key {key} outside 1..{state.n}")
+    c = state.counters
+    c.counts[key - 1] += 1
+    c.t += 1
+    t = c.t
+    w = c.counts[key - 1]
+    p = state.tree_probs[key - 1]
+    if state.smoothing == SMOOTHING_LAPLACE:
+        q = Fraction(w + 1, t + state.n)
+        fired = 2 * p.numerator * (t + state.n) < p.denominator * (w + 1)
+    else:
+        q = Fraction(w, t)
+        fired = 2 * p.numerator * t < p.denominator * w
+    depth_pre = state.depth_by_key[key]
+    if fired:
+        state.rebuild_log.append(
+            RebuildRecord(
+                t=t,
+                key=key,
+                count_now=w,
+                count_at_prev=state.counts_at_last_rebuild[key - 1],
+                prev_t=state.last_rebuild_t,
+            )
+        )
+        state.tree_probs = _frequency_vector(c, state.smoothing)
+        state.tree = tree_for_probs(state.tree_probs)
+        state.depth_by_key = depth_map(state.tree)
+        state.rebuilds += 1
+        state.counts_at_last_rebuild = list(c.counts)
+        state.last_rebuild_t = t
+    depth = state.depth_by_key[key]
+    state.search_cost += depth
+    state.qlog_by_key[key] = state.qlog_by_key.get(key, 0.0) + math.log2(t / w)
+    record = StepRecord(
+        t=t,
+        key=key,
+        count=w,
+        depth=depth,
+        depth_pre=depth_pre,
+        rebuilt=fired,
+        q=q,
+        p_before=p,
+    )
+    state.steps.append(record)
+    return record
+
+
+def guarded_invariant_holds(state: SimulationState) -> bool:
+    """Every key's tree probability is at least half its current frequency."""
+    c = state.counters
+    for idx, p in enumerate(state.tree_probs):
+        if state.smoothing == SMOOTHING_LAPLACE:
+            ok = 2 * p.numerator * (c.t + c.n) >= p.denominator * (c.counts[idx] + 1)
+        else:
+            ok = 2 * p.numerator * c.t >= p.denominator * c.counts[idx]
+        if not ok:
+            return False
+    return True
+
+
+def theorem_threshold(n: int, alpha: Fraction) -> float:
+    """Minimum trace length for the total-cost guarantee: 2 n alpha log2(alpha)."""
+    a = float(alpha)
+    return 2.0 * n * a * math.log2(a)
+
+
+def run(
+    state: SimulationState,
+    trace: Iterable[int],
+    check_guarded: bool = False,
+) -> SimulationReport:
+    """Serve a whole trace and summarize costs.
+
+    With `check_guarded`, the drift invariant is re-verified after every step
+    and a violation raises immediately rather than surfacing in the report.
+    """
+    trace = list(trace)
+    if not trace:
+        raise ValueError("empty trace")
+    for key in trace:
+        step(state, key)
+        if check_guarded and not guarded_invariant_holds(state):
+            raise BoundViolationError(
+                f"tree probability fell below half frequency after t={state.counters.t}"
+            )
+    c = state.counters
+    m = c.t
+    h = entropy_of_weights(c.counts)
+    applicable = state.alpha >= 2 and m + 1e-9 >= theorem_threshold(state.n, state.alpha)
+    return SimulationReport(
+        n=state.n,
+        m=m,
+        alpha=state.alpha,
+        smoothing=state.smoothing,
+        search_cost=state.search_cost,
+        adjust_cost=state.adjust_cost,
+        rebuilds=state.rebuilds,
+        total=state.search_cost + state.adjust_cost,
+        entropy_empirical=h,
+        theorem_bound=m * (8.0 + h),
+        theorem_applicable=applicable,
+        weights=tuple(c.counts),
+        steps=state.steps,
+        rebuild_log=state.rebuild_log,
+        qlog_by_key=state.qlog_by_key,
+    )

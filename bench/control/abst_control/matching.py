@@ -1,0 +1,123 @@
+"""A BST as two spine matchings: one for left children, one for right.
+
+Each spine switch holds a partial matching over the n ports (ports are key
+ranks); greedy comparison routing from the root reaches any key in exactly
+its tree depth.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .errors import InvalidMatchingError, KeyNotFoundError
+from .trees import Node, SearchTree, in_order
+
+
+@dataclass
+class MatchingPair:
+    """Left- and right-child matchings over ports 1..n."""
+
+    n: int
+    left: dict[int, int] = field(default_factory=dict)
+    right: dict[int, int] = field(default_factory=dict)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "left": sorted([u, v] for u, v in self.left.items()),
+            "right": sorted([u, v] for u, v in self.right.items()),
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "MatchingPair":
+        return cls(
+            n=int(data["n"]),
+            left={int(u): int(v) for u, v in data["left"]},
+            right={int(u): int(v) for u, v in data["right"]},
+        )
+
+
+def bst_to_matchings(tree: SearchTree) -> MatchingPair:
+    """Extract the two child matchings of a tree over ranks 1..n."""
+    keys = in_order(tree)
+    pair = MatchingPair(n=len(keys))
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        if node.left is not None:
+            pair.left[node.key] = node.left.key
+            stack.append(node.left)
+        if node.right is not None:
+            pair.right[node.key] = node.right.key
+            stack.append(node.right)
+    return pair
+
+
+def _find_root(pair: MatchingPair) -> int:
+    targets = list(pair.left.values()) + list(pair.right.values())
+    target_set = set(targets)
+    if len(targets) != len(target_set):
+        raise InvalidMatchingError("some port is matched as a child twice")
+    roots = [k for k in range(1, pair.n + 1) if k not in target_set]
+    if len(roots) > 1:
+        raise InvalidMatchingError(f"multiple roots: {roots}")
+    if not roots:
+        raise InvalidMatchingError("no root: the matchings contain a cycle")
+    return roots[0]
+
+
+def matchings_to_bst(pair: MatchingPair) -> SearchTree:
+    """Rebuild the tree from its matchings, validating as it goes."""
+    if pair.n < 1:
+        raise InvalidMatchingError("need at least one port")
+    for name, match in (("left", pair.left), ("right", pair.right)):
+        for u, v in match.items():
+            if not (1 <= u <= pair.n and 1 <= v <= pair.n):
+                raise InvalidMatchingError(f"{name} edge {u}->{v} outside 1..{pair.n}")
+            if u == v:
+                raise InvalidMatchingError(f"{name} edge {u}->{v} is a self-loop")
+    root_key = _find_root(pair)
+    nodes = {k: Node(k) for k in range(1, pair.n + 1)}
+    for u, v in pair.left.items():
+        nodes[u].left = nodes[v]
+    for u, v in pair.right.items():
+        nodes[u].right = nodes[v]
+    # reachability: unique parents plus one root still allow an off-tree cycle
+    seen = set()
+    stack = [nodes[root_key]]
+    while stack:
+        node = stack.pop()
+        seen.add(node.key)
+        if node.left is not None:
+            stack.append(node.left)
+        if node.right is not None:
+            stack.append(node.right)
+    if len(seen) != pair.n:
+        missing = sorted(set(range(1, pair.n + 1)) - seen)
+        raise InvalidMatchingError(f"ports unreachable from the root: {missing}")
+    tree = SearchTree(nodes[root_key])
+    if in_order(tree) != list(range(1, pair.n + 1)):
+        raise InvalidMatchingError("matchings violate symmetric order")
+    return tree
+
+
+def route(pair: MatchingPair, target: int) -> list[int]:
+    """Greedy comparison route from the root to `target`.
+
+    Path length equals the target's tree depth.
+    """
+    if not 1 <= target <= pair.n:
+        raise KeyNotFoundError(f"key {target} outside 1..{pair.n}")
+    current = _find_root(pair)
+    path = [current]
+    while current != target:
+        step = pair.left.get(current) if target < current else pair.right.get(current)
+        if step is None:
+            raise KeyNotFoundError(f"dead end at {current} while routing to {target}")
+        current = step
+        path.append(current)
+        if len(path) > pair.n:
+            raise InvalidMatchingError("routing loop: matchings are not a tree")
+    return path
