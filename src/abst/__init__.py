@@ -29,7 +29,6 @@ from .dynamic import (
 from .errors import (
     AbstError,
     BoundViolationError,
-    CorruptCodeError,
     DimensionMismatchError,
     InvalidDistributionError,
     InvalidMatchingError,
@@ -47,21 +46,17 @@ from .sfe import (
     ceil_log2_inverse,
     entropy,
     entropy_of_weights,
-    fraction_bits,
     is_prefix_free,
     parse_distribution,
 )
 from .trees import (
-    PrefixTree,
     SearchTree,
     build_balanced,
-    build_prefix_tree,
     depth_map,
     depth_of,
     format_tree,
     in_order,
     parse_tree,
-    prefix_tree_to_bst,
     sfe_to_bst,
 )
 from .workload import (

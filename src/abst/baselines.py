@@ -77,15 +77,22 @@ def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
             cost[i][j] = best + wsum(i, j)
             root[i][j] = best_r
 
-    def build(i: int, j: int) -> Node | None:
+    tree = SearchTree(None)
+    stack = [(1, n, None, False)]  # (i, j, parent, is_left)
+    while stack:
+        i, j, parent, is_left = stack.pop()
         if i > j:
-            return None
+            continue
         node = Node(root[i][j])
-        node.left = build(i, node.key - 1)
-        node.right = build(node.key + 1, j)
-        return node
-
-    return cost[1][n], SearchTree(build(1, n))
+        if parent is None:
+            tree.root = node
+        elif is_left:
+            parent.left = node
+        else:
+            parent.right = node
+        stack.append((i, node.key - 1, node, True))
+        stack.append((node.key + 1, j, node, False))
+    return cost[1][n], tree
 
 
 def _all_shapes(lo: int, hi: int) -> Iterator:

@@ -29,7 +29,6 @@ from .dynamic import (
     theorem_threshold,
     tree_for_probs,
 )
-from .errors import CorruptCodeError
 from .matching import bst_to_matchings, matchings_to_bst, route
 from .sfe import (
     ProbabilityDistribution,
@@ -38,13 +37,7 @@ from .sfe import (
     entropy,
     is_prefix_free,
 )
-from .trees import (
-    build_prefix_tree,
-    depth_map,
-    in_order,
-    prefix_tree_to_bst,
-    sfe_to_bst,
-)
+from .trees import depth_map, in_order, sfe_to_bst
 from .workload import DEFAULT_SEED, generate, parse_workload
 
 ENTROPY_TOL = 1e-9
@@ -102,10 +95,6 @@ def suite_code_properties(cases: int, n_hi: int, seed: int) -> list[str]:
         words = table.codewords()
         if not is_prefix_free(words):
             violations.append(f"case {case}: codewords not prefix-free")
-        try:
-            build_prefix_tree(table)
-        except CorruptCodeError as exc:
-            violations.append(f"case {case}: trie insertion failed: {exc}")
         if any(a >= b for a, b in zip(words, words[1:])):
             violations.append(f"case {case}: codewords not strictly increasing")
         for entry, p in zip(table.entries, dist.probs):
@@ -130,41 +119,32 @@ def suite_code_properties(cases: int, n_hi: int, seed: int) -> list[str]:
 
 
 def suite_tree_properties(cases: int, n_hi: int, seed: int) -> list[str]:
-    """Depth bound, depth never increases, symmetric order, totality,
-    determinism of the trie-to-BST conversion."""
+    """Depth bound, never deeper than the code trie leaf, symmetric order,
+    totality, determinism of the coded tree."""
     rng = random.Random(seed)
     violations: list[str] = []
     for case in range(cases):
         dist = random_distribution(rng, 2, n_hi)
         table = build_sfe_code(dist)
-        trie = build_prefix_tree(table)
-        trie_depths = trie.leaf_depths()
-        leaves = trie.leaf_items()
-        if [k for k, _ in leaves] != list(range(1, dist.n + 1)):
-            violations.append(f"case {case}: trie leaves out of order")
-        for entry in table.entries:
-            if trie_depths[entry.key] != entry.length + 1:
-                violations.append(
-                    f"case {case}: leaf depth != codeword length + 1 for key {entry.key}"
-                )
-                break
-        tree = prefix_tree_to_bst(trie)
+        tree = sfe_to_bst(dist)
         depths = depth_map(tree)
         if in_order(tree) != list(range(1, dist.n + 1)):
             violations.append(f"case {case}: output violates symmetric order")
         if set(depths) != set(range(1, dist.n + 1)):
             violations.append(f"case {case}: key set changed in conversion")
-        for key, p in enumerate(dist.probs, start=1):
+        for entry, p in zip(table.entries, dist.probs):
+            key = entry.key
             if not depth_bound_ok(depths[key], p):
                 violations.append(
                     f"case {case}: depth {depths[key]} >= log2(1/p)+3 for key {key}, p={p}"
                 )
-            if depths[key] > trie_depths[key]:
+            # a trie leaf sits one below its codeword's last bit
+            if depths[key] > entry.length + 1:
                 violations.append(
                     f"case {case}: key {key} deeper than in the trie "
-                    f"({depths[key]} > {trie_depths[key]})"
+                    f"({depths[key]} > {entry.length + 1})"
                 )
-        if prefix_tree_to_bst(trie) != tree:
+        if sfe_to_bst(dist) != tree:
             violations.append(f"case {case}: conversion not deterministic")
     return violations
 
@@ -308,16 +288,15 @@ def check_trigger_locality(
     state = init(n, alpha, smoothing)
     v: list[str] = []
     for key in trace:
-        probs = state.tree_probs
+        tree_weights, s = state.tree_weights, state.tree_total
         counts = list(state.counters.counts)
         t_next = state.counters.t + 1
         for j in range(1, n + 1):
             w_next = counts[j - 1] + (1 if j == key else 0)
-            p = probs[j - 1]
             if smoothing == SMOOTHING_LAPLACE:
-                fires = 2 * p.numerator * (t_next + n) < p.denominator * (w_next + 1)
+                fires = 2 * tree_weights[j - 1] * (t_next + n) < s * (w_next + 1)
             else:
-                fires = 2 * p.numerator * t_next < p.denominator * w_next
+                fires = 2 * tree_weights[j - 1] * t_next < s * w_next
             if fires and j != key:
                 v.append(f"t={t_next}: request for {key} fired the test for {j}")
         step(state, key)
@@ -366,7 +345,7 @@ def suite_dynamic_properties(
 
 
 def fault_injection_selftest() -> list[str]:
-    """The prefix-freeness checks must flag a deliberately corrupted table."""
+    """The prefix-freeness check must flag a deliberately corrupted table."""
     import dataclasses
 
     from .sfe import CodeTable
@@ -383,15 +362,9 @@ def fault_injection_selftest() -> list[str]:
             for e in table.entries
         )
     )
-    v = []
     if is_prefix_free(corrupted.codewords()):
-        v.append("corrupted codeword set passed the prefix-freeness check")
-    try:
-        build_prefix_tree(corrupted)
-        v.append("trie insertion accepted a corrupted codeword set")
-    except CorruptCodeError:
-        pass
-    return v
+        return ["corrupted codeword set passed the prefix-freeness check"]
+    return []
 
 
 def theorem_grid() -> list[tuple[int, int, str]]:

@@ -2,8 +2,9 @@
 below half its observed frequency.
 
 Costs follow the matching model: serving a request costs the served key's
-depth, every tree swap costs a flat `alpha`. All trigger comparisons are done
-with integer cross-multiplication, so drift decisions are exact.
+depth, every tree swap costs a flat `alpha`. Observed frequencies and the
+tree's distribution are both integer weights over one total, so the drift
+test is an exact integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BoundViolationError, InvalidRequestError
-from .sfe import ProbabilityDistribution, entropy_of_weights
-from .trees import SearchTree, build_balanced, depth_map, insert_key, sfe_to_bst
+from .sfe import ProbabilityDistribution, common_weights, entropy_of_weights
+from .trees import SearchTree, build_balanced, coded_tree, depth_map
 
 SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
@@ -45,16 +46,24 @@ class CounterState:
         return cls(counts=[0] * n, t=0)
 
 
+def _observed(counters: CounterState, key: int, smoothing: str) -> tuple[int, int]:
+    """Observed weight of `key` and its total, (w + d, t + d n): add-one
+    smoothing has d = 1, raw counts d = 0."""
+    if smoothing == SMOOTHING_LAPLACE:
+        delta = 1
+    elif smoothing == SMOOTHING_NONE:
+        delta = 0
+    else:
+        raise ValueError(f"unknown smoothing mode {smoothing!r}")
+    return counters.counts[key - 1] + delta, counters.t + delta * counters.n
+
+
 def empirical_q(counters: CounterState, key: int, smoothing: str) -> Fraction:
     """Observed frequency of `key`: w/t raw, (w+1)/(t+n) add-one smoothed."""
-    w = counters.counts[key - 1]
-    if smoothing == SMOOTHING_LAPLACE:
-        return Fraction(w + 1, counters.t + counters.n)
-    if smoothing == SMOOTHING_NONE:
-        if counters.t < 1:
-            raise ValueError("raw frequency is undefined before the first request")
-        return Fraction(w, counters.t)
-    raise ValueError(f"unknown smoothing mode {smoothing!r}")
+    w, total = _observed(counters, key, smoothing)
+    if total < 1:
+        raise ValueError("raw frequency is undefined before the first request")
+    return Fraction(w, total)
 
 
 @dataclass
@@ -69,8 +78,6 @@ class StepRecord:
     depth: int
     depth_pre: int
     rebuilt: bool
-    q: Fraction
-    p_before: Fraction
 
 
 @dataclass
@@ -138,7 +145,8 @@ class SimulationState:
     smoothing: str
     counters: CounterState
     tree: SearchTree
-    tree_probs: tuple[Fraction, ...]
+    tree_weights: tuple[int, ...]  # the tree's distribution: weight / tree_total
+    tree_total: int
     depth_by_key: dict[int, int]
     search_cost: int = 0
     rebuilds: int = 0
@@ -166,6 +174,10 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    try:
+        float(alpha)  # the cost guarantee and its checks are evaluated in floats
+    except OverflowError:
+        raise ValueError(f"alpha {alpha} is too large for a float") from None
     if alpha < 2:
         warnings.warn(
             "alpha < 2: accepted, but the total-cost guarantee is off",
@@ -179,37 +191,30 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
         smoothing=smoothing,
         counters=CounterState.zeros(n),
         tree=tree,
-        tree_probs=tuple(Fraction(1, n) for _ in range(n)),
+        tree_weights=(1,) * n,
+        tree_total=n,
         depth_by_key=depth_map(tree),
         counts_at_last_rebuild=[0] * n,
     )
 
 
-def _frequency_vector(counters: CounterState, smoothing: str) -> tuple[Fraction, ...]:
-    if smoothing == SMOOTHING_LAPLACE:
-        den = counters.t + counters.n
-        return tuple(Fraction(w + 1, den) for w in counters.counts)
-    return tuple(Fraction(w, counters.t) for w in counters.counts)
-
-
 def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
     """Biased tree for a probability vector that may contain zeros.
 
-    Zero-probability keys (possible in raw-frequency mode before every key
-    has been seen) cannot get a codeword, so the coded tree is built over the
-    positive keys, whose probabilities already sum to one, and the rest are
-    grafted as leaves in increasing order. Grafting never moves an existing
-    key, so the coded keys keep their depth guarantee.
+    The nonzero probabilities must form a distribution. Zero-probability keys
+    (possible in raw-frequency mode before every key has been seen) are
+    grafted as leaves, see `coded_tree`.
     """
-    positive = [(k, p) for k, p in enumerate(probs, start=1) if p > 0]
-    if len(positive) == len(probs):
-        return sfe_to_bst(ProbabilityDistribution(tuple(probs)))
-    dist = ProbabilityDistribution(tuple(p for _, p in positive))
-    tree = sfe_to_bst(dist, keys=[k for k, _ in positive])
-    for key, p in enumerate(probs, start=1):
-        if p == 0:
-            insert_key(tree, key)
-    return tree
+    probs = [Fraction(p) for p in probs]
+    ProbabilityDistribution(tuple(p for p in probs if p))
+    weights, total = common_weights(probs)
+    return coded_tree(weights, total, range(1, len(probs) + 1))[0]
+
+
+def _drifted(state: SimulationState, key: int, w: int, total: int) -> bool:
+    """True iff the tree gives `key` less than half its observed frequency
+    w/total: 2 W_k total < S w for tree weight W_k over tree total S."""
+    return 2 * state.tree_weights[key - 1] * total < state.tree_total * w
 
 
 def step(state: SimulationState, key: int) -> StepRecord:
@@ -226,13 +231,8 @@ def step(state: SimulationState, key: int) -> StepRecord:
     c.t += 1
     t = c.t
     w = c.counts[key - 1]
-    p = state.tree_probs[key - 1]
-    if state.smoothing == SMOOTHING_LAPLACE:
-        q = Fraction(w + 1, t + state.n)
-        fired = 2 * p.numerator * (t + state.n) < p.denominator * (w + 1)
-    else:
-        q = Fraction(w, t)
-        fired = 2 * p.numerator * t < p.denominator * w
+    w_obs, total = _observed(c, key, state.smoothing)
+    fired = _drifted(state, key, w_obs, total)
     depth_pre = state.depth_by_key[key]
     if fired:
         state.rebuild_log.append(
@@ -244,9 +244,9 @@ def step(state: SimulationState, key: int) -> StepRecord:
                 prev_t=state.last_rebuild_t,
             )
         )
-        state.tree_probs = _frequency_vector(c, state.smoothing)
-        state.tree = tree_for_probs(state.tree_probs)
-        state.depth_by_key = depth_map(state.tree)
+        weights = tuple(_observed(c, k, state.smoothing)[0] for k in range(1, state.n + 1))
+        state.tree, state.depth_by_key = coded_tree(weights, total, range(1, state.n + 1))
+        state.tree_weights, state.tree_total = weights, total
         state.rebuilds += 1
         state.counts_at_last_rebuild = list(c.counts)
         state.last_rebuild_t = t
@@ -254,14 +254,7 @@ def step(state: SimulationState, key: int) -> StepRecord:
     state.search_cost += depth
     state.qlog_by_key[key] = state.qlog_by_key.get(key, 0.0) + math.log2(t / w)
     record = StepRecord(
-        t=t,
-        key=key,
-        count=w,
-        depth=depth,
-        depth_pre=depth_pre,
-        rebuilt=fired,
-        q=q,
-        p_before=p,
+        t=t, key=key, count=w, depth=depth, depth_pre=depth_pre, rebuilt=fired
     )
     state.steps.append(record)
     return record
@@ -270,14 +263,10 @@ def step(state: SimulationState, key: int) -> StepRecord:
 def guarded_invariant_holds(state: SimulationState) -> bool:
     """Every key's tree probability is at least half its current frequency."""
     c = state.counters
-    for idx, p in enumerate(state.tree_probs):
-        if state.smoothing == SMOOTHING_LAPLACE:
-            ok = 2 * p.numerator * (c.t + c.n) >= p.denominator * (c.counts[idx] + 1)
-        else:
-            ok = 2 * p.numerator * c.t >= p.denominator * c.counts[idx]
-        if not ok:
-            return False
-    return True
+    return not any(
+        _drifted(state, key, *_observed(c, key, state.smoothing))
+        for key in range(1, state.n + 1)
+    )
 
 
 def theorem_threshold(n: int, alpha: Fraction) -> float:

@@ -13,10 +13,6 @@ class DimensionMismatchError(AbstError, ValueError):
     """Two inputs that must agree in length do not."""
 
 
-class CorruptCodeError(AbstError):
-    """A codeword collides with another while building the code trie."""
-
-
 class KeyNotFoundError(AbstError, LookupError):
     """A requested key is absent from the structure."""
 

@@ -1,8 +1,12 @@
-"""Shannon-Fano-Elias coding over ordered keys, in exact rational arithmetic.
+"""Shannon-Fano-Elias coding over ordered keys, in exact integer arithmetic.
 
-Code construction never touches floating point: cumulative sums, midpoints
-and codeword bits all live on `fractions.Fraction`, so a flipped rounding bit
-can never break the prefix property. Floats appear only in entropy reporting.
+A distribution is coded as integer weights over one total S, so p_i = w_i/S.
+Key i gets length L_i = ceil(log2(S/w_i)) + 1 and, as its codeword, the first
+L_i bits of the CDF midpoint (2 C_{i-1} + w_i) / 2S, where C_i is the prefix
+sum of the weights. Code construction never touches floating point, so a
+flipped rounding bit can never break the prefix property; `Fraction` appears
+only at the parsing and printing boundary, and floats only in entropy
+reporting.
 """
 
 from __future__ import annotations
@@ -66,41 +70,46 @@ def parse_distribution(text: str) -> ProbabilityDistribution:
     return ProbabilityDistribution(tuple(_as_fraction(tok) for tok in items))
 
 
-def ceil_log2_inverse(p: Fraction) -> int:
-    """Smallest integer k >= 0 with p * 2^k >= 1, i.e. ceil(log2(1/p)).
+def _ceil_log2_ratio(total: int, w: int) -> int:
+    """Smallest integer k >= 0 with w * 2^k >= total, i.e. ceil(log2(total/w)).
 
-    Computed by integer shift-and-compare so dyadic probabilities land
-    exactly on their boundary (p = 1/2^k gives k, never k +- 1).
+    One shift-and-compare after a bit-length estimate, so dyadic ratios land
+    exactly on their boundary.
     """
+    k = max(0, total.bit_length() - w.bit_length())
+    return k if w << k >= total else k + 1
+
+
+def ceil_log2_inverse(p: Fraction) -> int:
+    """Smallest integer k >= 0 with p * 2^k >= 1, i.e. ceil(log2(1/p))."""
     if p <= 0:
         raise InvalidDistributionError(f"cannot take log of {p}")
-    num, den = p.numerator, p.denominator
-    k = 0
-    v = num
-    while v < den:
-        v <<= 1
-        k += 1
-    return k
+    return _ceil_log2_ratio(p.denominator, p.numerator)
 
 
-def fraction_bits(x: Fraction, nbits: int) -> str:
-    """First `nbits` bits of the binary fractional expansion of x in [0, 1).
+def common_weights(probs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer weights over the lcm S of the denominators: p_i = w_i / S.
 
-    Each bit is the integer part after doubling the exact remainder, so the
-    expansion is exact for any rational input.
+    S is the total weight whenever the probabilities sum to one.
     """
-    num, den = x.numerator, x.denominator
-    if not 0 <= num < den:
-        raise ValueError(f"{x} is not in [0, 1)")
+    total = math.lcm(*(p.denominator for p in probs))
+    return [p.numerator * (total // p.denominator) for p in probs], total
+
+
+def sfe_code(weights: Sequence[int], total: int) -> list[tuple[int, int]]:
+    """(length, codeword) per key for positive weights summing to `total`.
+
+    The codeword is an integer whose `length`-bit binary form, leading zeros
+    included, is the first bits of the CDF midpoint (2 C_{i-1} + w_i) / 2S
+    (Cover and Thomas, Elements of Information Theory, section 5.9).
+    """
     out = []
-    for _ in range(nbits):
-        num <<= 1
-        if num >= den:
-            out.append("1")
-            num -= den
-        else:
-            out.append("0")
-    return "".join(out)
+    cum = 0
+    for w in weights:
+        length = _ceil_log2_ratio(total, w) + 1
+        out.append((length, ((2 * cum + w) << length) // (2 * total)))
+        cum += w
+    return out
 
 
 @dataclass(frozen=True)
@@ -142,14 +151,17 @@ def build_sfe_code(dist: ProbabilityDistribution | Iterable) -> CodeTable:
     """
     if not isinstance(dist, ProbabilityDistribution):
         dist = ProbabilityDistribution(tuple(dist))
+    weights, total = common_weights(dist.probs)
     entries = []
-    cum = Fraction(0)
-    for rank, p in enumerate(dist.probs, start=1):
-        midpoint = cum + p / 2
-        cum = cum + p
-        length = ceil_log2_inverse(p) + 1
-        codeword = fraction_bits(midpoint, length)
-        entries.append(CodeEntry(rank, cum, midpoint, length, codeword))
+    cum = 0
+    for rank, (w, (length, code)) in enumerate(
+        zip(weights, sfe_code(weights, total)), start=1
+    ):
+        midpoint = Fraction(2 * cum + w, 2 * total)
+        cum += w
+        entries.append(
+            CodeEntry(rank, Fraction(cum, total), midpoint, length, f"{code:0{length}b}")
+        )
     return CodeTable(tuple(entries))
 
 

@@ -1,103 +1,23 @@
-"""Code tries and biased binary search trees.
+"""Biased binary search trees from order-preserving prefix codes.
 
-A code trie keeps keys at its leaves in sorted left-to-right order. The
-conversion lifts leaves into internal positions, producing a BST in symmetric
-order in which no key ends up deeper than it sat in the trie.
+The coded tree is built straight from the key-ordered codewords, with no trie:
+an explicit stack of key ranges lo..hi whose codewords share their first d
+bits. Because the code is prefix-free and order-preserving, bit d splits
+such a range into a run of 0s and a run of 1s. The range's root is the
+shorter-coded of the two keys flanking that split (ties go left, and a range
+with only one side takes that side's flank), and both remaining halves go
+back on the stack at depth d+1. This is the tree the code trie would give by
+promoting flanking leaves: keys stay in symmetric order and no key ends up
+deeper than its trie leaf (codeword length + 1).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from .errors import CorruptCodeError, KeyNotFoundError
-from .sfe import CodeTable, ProbabilityDistribution, build_sfe_code
-
-
-class TrieNode:
-    __slots__ = ("key", "left", "right")
-
-    def __init__(self, key: int | None = None):
-        self.key = key
-        self.left: TrieNode | None = None
-        self.right: TrieNode | None = None
-
-
-class PrefixTree:
-    """Binary trie of codewords; bit 0 descends left, bit 1 descends right."""
-
-    def __init__(self, root: TrieNode):
-        self.root = root
-
-    def leaf_items(self) -> list[tuple[int, int]]:
-        """(key, depth) per leaf in left-to-right order; root has depth 1."""
-        out: list[tuple[int, int]] = []
-
-        def walk(node: TrieNode | None, depth: int) -> None:
-            if node is None:
-                return
-            if node.key is not None:
-                out.append((node.key, depth))
-                return
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-        walk(self.root, 1)
-        return out
-
-    def leaf_depths(self) -> dict[int, int]:
-        return dict(self.leaf_items())
-
-
-def _insert_codeword(root: TrieNode, key: int, codeword: str) -> None:
-    node = root
-    last = len(codeword) - 1
-    for i, bit in enumerate(codeword):
-        if node.key is not None:
-            raise CorruptCodeError(
-                f"codeword {codeword!r} passes through the leaf of key {node.key}"
-            )
-        child = node.left if bit == "0" else node.right
-        if i == last:
-            if child is not None:
-                raise CorruptCodeError(
-                    f"codeword {codeword!r} collides with an existing subtree"
-                )
-            leaf = TrieNode(key)
-            if bit == "0":
-                node.left = leaf
-            else:
-                node.right = leaf
-            return
-        if child is None:
-            child = TrieNode()
-            if bit == "0":
-                node.left = child
-            else:
-                node.right = child
-        node = child
-
-
-def _trie_from_pairs(pairs: Iterable[tuple[int, str]]) -> TrieNode:
-    root = TrieNode()
-    for key, codeword in pairs:
-        if not codeword:
-            raise CorruptCodeError("empty codeword")
-        _insert_codeword(root, key, codeword)
-    return root
-
-
-def build_prefix_tree(table: CodeTable) -> PrefixTree:
-    """Binary trie of the table's codewords with key ranks at the leaves."""
-    return PrefixTree(_trie_from_pairs((e.key, e.codeword) for e in table.entries))
-
-
-def _copy_trie(node: TrieNode | None) -> TrieNode | None:
-    if node is None:
-        return None
-    dup = TrieNode(node.key)
-    dup.left = _copy_trie(node.left)
-    dup.right = _copy_trie(node.right)
-    return dup
+from .errors import KeyNotFoundError
+from .sfe import ProbabilityDistribution, common_weights, sfe_code
 
 
 class Node:
@@ -135,66 +55,52 @@ class SearchTree:
         return hash(format_tree(self))
 
 
-def _leaf_path(start: TrieNode, prefer_right: bool) -> list[TrieNode]:
-    """Path from `start` to its rightmost (or leftmost) leaf."""
-    path = [start]
-    node = start
-    while node.key is None:
-        if prefer_right:
-            node = node.right if node.right is not None else node.left
-        else:
-            node = node.left if node.left is not None else node.right
-        path.append(node)
-    return path
+def coded_tree(
+    weights: Sequence[int], total: int, keys: Sequence[int]
+) -> tuple[SearchTree, dict[int, int]]:
+    """Biased BST for integer weights over `total`, and the depth of every key.
 
-
-def _delete_leaf(anchor: TrieNode, path: list[TrieNode]) -> None:
-    """Unlink path[-1], pruning internals left childless; keeps `anchor`."""
-    chain = [anchor] + path
-    for i in range(len(chain) - 1, 0, -1):
-        node, parent = chain[i], chain[i - 1]
-        if node.key is None and (node.left is not None or node.right is not None):
-            break
-        if parent.left is node:
-            parent.left = None
-        else:
-            parent.right = None
-
-
-def _convert(node: TrieNode | None) -> Node | None:
-    """Recursively turn a trie into a BST.
-
-    The subtree root becomes the shallower of the two leaves flanking the
-    trie root (rightmost leaf on the left vs leftmost leaf on the right);
-    ties go left. The chosen leaf is deleted and both trie halves recurse.
+    `keys` labels the weights with strictly increasing key values. Keys of
+    positive weight are placed by their Shannon-Fano-Elias codewords; keys of
+    zero weight cannot get a codeword and are grafted as leaves in increasing
+    order, which never moves a coded key.
     """
-    if node is None:
-        return None
-    if node.key is not None:
-        return Node(node.key)
-    left_path = _leaf_path(node.left, prefer_right=True) if node.left else None
-    right_path = _leaf_path(node.right, prefer_right=False) if node.right else None
-    if right_path is None or (left_path is not None and len(left_path) <= len(right_path)):
-        chosen = left_path
-    else:
-        chosen = right_path
-    root = Node(chosen[-1].key)
-    _delete_leaf(node, chosen)
-    root.left = _convert(node.left)
-    root.right = _convert(node.right)
-    return root
-
-
-def prefix_tree_to_bst(tree: PrefixTree) -> SearchTree:
-    """Convert a code trie to a BST; every key is at most as deep as before.
-
-    The input trie is copied, not consumed. An empty trie yields an empty
-    tree.
-    """
-    root = _copy_trie(tree.root)
-    if root is not None and root.key is None and root.left is None and root.right is None:
-        return SearchTree(None)
-    return SearchTree(_convert(root))
+    coded = [i for i, w in enumerate(weights) if w]
+    code = sfe_code([weights[i] for i in coded], total)
+    lengths = [length for length, _ in code]
+    words = [word for _, word in code]
+    depths: dict[int, int] = {}
+    tree = SearchTree(None)
+    # (lo, hi, d, depth, parent, is_left): ranks lo..hi share d code bits
+    stack = [(0, len(coded) - 1, 0, 1, None, False)]
+    while stack:
+        lo, hi, d, depth, parent, is_left = stack.pop()
+        if lo > hi:
+            continue
+        r = lo
+        if lo < hi:
+            s = bisect_left(
+                range(lo, hi + 1), 1, key=lambda i: words[i] >> (lengths[i] - 1 - d) & 1
+            ) + lo
+            if s > hi:
+                r = hi
+            elif s > lo:
+                r = s - 1 if lengths[s - 1] <= lengths[s] else s
+        key = keys[coded[r]]
+        node = Node(key)
+        depths[key] = depth
+        if parent is None:
+            tree.root = node
+        elif is_left:
+            parent.left = node
+        else:
+            parent.right = node
+        stack.append((lo, r - 1, d + 1, depth + 1, node, True))
+        stack.append((r + 1, hi, d + 1, depth + 1, node, False))
+    for i, w in enumerate(weights):
+        if not w:
+            depths[keys[i]] = insert_key(tree, keys[i])
+    return tree, depths
 
 
 def sfe_to_bst(
@@ -206,19 +112,18 @@ def sfe_to_bst(
     `keys` relabels the n ranks with arbitrary strictly increasing key
     values (default 1..n); the code shape depends only on the probabilities.
     """
-    table = build_sfe_code(dist)
+    if not isinstance(dist, ProbabilityDistribution):
+        dist = ProbabilityDistribution(tuple(dist))
     if keys is None:
-        keys = range(1, table.n + 1)
+        keys = range(1, dist.n + 1)
     else:
         keys = list(keys)
-        if len(keys) != table.n:
+        if len(keys) != dist.n:
             raise ValueError("keys and distribution differ in length")
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("keys must be strictly increasing")
-    trie = _trie_from_pairs(
-        (k, e.codeword) for k, e in zip(keys, table.entries)
-    )
-    return prefix_tree_to_bst(PrefixTree(trie))
+    weights, total = common_weights(dist.probs)
+    return coded_tree(weights, total, keys)[0]
 
 
 def depth_of(tree: SearchTree, key: int) -> int:
@@ -263,46 +168,55 @@ def in_order(tree: SearchTree) -> list[int]:
 
 def format_tree(tree: SearchTree) -> str:
     """Serialize as nested `(key left right)` with `.` for empty."""
-
-    def fmt(node: Node | None) -> str:
-        if node is None:
-            return "."
-        return f"({node.key} {fmt(node.left)} {fmt(node.right)})"
-
-    return fmt(tree.root)
+    parts: list[str] = []
+    stack: list = [tree.root]  # subtrees to write, and literal text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item is None:
+            parts.append(".")
+        else:
+            parts.append(f"({item.key} ")
+            stack += [")", item.right, " ", item.left]
+    return "".join(parts)
 
 
 def parse_tree(text: str) -> SearchTree:
     """Inverse of format_tree."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
+    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
 
     def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
+        tok = next(tokens, None)
+        if tok is None:
             raise ValueError("unexpected end of tree text")
-        tok = tokens[pos]
-        pos += 1
         return tok
 
-    def parse() -> Node | None:
+    # open nodes, each with whether its left subtree is already attached
+    open_nodes: list[tuple[Node, bool]] = []
+    while True:
         tok = take()
-        if tok == ".":
-            return None
-        if tok != "(":
+        if tok == "(":
+            open_nodes.append((Node(int(take())), False))
+            continue
+        if tok != ".":
             raise ValueError(f"expected '(' or '.', got {tok!r}")
-        node = Node(int(take()))
-        node.left = parse()
-        node.right = parse()
-        closing = take()
-        if closing != ")":
-            raise ValueError(f"expected ')', got {closing!r}")
-        return node
-
-    root = parse()
-    if pos != len(tokens):
+        done = None  # the subtree just completed
+        while open_nodes and open_nodes[-1][1]:
+            node = open_nodes.pop()[0]
+            node.right = done
+            closing = take()
+            if closing != ")":
+                raise ValueError(f"expected ')', got {closing!r}")
+            done = node
+        if not open_nodes:
+            break
+        node = open_nodes[-1][0]
+        node.left = done
+        open_nodes[-1] = (node, True)
+    if next(tokens, None) is not None:
         raise ValueError("trailing tokens after tree")
-    return SearchTree(root)
+    return SearchTree(done)
 
 
 def build_balanced(n: int) -> SearchTree:
@@ -322,22 +236,27 @@ def build_balanced(n: int) -> SearchTree:
     return SearchTree(build(1, n))
 
 
-def insert_key(tree: SearchTree, key: int) -> None:
-    """Standard leaf insertion; existing key depths are unchanged."""
+def insert_key(tree: SearchTree, key: int) -> int:
+    """Standard leaf insertion; existing key depths are unchanged.
+
+    Returns the depth of the new leaf.
+    """
     if tree.root is None:
         tree.root = Node(key)
-        return
+        return 1
     node = tree.root
+    depth = 2
     while True:
         if key == node.key:
             raise ValueError(f"duplicate key {key}")
         if key < node.key:
             if node.left is None:
                 node.left = Node(key)
-                return
+                return depth
             node = node.left
         else:
             if node.right is None:
                 node.right = Node(key)
-                return
+                return depth
             node = node.right
+        depth += 1

@@ -7,6 +7,7 @@ All randomness comes from `random.Random`, i.e. the Mersenne Twister
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,8 +43,8 @@ def parse_workload(
         if not arg:
             raise ValueError("zipf needs an exponent, e.g. zipf:1.0")
         s = float(arg)
-        if s < 0:
-            raise ValueError("zipf exponent must be nonnegative")
+        if not math.isfinite(s) or s < 0:
+            raise ValueError(f"zipf exponent must be finite and nonnegative, got {arg}")
         return WorkloadSpec(kind="zipf", n=n, m=m, seed=seed, s=s)
     if kind == "freq":
         weights = tuple(int(w) for w in arg.split(","))
@@ -94,7 +95,12 @@ def generate(spec: WorkloadSpec) -> list[int]:
         # not always key 1
         perm = list(range(1, spec.n + 1))
         rng.shuffle(perm)
-        mass = [1.0 / (r ** spec.s) for r in range(1, spec.n + 1)]
+        try:
+            mass = [1.0 / (r ** spec.s) for r in range(1, spec.n + 1)]
+        except OverflowError:
+            raise ValueError(
+                f"zipf exponent {spec.s} overflows a float weight at n={spec.n}"
+            ) from None
         total = sum(mass)
         cdf = []
         acc = 0.0

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -97,3 +98,19 @@ def test_entropy_annotation_band():
     lower, upper = stat_entropy_bounds(WeightVector((6,)))
     assert lower == pytest.approx(6 / math.log2(3))
     assert upper == pytest.approx(12.0)
+
+
+def test_optimal_argmin_builds_a_deep_chain_without_recursion():
+    # weights 2^i make the optimal tree a chain as deep as n
+    n = 200
+    weights = WeightVector(tuple(2**i for i in range(n)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        cost, tree = optimal_static_cost(weights)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert depth_map(tree) == {key: n + 1 - key for key in range(1, n + 1)}
+    assert tree_cost(tree, weights) == cost
+    # root ties still break toward the smaller key
+    assert optimal_static_cost(WeightVector((1, 1)))[1].root.key == 1

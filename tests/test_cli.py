@@ -99,6 +99,25 @@ def test_simulate_rejects_bad_workload(capsys):
     assert "workload" in err
 
 
+@pytest.mark.parametrize(
+    "workload, alpha, needle",
+    [
+        ("zipf:nan", "2", "nan"),
+        ("zipf:inf", "2", "inf"),
+        ("zipf:2000", "2", "2000"),
+        ("uniform", "1e400", "alpha"),
+    ],
+)
+def test_simulate_overflowing_inputs_are_config_errors(capsys, workload, alpha, needle):
+    code, _, err = run_cli(
+        capsys, "simulate", "--n", "5", "--alpha", alpha, "--m", "10",
+        "--workload", workload,
+    )
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error:") and needle in err
+    assert "Traceback" not in err
+
+
 def test_simulate_trace_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1\nnope\n")

@@ -61,7 +61,7 @@ def test_empirical_q_unknown_mode():
 
 def test_init_state():
     state = init(5, 2)
-    assert state.tree_probs == (Fraction(1, 5),) * 5
+    assert state.tree_weights == (1,) * 5 and state.tree_total == 5
     assert state.tree.root.key == 3
     assert in_order(state.tree) == [1, 2, 3, 4, 5]
     assert state.search_cost == 0 and state.rebuilds == 0
@@ -87,20 +87,19 @@ def test_init_warns_below_alpha_two():
 
 def test_worked_trace_rebuild_schedule():
     state = init(5, 2, SMOOTHING_NONE)
-    records = [step(state, key) for key in WORKED_TRACE]
-    assert [r.t for r in records if r.rebuilt] == [1, 2, 4, 9, 10, 12]
+    records = [step(state, key) for key in WORKED_TRACE[:11]]
     # the tenth request freezes the frequencies (1,2,4,2,1)/10
     assert records[9].rebuilt
     # eleventh request: tree probability 1/10 is not below (2/11)/2
     assert records[10].rebuilt is False
-    assert records[10].p_before == Fraction(1, 10)
-    assert records[10].q == Fraction(2, 11)
+    assert state.tree_weights == (1, 2, 4, 2, 1) and state.tree_total == 10
+    assert empirical_q(state.counters, 1, SMOOTHING_NONE) == Fraction(2, 11)
     # twelfth request: 1/10 < (3/12)/2 fires a rebuild
+    records.append(step(state, WORKED_TRACE[11]))
     assert records[11].rebuilt
-    assert records[11].q == Fraction(3, 12)
-    assert state.tree_probs == (
-        Fraction(3, 12), Fraction(2, 12), Fraction(4, 12), Fraction(2, 12), Fraction(1, 12),
-    )
+    assert empirical_q(state.counters, 1, SMOOTHING_NONE) == Fraction(3, 12)
+    assert [r.t for r in records if r.rebuilt] == [1, 2, 4, 9, 10, 12]
+    assert state.tree_weights == (3, 2, 4, 2, 1) and state.tree_total == 12
     assert format_tree(state.tree) == TREE_B
     # key 1 moved from depth 3 to depth 2 and was served post-rebuild
     assert records[11].depth_pre == 3

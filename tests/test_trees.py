@@ -1,26 +1,27 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abst.errors import CorruptCodeError, KeyNotFoundError
+import trie_oracle
+from abst.checks import random_distribution
+from abst.dynamic import init, run, tree_for_probs
+from abst.errors import KeyNotFoundError
 from abst.sfe import CodeTable, ProbabilityDistribution, build_sfe_code, parse_distribution
 from abst.trees import (
     build_balanced,
-    build_prefix_tree,
+    coded_tree,
     depth_map,
     depth_of,
     format_tree,
     in_order,
     insert_key,
     parse_tree,
-    prefix_tree_to_bst,
     sfe_to_bst,
-    PrefixTree,
-    SearchTree,
-    TrieNode,
 )
+from trie_oracle import CorruptCodeError, PrefixTree, TrieNode, build_prefix_tree, prefix_tree_to_bst
 
 EXAMPLE_A = parse_distribution("0.1,0.2,0.4,0.2,0.1")
 EXAMPLE_B = parse_distribution("3/12,2/12,4/12,2/12,1/12")
@@ -61,16 +62,19 @@ def test_trie_rejects_prefix_collision():
 def test_conversion_example_a():
     tree = prefix_tree_to_bst(build_prefix_tree(build_sfe_code(EXAMPLE_A)))
     assert format_tree(tree) == TREE_A
+    assert format_tree(sfe_to_bst(EXAMPLE_A)) == TREE_A
 
 
 def test_conversion_example_b():
     tree = prefix_tree_to_bst(build_prefix_tree(build_sfe_code(EXAMPLE_B)))
     assert format_tree(tree) == TREE_B
+    assert format_tree(sfe_to_bst(EXAMPLE_B)) == TREE_B
 
 
 def test_conversion_single_leaf():
     tree = prefix_tree_to_bst(build_prefix_tree(build_sfe_code([Fraction(1)])))
     assert format_tree(tree) == "(1 . .)"
+    assert format_tree(sfe_to_bst([Fraction(1)])) == "(1 . .)"
 
 
 def test_conversion_empty_trie_gives_empty_tree():
@@ -127,14 +131,16 @@ def test_balanced_tree_shape():
 
 def test_insert_key_grafts_leaves():
     tree = parse_tree("(2 . .)")
-    insert_key(tree, 1)
-    insert_key(tree, 3)
-    assert format_tree(tree) == "(2 (1 . .) (3 . .))"
+    assert insert_key(tree, 1) == 2
+    assert insert_key(tree, 3) == 2
+    assert insert_key(tree, 4) == 3
+    assert format_tree(tree) == "(2 (1 . .) (3 . (4 . .)))"
     with pytest.raises(ValueError):
         insert_key(tree, 2)
 
 
 def test_conversion_is_deterministic():
+    assert sfe_to_bst(EXAMPLE_A) == sfe_to_bst(EXAMPLE_A)
     trie = build_prefix_tree(build_sfe_code(EXAMPLE_A))
     assert prefix_tree_to_bst(trie) == prefix_tree_to_bst(trie)
     # and the source trie is not consumed
@@ -149,17 +155,60 @@ weight_lists = st.lists(st.integers(1, 64), min_size=2, max_size=32)
 def test_conversion_invariants_random(weights):
     total = sum(weights)
     dist = ProbabilityDistribution(tuple(Fraction(w, total) for w in weights))
-    trie = build_prefix_tree(build_sfe_code(dist))
-    trie_depths = trie.leaf_depths()
-    tree = prefix_tree_to_bst(trie)
+    table = build_sfe_code(dist)
+    tree, depths = coded_tree(weights, total, range(1, len(weights) + 1))
     n = len(weights)
     assert in_order(tree) == list(range(1, n + 1))
-    depths = depth_map(tree)
+    assert depths == depth_map(tree)
+    assert tree == trie_oracle.sfe_to_bst(dist)
     for key, p in enumerate(dist.probs, start=1):
-        assert depths[key] <= trie_depths[key]
+        # never deeper than its code trie leaf
+        assert depths[key] <= table.entry(key).length + 1
         # exact form of depth < log2(1/p) + 3
         e = depths[key] - 3
         if e >= 0:
             assert (p.numerator << e) < p.denominator
         else:
             assert p.numerator < (p.denominator << -e)
+
+
+def _with_zeros(rng: random.Random, probs) -> list[Fraction]:
+    """The probabilities with zeros inserted at random places."""
+    out = list(probs)
+    for _ in range(rng.randint(1, 8)):
+        out.insert(rng.randint(0, len(out)), Fraction(0))
+    return out
+
+
+def test_range_walk_matches_trie_oracle():
+    rng = random.Random(2024)
+    dyadic = 0
+    for _ in range(500):
+        dist = random_distribution(rng, 2, 128)
+        dyadic += all(p.denominator & (p.denominator - 1) == 0 for p in dist.probs)
+        assert build_sfe_code(dist) == trie_oracle.build_sfe_code(dist)
+        assert sfe_to_bst(dist) == trie_oracle.sfe_to_bst(dist)
+        probs = _with_zeros(rng, dist.probs)
+        assert tree_for_probs(probs) == trie_oracle.tree_for_probs(probs)
+    assert dyadic >= 50
+
+
+def test_range_walk_matches_trie_oracle_zipf_4096():
+    n = 4096
+    weights = [10**6 // r for r in range(1, n + 1)]
+    total = sum(weights)
+    dist = ProbabilityDistribution(tuple(Fraction(w, total) for w in weights))
+    assert build_sfe_code(dist) == trie_oracle.build_sfe_code(dist)
+    tree, depths = coded_tree(weights, total, range(1, n + 1))
+    assert tree == trie_oracle.sfe_to_bst(dist) == sfe_to_bst(dist)
+    assert depths == depth_map(tree)
+
+
+def test_deep_grafted_chain_needs_no_recursion():
+    # raw mode rebuilds at t=1 over key 1 alone and grafts 2..3000 as a chain
+    state = init(3000, 4, "none")
+    run(state, [1] * 5)
+    tree = state.tree
+    assert state.depth_by_key[3000] == 3000
+    assert parse_tree(format_tree(tree)) == tree
+    assert isinstance(hash(tree), int)
