@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .sfe import entropy_of_weights
-from .trees import Node, SearchTree, build_balanced, depth_map
+from .trees import SearchTree, build_balanced, build_from_roots, depth_map
 
 BRUTE_FORCE_MAX_N = 12
 
@@ -50,6 +50,12 @@ def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
     the interval's weight (every key pays one visit to the subtree root)
     plus the best split. Only successful searches carry weight, so there are
     no gap terms. Root ties break toward the smaller key.
+
+    The root scan of keys i..j is limited to root[i][j-1]..root[i+1][j],
+    which makes the whole table O(n^2). Knuth (1971, "Optimum binary search
+    trees", Acta Informatica 1) proved that bound, and Yao (1980, "Efficient
+    dynamic programming using quadrangle inequalities") showed that it holds
+    for the smallest optimal root, the one the tie rule picks.
     """
     n = weights.n
     w = weights.weights
@@ -70,29 +76,14 @@ def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
         for i in range(1, n - length + 2):
             j = i + length - 1
             best, best_r = None, None
-            for r in range(i, j + 1):
+            for r in range(root[i][j - 1], root[i + 1][j] + 1):
                 c = cost[i][r - 1] + cost[r + 1][j]
                 if best is None or c < best:
                     best, best_r = c, r
             cost[i][j] = best + wsum(i, j)
             root[i][j] = best_r
 
-    tree = SearchTree(None)
-    stack = [(1, n, None, False)]  # (i, j, parent, is_left)
-    while stack:
-        i, j, parent, is_left = stack.pop()
-        if i > j:
-            continue
-        node = Node(root[i][j])
-        if parent is None:
-            tree.root = node
-        elif is_left:
-            parent.left = node
-        else:
-            parent.right = node
-        stack.append((i, node.key - 1, node, True))
-        stack.append((node.key + 1, j, node, False))
-    return cost[1][n], tree
+    return cost[1][n], build_from_roots(n, lambda i, j: root[i][j])
 
 
 def _all_shapes(lo: int, hi: int) -> Iterator:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BoundViolationError, InvalidRequestError
 from .sfe import ProbabilityDistribution, common_weights, entropy_of_weights
@@ -46,24 +47,30 @@ class CounterState:
         return cls(counts=[0] * n, t=0)
 
 
-def _observed(counters: CounterState, key: int, smoothing: str) -> tuple[int, int]:
-    """Observed weight of `key` and its total, (w + d, t + d n): add-one
-    smoothing has d = 1, raw counts d = 0."""
+def _observed(counters: CounterState, smoothing: str) -> tuple[Callable[[int], int], int]:
+    """Observed weight as a function of a key's count, and the observed total:
+    (w + d, t + d n), where add-one smoothing has d = 1 and raw counts d = 0."""
     if smoothing == SMOOTHING_LAPLACE:
         delta = 1
     elif smoothing == SMOOTHING_NONE:
         delta = 0
     else:
         raise ValueError(f"unknown smoothing mode {smoothing!r}")
-    return counters.counts[key - 1] + delta, counters.t + delta * counters.n
+    return delta.__add__, counters.t + delta * len(counters.counts)
+
+
+def _observed_weights(counters: CounterState, smoothing: str) -> tuple[tuple[int, ...], int]:
+    """Observed weights of keys 1..n and their total."""
+    observe, total = _observed(counters, smoothing)
+    return tuple(map(observe, counters.counts)), total
 
 
 def empirical_q(counters: CounterState, key: int, smoothing: str) -> Fraction:
     """Observed frequency of `key`: w/t raw, (w+1)/(t+n) add-one smoothed."""
-    w, total = _observed(counters, key, smoothing)
+    observe, total = _observed(counters, smoothing)
     if total < 1:
         raise ValueError("raw frequency is undefined before the first request")
-    return Fraction(w, total)
+    return Fraction(observe(counters.counts[key - 1]), total)
 
 
 @dataclass
@@ -172,12 +179,7 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
     if smoothing not in SMOOTHING_MODES:
         raise ValueError(f"unknown smoothing mode {smoothing!r}")
     alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    try:
-        float(alpha)  # the cost guarantee and its checks are evaluated in floats
-    except OverflowError:
-        raise ValueError(f"alpha {alpha} is too large for a float") from None
+    _alpha_float(alpha)
     if alpha < 2:
         warnings.warn(
             "alpha < 2: accepted, but the total-cost guarantee is off",
@@ -231,8 +233,8 @@ def step(state: SimulationState, key: int) -> StepRecord:
     c.t += 1
     t = c.t
     w = c.counts[key - 1]
-    w_obs, total = _observed(c, key, state.smoothing)
-    fired = _drifted(state, key, w_obs, total)
+    observe, total = _observed(c, state.smoothing)
+    fired = _drifted(state, key, observe(w), total)
     depth_pre = state.depth_by_key[key]
     if fired:
         state.rebuild_log.append(
@@ -244,7 +246,7 @@ def step(state: SimulationState, key: int) -> StepRecord:
                 prev_t=state.last_rebuild_t,
             )
         )
-        weights = tuple(_observed(c, k, state.smoothing)[0] for k in range(1, state.n + 1))
+        weights, total = _observed_weights(c, state.smoothing)
         state.tree, state.depth_by_key = coded_tree(weights, total, range(1, state.n + 1))
         state.tree_weights, state.tree_total = weights, total
         state.rebuilds += 1
@@ -262,16 +264,31 @@ def step(state: SimulationState, key: int) -> StepRecord:
 
 def guarded_invariant_holds(state: SimulationState) -> bool:
     """Every key's tree probability is at least half its current frequency."""
-    c = state.counters
+    weights, total = _observed_weights(state.counters, state.smoothing)
     return not any(
-        _drifted(state, key, *_observed(c, key, state.smoothing))
-        for key in range(1, state.n + 1)
+        _drifted(state, key, w, total) for key, w in enumerate(weights, start=1)
     )
+
+
+def _alpha_float(alpha: Fraction) -> float:
+    """alpha as a positive float, in which the cost guarantee and its checks
+    are evaluated; ValueError naming alpha if there is none."""
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    try:
+        a = float(alpha)
+    except OverflowError:
+        a = math.inf
+    if not 0 < a < math.inf:
+        size = "large" if a else "small"
+        shown = format((Decimal(alpha.numerator) / alpha.denominator).normalize(), ".6g")
+        raise ValueError(f"alpha {shown} is too {size} for a float")
+    return a
 
 
 def theorem_threshold(n: int, alpha: Fraction) -> float:
     """Minimum trace length for the total-cost guarantee: 2 n alpha log2(alpha)."""
-    a = float(alpha)
+    a = _alpha_float(alpha)
     return 2.0 * n * a * math.log2(a)
 
 

@@ -14,7 +14,7 @@ deeper than its trie leaf (codeword length + 1).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import KeyNotFoundError
 from .sfe import ProbabilityDistribution, common_weights, sfe_code
@@ -70,6 +70,7 @@ def coded_tree(
     lengths = [length for length, _ in code]
     words = [word for _, word in code]
     depths: dict[int, int] = {}
+    nodes: list[Node | None] = [None] * len(coded)  # coded nodes by rank
     tree = SearchTree(None)
     # (lo, hi, d, depth, parent, is_left): ranks lo..hi share d code bits
     stack = [(0, len(coded) - 1, 0, 1, None, False)]
@@ -87,7 +88,7 @@ def coded_tree(
             elif s > lo:
                 r = s - 1 if lengths[s - 1] <= lengths[s] else s
         key = keys[coded[r]]
-        node = Node(key)
+        node = nodes[r] = Node(key)
         depths[key] = depth
         if parent is None:
             tree.root = node
@@ -97,9 +98,31 @@ def coded_tree(
             parent.right = node
         stack.append((lo, r - 1, d + 1, depth + 1, node, True))
         stack.append((r + 1, hi, d + 1, depth + 1, node, False))
+    # Leaf insertion in increasing order hangs each run of zero-weight keys
+    # as a right chain from the one empty slot between its coded neighbours
+    # a < b: a.right if that is empty, else b.left. The slot lies one below
+    # the deeper of a and b.
+    rank, tail, depth = 0, None, 0
     for i, w in enumerate(weights):
-        if not w:
-            depths[keys[i]] = insert_key(tree, keys[i])
+        if w:
+            rank, tail = rank + 1, None
+            continue
+        node = Node(keys[i])
+        if tail is not None:
+            tail.right = node
+        else:
+            a = nodes[rank - 1] if rank else None
+            b = nodes[rank] if rank < len(nodes) else None
+            if a is not None and a.right is None:
+                a.right = node
+            elif b is not None:
+                b.left = node
+            else:
+                tree.root = node
+            depth = max(depths[a.key] if a else 0, depths[b.key] if b else 0)
+        depth += 1
+        depths[keys[i]] = depth
+        tail = node
     return tree, depths
 
 
@@ -220,43 +243,30 @@ def parse_tree(text: str) -> SearchTree:
 
 
 def build_balanced(n: int) -> SearchTree:
-    """Balanced BST over 1..n by recursive median choice (lower on even)."""
+    """Balanced BST over 1..n: each range's root is its median (lower on even)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-
-    def build(lo: int, hi: int) -> Node | None:
-        if lo > hi:
-            return None
-        mid = (lo + hi) // 2
-        node = Node(mid)
-        node.left = build(lo, mid - 1)
-        node.right = build(mid + 1, hi)
-        return node
-
-    return SearchTree(build(1, n))
+    return build_from_roots(n, lambda lo, hi: (lo + hi) // 2)
 
 
-def insert_key(tree: SearchTree, key: int) -> int:
-    """Standard leaf insertion; existing key depths are unchanged.
+def build_from_roots(n: int, root_of: Callable[[int, int], int]) -> SearchTree:
+    """BST over 1..n whose subtree on keys lo..hi has root `root_of(lo, hi)`.
 
-    Returns the depth of the new leaf.
+    Built with an explicit stack, so no depth hits the recursion limit.
     """
-    if tree.root is None:
-        tree.root = Node(key)
-        return 1
-    node = tree.root
-    depth = 2
-    while True:
-        if key == node.key:
-            raise ValueError(f"duplicate key {key}")
-        if key < node.key:
-            if node.left is None:
-                node.left = Node(key)
-                return depth
-            node = node.left
+    tree = SearchTree(None)
+    stack = [(1, n, None, False)]  # (lo, hi, parent, is_left)
+    while stack:
+        lo, hi, parent, is_left = stack.pop()
+        if lo > hi:
+            continue
+        node = Node(root_of(lo, hi))
+        if parent is None:
+            tree.root = node
+        elif is_left:
+            parent.left = node
         else:
-            if node.right is None:
-                node.right = Node(key)
-                return depth
-            node = node.right
-        depth += 1
+            parent.right = node
+        stack.append((lo, node.key - 1, node, True))
+        stack.append((node.key + 1, hi, node, False))
+    return tree

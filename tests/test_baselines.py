@@ -12,7 +12,48 @@ from abst.baselines import (
     stat_entropy_bounds,
     tree_cost,
 )
-from abst.trees import depth_map, format_tree, in_order
+from abst.trees import Node, SearchTree, depth_map, format_tree, in_order
+
+
+def cubic_optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
+    """The O(n^3) interval DP that scans every root of every interval, as
+    `optimal_static_cost` was before Knuth's root bounds. Test oracle."""
+    n = weights.n
+    w = weights.weights
+    prefix = [0] * (n + 1)
+    for i, wi in enumerate(w):
+        prefix[i + 1] = prefix[i] + wi
+    cost = [[0] * (n + 2) for _ in range(n + 2)]
+    root = [[0] * (n + 2) for _ in range(n + 2)]
+    for i in range(1, n + 1):
+        cost[i][i] = w[i - 1]
+        root[i][i] = i
+    for length in range(2, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            best, best_r = None, None
+            for r in range(i, j + 1):
+                c = cost[i][r - 1] + cost[r + 1][j]
+                if best is None or c < best:
+                    best, best_r = c, r
+            cost[i][j] = best + prefix[j] - prefix[i - 1]
+            root[i][j] = best_r
+    tree = SearchTree(None)
+    stack = [(1, n, None, False)]
+    while stack:
+        i, j, parent, is_left = stack.pop()
+        if i > j:
+            continue
+        node = Node(root[i][j])
+        if parent is None:
+            tree.root = node
+        elif is_left:
+            parent.left = node
+        else:
+            parent.right = node
+        stack.append((i, node.key - 1, node, True))
+        stack.append((node.key + 1, j, node, False))
+    return cost[1][n], tree
 
 
 def test_weight_vector_validation():
@@ -66,6 +107,22 @@ def test_dp_matches_brute_force_random():
         assert cost == brute_force_static_cost(weights)
         assert tree_cost(tree, weights) == cost
         assert in_order(tree) == list(range(1, n + 1))
+
+
+def test_knuth_dp_matches_cubic_dp_random():
+    # few distinct weights and many zeros make many tied roots
+    rng = random.Random(1971)
+    for case in range(1200):
+        n = rng.randint(1, 64 if case % 4 == 0 else 20)
+        palette = rng.choice([(0, 1), (0, 0, 1, 2), (0, 1, 1, 3), (1, 2, 4, 8), (0, 5, 50, 500)])
+        weights = [rng.choice(palette) for _ in range(n)]
+        if not any(weights):
+            weights[rng.randrange(n)] = 1
+        weights = WeightVector(tuple(weights))
+        cost, tree = optimal_static_cost(weights)
+        want_cost, want_tree = cubic_optimal_static_cost(weights)
+        assert cost == want_cost
+        assert format_tree(tree) == format_tree(want_tree)
 
 
 def test_zero_weight_keys_stay_in_tree():

@@ -118,6 +118,21 @@ def test_simulate_overflowing_inputs_are_config_errors(capsys, workload, alpha, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "8", "--alpha", "1e-400", "--m", "100",
+         "--workload", "uniform", "--check-bounds"),
+        ("compare", "--n", "8", "--alphas", "1e-400", "--workloads", "uniform"),
+    ],
+)
+def test_alpha_too_small_for_a_float_is_a_config_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error:") and "1e-400" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_trace_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1\nnope\n")

@@ -11,17 +11,25 @@ from abst.dynamic import init, run, tree_for_probs
 from abst.errors import KeyNotFoundError
 from abst.sfe import CodeTable, ProbabilityDistribution, build_sfe_code, parse_distribution
 from abst.trees import (
+    Node,
+    SearchTree,
     build_balanced,
     coded_tree,
     depth_map,
     depth_of,
     format_tree,
     in_order,
-    insert_key,
     parse_tree,
     sfe_to_bst,
 )
-from trie_oracle import CorruptCodeError, PrefixTree, TrieNode, build_prefix_tree, prefix_tree_to_bst
+from trie_oracle import (
+    CorruptCodeError,
+    PrefixTree,
+    TrieNode,
+    build_prefix_tree,
+    insert_key,
+    prefix_tree_to_bst,
+)
 
 EXAMPLE_A = parse_distribution("0.1,0.2,0.4,0.2,0.1")
 EXAMPLE_B = parse_distribution("3/12,2/12,4/12,2/12,1/12")
@@ -129,6 +137,26 @@ def test_balanced_tree_shape():
         build_balanced(0)
 
 
+def recursive_balanced(n: int) -> SearchTree:
+    """`build_balanced` as it was written before it became iterative. Test oracle."""
+
+    def build(lo: int, hi: int) -> Node | None:
+        if lo > hi:
+            return None
+        mid = (lo + hi) // 2
+        node = Node(mid)
+        node.left = build(lo, mid - 1)
+        node.right = build(mid + 1, hi)
+        return node
+
+    return SearchTree(build(1, n))
+
+
+def test_balanced_tree_matches_recursive_build():
+    for n in range(1, 301):
+        assert format_tree(build_balanced(n)) == format_tree(recursive_balanced(n))
+
+
 def test_insert_key_grafts_leaves():
     tree = parse_tree("(2 . .)")
     assert insert_key(tree, 1) == 2
@@ -202,6 +230,75 @@ def test_range_walk_matches_trie_oracle_zipf_4096():
     tree, depths = coded_tree(weights, total, range(1, n + 1))
     assert tree == trie_oracle.sfe_to_bst(dist) == sfe_to_bst(dist)
     assert depths == depth_map(tree)
+
+
+def grafted_by_insertion(weights, keys):
+    """`coded_tree` over the positive weights, then each zero-weight key put
+    in by its own `insert_key` walk, in increasing order. Test oracle."""
+    coded = [i for i, w in enumerate(weights) if w]
+    tree, depths = coded_tree(
+        [weights[i] for i in coded], sum(weights), [keys[i] for i in coded]
+    )
+    for i, w in enumerate(weights):
+        if not w:
+            depths[keys[i]] = insert_key(tree, keys[i])
+    return tree, depths
+
+
+def graft_slots(weights, keys, tree) -> set[str]:
+    """Where each run of zero-weight keys between two coded keys a < b starts:
+    "a.right" or "b.left"."""
+    parent = {}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        for child in (node.left, node.right):
+            if child is not None:
+                parent[child.key] = node.key
+                stack.append(child)
+    slots = set()
+    for i in range(1, len(weights) - 1):
+        if weights[i - 1] and not weights[i] and any(weights[i:]):
+            slots.add("a.right" if parent[keys[i]] == keys[i - 1] else "b.left")
+    return slots
+
+
+@pytest.mark.parametrize(
+    "weights, slots",
+    [
+        ((1, 0, 8), {"a.right"}),  # b=3 is the root, a=1 its left child
+        ((8, 0, 1), {"b.left"}),  # a=1 is the root, b=3 its right child
+        ((8, 0, 0, 0, 1), {"b.left"}),
+        ((0, 0, 5, 3), set()),  # leading run
+        ((5, 3, 0, 0), set()),  # trailing run
+        ((0, 0, 7, 0, 0), set()),  # one coded key among zeros
+        ((0, 1, 0, 8, 0, 0, 1, 0), {"a.right", "b.left"}),
+        ((3,), set()),
+    ],
+)
+def test_grafted_runs_match_insertion(weights, slots):
+    keys = range(1, len(weights) + 1)
+    tree, depths = coded_tree(weights, sum(weights), keys)
+    want_tree, want_depths = grafted_by_insertion(weights, keys)
+    assert format_tree(tree) == format_tree(want_tree)
+    assert depths == want_depths == depth_map(tree)
+    assert graft_slots(weights, keys, tree) == slots
+
+
+def test_grafted_runs_match_insertion_random():
+    rng = random.Random(60)
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(1, 60)
+        weights = [rng.choice((0, 0, 0, 1, 2, 7)) for _ in range(n)]
+        weights[rng.randrange(n)] = rng.randint(1, 9)
+        keys = sorted(rng.sample(range(1, 4 * n + 1), n))
+        tree, depths = coded_tree(weights, sum(weights), keys)
+        want_tree, want_depths = grafted_by_insertion(weights, keys)
+        assert tree == want_tree
+        assert depths == want_depths
+        seen |= graft_slots(weights, keys, tree)
+    assert seen == {"a.right", "b.left"}
 
 
 def test_deep_grafted_chain_needs_no_recursion():

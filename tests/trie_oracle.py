@@ -1,9 +1,11 @@
 """Reference pipeline for tests: the Fraction Shannon-Fano-Elias code, the
-code trie and the leaf-promoting trie-to-BST conversion.
+code trie, the leaf-promoting trie-to-BST conversion, and the leaf insertion
+that grafted zero-weight keys one root-to-leaf walk at a time.
 
-This is the rebuild path `abst` used before the integer range walk replaced
-it, kept as written so the tests can require the new pipeline to give equal
-code tables and bit-identical trees. Only tests import it.
+This is the rebuild path `abst` used before the integer range walk and the
+one-pass graft replaced it, kept as written so the tests can require the new
+pipeline to give equal code tables and bit-identical trees. Only tests
+import it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable, Sequence
 
 from abst.errors import InvalidDistributionError
 from abst.sfe import CodeEntry, CodeTable, ProbabilityDistribution
-from abst.trees import Node, SearchTree, insert_key
+from abst.trees import Node, SearchTree
 
 
 class CorruptCodeError(Exception):
@@ -269,3 +271,29 @@ def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
         if p == 0:
             insert_key(tree, key)
     return tree
+
+
+def insert_key(tree: SearchTree, key: int) -> int:
+    """Standard leaf insertion; existing key depths are unchanged.
+
+    Returns the depth of the new leaf.
+    """
+    if tree.root is None:
+        tree.root = Node(key)
+        return 1
+    node = tree.root
+    depth = 2
+    while True:
+        if key == node.key:
+            raise ValueError(f"duplicate key {key}")
+        if key < node.key:
+            if node.left is None:
+                node.left = Node(key)
+                return depth
+            node = node.left
+        else:
+            if node.right is None:
+                node.right = Node(key)
+                return depth
+            node = node.right
+        depth += 1
