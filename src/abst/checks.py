@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .baselines import (
     WeightVector,
@@ -23,6 +23,7 @@ from .dynamic import (
     SMOOTHING_LAPLACE,
     SMOOTHING_NONE,
     SimulationReport,
+    StepRecord,
     init,
     run,
     step,
@@ -215,13 +216,15 @@ def run_cell(
     smoothing: str,
     seed: int = DEFAULT_SEED,
     m: int | None = None,
+    on_step: Callable[[StepRecord], object] | None = None,
 ) -> SimulationReport:
-    """Generate one grid cell's trace and run it with per-step guard checks."""
+    """Generate one grid cell's trace and run it with per-step guard checks;
+    `on_step` receives every step's record, as in `run`."""
     if m is None:
         m = grid_m(n, alpha)
     trace = generate(parse_workload(workload, n=n, m=m, seed=seed))
     state = init(n, alpha, smoothing)
-    return run(state, trace, check_guarded=True)
+    return run(state, trace, check_guarded=True, on_step=on_step)
 
 
 def check_report_bounds(report: SimulationReport) -> list[str]:
@@ -267,18 +270,17 @@ def check_report_bounds(report: SimulationReport) -> list[str]:
     return v
 
 
-def check_laplace_vs_raw(report: SimulationReport) -> list[str]:
-    """Smoothed frequency dominates half the raw one once t >= n, exactly."""
-    if report.smoothing != SMOOTHING_LAPLACE:
+def check_laplace_vs_raw(rec: StepRecord, n: int, smoothing: str) -> list[str]:
+    """Smoothed frequency dominates half the raw one once t >= n, exactly.
+
+    Takes one step's record, so that it can be applied to every step of a
+    run through `run(..., on_step=...)` without keeping the steps.
+    """
+    if smoothing != SMOOTHING_LAPLACE or rec.t < n:
         return []
-    v = []
-    n = report.n
-    for rec in report.steps:
-        if rec.t < n:
-            continue
-        if not 2 * rec.t * (rec.count + 1) >= rec.count * (rec.t + n):
-            v.append(f"t={rec.t}: smoothed frequency below half raw for key {rec.key}")
-    return v
+    if 2 * rec.t * (rec.count + 1) >= rec.count * (rec.t + n):
+        return []
+    return [f"t={rec.t}: smoothed frequency below half raw for key {rec.key}"]
 
 
 def check_trigger_locality(
@@ -332,14 +334,16 @@ def suite_dynamic_properties(
     for n, alpha, workload in cells:
         for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
             label = f"n={n} alpha={alpha} {workload} {smoothing}"
+            laplace: list[str] = []
             try:
-                report = run_cell(n, alpha, workload, smoothing, seed=seed)
+                report = run_cell(
+                    n, alpha, workload, smoothing, seed=seed,
+                    on_step=lambda rec: laplace.extend(check_laplace_vs_raw(rec, n, smoothing)),
+                )
             except Exception as exc:
                 violations.append(f"{label}: run failed: {exc}")
                 continue
-            for msg in check_report_bounds(report):
-                violations.append(f"{label}: {msg}")
-            for msg in check_laplace_vs_raw(report):
+            for msg in check_report_bounds(report) + laplace:
                 violations.append(f"{label}: {msg}")
     return violations
 

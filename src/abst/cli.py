@@ -1,20 +1,23 @@
 """Command-line front end: encode, build, simulate, compare, verify.
 
 Exit codes: 0 success, 1 verify failure, 2 bad configuration or input,
-3 trace parse error, 4 cost-bound violation during a checked run.
+3 trace parse error, 4 cost-bound violation during a checked run,
+5 internal error (an unexpected exception, reported on one stderr line).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import checks
 from .baselines import WeightVector, optimal_static_cost
-from .dynamic import SMOOTHING_LAPLACE, SMOOTHING_NONE, SimulationReport, init, run
+from .dynamic import SMOOTHING_LAPLACE, SMOOTHING_NONE, SimulationReport, StepRecord, init, run
 from .errors import AbstError, BoundViolationError, TraceParseError
 from .matching import bst_to_matchings
 from .sfe import average_code_length, build_sfe_code, entropy, parse_distribution
@@ -26,6 +29,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_BOUND = 4
+EXIT_INTERNAL = 5
 
 
 def _parse_alpha(text: str) -> Fraction:
@@ -87,48 +91,67 @@ def _csv_text(cols, rows) -> str:
     return buf.getvalue()
 
 
-def _write_steps_csv(report: SimulationReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "key", "depth", "rebuilt"])
-        for rec in report.steps:
-            writer.writerow([rec.t, rec.key, rec.depth, int(rec.rebuilt)])
+def _steps_csv_sink(fh) -> Callable[[StepRecord], object]:
+    """Write the per-step CSV header to `fh`; return a sink for `run` that
+    writes one row per served request."""
+    writer = csv.writer(fh)
+    writer.writerow(["t", "key", "depth", "rebuilt"])
+    return lambda rec: writer.writerow([rec.t, rec.key, rec.depth, int(rec.rebuilt)])
 
 
-def _simulate_once(args) -> SimulationReport:
+def cmd_simulate(args) -> int:
+    """Run one trace. `--steps-csv` rows are written as the requests are
+    served, so after a bound violation the file holds the steps served so
+    far; `--check-bounds` applies the Laplace check to the same stream."""
     spec = parse_workload(args.workload, n=args.n, m=args.m, seed=args.seed)
     trace = generate(spec)
     state = init(args.n, _parse_alpha(args.alpha), args.smoothing)
-    report = run(state, trace, check_guarded=args.check_bounds)
+    sinks: list[Callable[[StepRecord], object]] = []
+    laplace: list[str] = []
+    with contextlib.ExitStack() as stack:
+        if args.steps_csv:
+            fh = stack.enter_context(open(args.steps_csv, "w", encoding="utf-8", newline=""))
+            sinks.append(_steps_csv_sink(fh))
+        if args.check_bounds:
+            sinks.append(lambda rec: laplace.extend(
+                checks.check_laplace_vs_raw(rec, args.n, args.smoothing)))
+
+        def on_step(rec: StepRecord) -> None:
+            for sink in sinks:
+                sink(rec)
+
+        report = run(state, trace, check_guarded=args.check_bounds,
+                     on_step=on_step if sinks else None)
     if args.with_stat:
         stat, _ = optimal_static_cost(WeightVector(report.weights))
         report.stat_cost = stat
         report.rho = float(report.total) / stat
-    return report
-
-
-def cmd_simulate(args) -> int:
-    report = _simulate_once(args)
     if args.check_bounds:
-        problems = checks.check_report_bounds(report) + checks.check_laplace_vs_raw(report)
+        problems = checks.check_report_bounds(report) + laplace
         if problems:
             for msg in problems:
                 print(f"bound violation: {msg}", file=sys.stderr)
             return EXIT_BOUND
-    if args.steps_csv:
-        _write_steps_csv(report, args.steps_csv)
     _emit_report(report, args.format, args.out)
     return EXIT_OK
 
 
+def _split_list(text: str, flag: str) -> list[str]:
+    """Comma-separated items with blanks dropped; ValueError if none is left."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise ValueError(f"{flag} names nothing: {text!r}")
+    return items
+
+
 def cmd_compare(args) -> int:
-    alphas = [a.strip() for a in args.alphas.split(",") if a.strip()]
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
+    alphas = _split_list(args.alphas, "--alphas")
+    workloads = _split_list(args.workloads, "--workloads")
     rows = []
     for alpha_text in alphas:
         alpha = _parse_alpha(alpha_text)
         for workload in workloads:
-            m = args.m if args.m else checks.grid_m(args.n, alpha)
+            m = args.m if args.m is not None else checks.grid_m(args.n, alpha)
             spec = parse_workload(workload, n=args.n, m=m, seed=args.seed)
             trace = generate(spec)
             state = init(args.n, alpha, args.smoothing)
@@ -243,6 +266,9 @@ def main(argv=None) -> int:
     except (AbstError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # a fault in abst itself, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

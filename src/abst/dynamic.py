@@ -114,7 +114,6 @@ class SimulationReport:
     weights: tuple[int, ...]
     stat_cost: int | None = None
     rho: float | None = None
-    steps: list[StepRecord] = field(default_factory=list, repr=False)
     rebuild_log: list[RebuildRecord] = field(default_factory=list, repr=False)
     qlog_by_key: dict[int, float] = field(default_factory=dict, repr=False)
 
@@ -159,7 +158,6 @@ class SimulationState:
     rebuilds: int = 0
     last_rebuild_t: int = 0
     counts_at_last_rebuild: list[int] = field(default_factory=list)
-    steps: list[StepRecord] = field(default_factory=list)
     rebuild_log: list[RebuildRecord] = field(default_factory=list)
     qlog_by_key: dict[int, float] = field(default_factory=dict)
 
@@ -219,8 +217,9 @@ def _drifted(state: SimulationState, key: int, w: int, total: int) -> bool:
     return 2 * state.tree_weights[key - 1] * total < state.tree_total * w
 
 
-def step(state: SimulationState, key: int) -> StepRecord:
+def _serve(state: SimulationState, key: int) -> tuple[bool, int, int]:
     """Serve one request: count it, rebuild if the key drifted, then search.
+    Returns (rebuilt, depth_pre, depth).
 
     Order matters: counters update first, the drift test compares the tree
     probability against half the updated frequency, and the request is served
@@ -255,11 +254,22 @@ def step(state: SimulationState, key: int) -> StepRecord:
     depth = state.depth_by_key[key]
     state.search_cost += depth
     state.qlog_by_key[key] = state.qlog_by_key.get(key, 0.0) + math.log2(t / w)
-    record = StepRecord(
-        t=t, key=key, count=w, depth=depth, depth_pre=depth_pre, rebuilt=fired
+    return fired, depth_pre, depth
+
+
+def _record(state: SimulationState, key: int, served: tuple[bool, int, int]) -> StepRecord:
+    """The record of the request `_serve` just served for `key`."""
+    rebuilt, depth_pre, depth = served
+    c = state.counters
+    return StepRecord(
+        t=c.t, key=key, count=c.counts[key - 1], depth=depth, depth_pre=depth_pre,
+        rebuilt=rebuilt,
     )
-    state.steps.append(record)
-    return record
+
+
+def step(state: SimulationState, key: int) -> StepRecord:
+    """Serve one request (see `_serve`) and return its record."""
+    return _record(state, key, _serve(state, key))
 
 
 def guarded_invariant_holds(state: SimulationState) -> bool:
@@ -296,22 +306,29 @@ def run(
     state: SimulationState,
     trace: Iterable[int],
     check_guarded: bool = False,
+    on_step: Callable[[StepRecord], object] | None = None,
 ) -> SimulationReport:
     """Serve a whole trace and summarize costs.
+
+    The run keeps O(n) state whatever the trace length: no per-step log. A
+    caller that wants each step's record passes `on_step`, which receives
+    the `StepRecord` of every request as it is served.
 
     With `check_guarded`, the drift invariant is re-verified after every step
     and a violation raises immediately rather than surfacing in the report.
     """
-    trace = list(trace)
-    if not trace:
-        raise ValueError("empty trace")
+    c = state.counters
+    t_start = c.t
     for key in trace:
-        step(state, key)
+        served = _serve(state, key)
+        if on_step is not None:
+            on_step(_record(state, key, served))
         if check_guarded and not guarded_invariant_holds(state):
             raise BoundViolationError(
-                f"tree probability fell below half frequency after t={state.counters.t}"
+                f"tree probability fell below half frequency after t={c.t}"
             )
-    c = state.counters
+    if c.t == t_start:
+        raise ValueError("empty trace")
     m = c.t
     h = entropy_of_weights(c.counts)
     applicable = state.alpha >= 2 and m + 1e-9 >= theorem_threshold(state.n, state.alpha)
@@ -328,7 +345,6 @@ def run(
         theorem_bound=m * (8.0 + h),
         theorem_applicable=applicable,
         weights=tuple(c.counts),
-        steps=state.steps,
         rebuild_log=state.rebuild_log,
         qlog_by_key=state.qlog_by_key,
     )

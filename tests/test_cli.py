@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from abst import checks, cli
-from abst.workload import write_trace
+from abst import checks, cli, dynamic
+from abst.dynamic import StepRecord, init, step
+from abst.workload import generate, parse_workload, write_trace
 
 WORKED_TRACE = [3, 2, 3, 4, 3, 2, 4, 3, 5, 1, 1, 1]
 
@@ -73,6 +74,77 @@ def test_simulate_worked_trace(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["rebuilt"] for r in rows] == ["1", "1", "0", "1", "0", "0", "0", "0", "1", "1", "0", "1"]
     assert rows[11] == {"t": "12", "key": "1", "depth": "2", "rebuilt": "1"}
+
+
+@pytest.mark.parametrize("n, workload, smoothing", [
+    (5, "zipf:1.5", "laplace"),
+    (16, "uniform", "none"),
+    (64, "zipf:1.0", "laplace"),
+    (200, "zipf:1.0", "none"),
+])
+def test_steps_csv_matches_step_oracle(tmp_path, capsys, n, workload, smoothing):
+    m = 3 * n + 50
+    steps_path = tmp_path / "steps.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--n", str(n), "--alpha", "4", "--m", str(m),
+        "--workload", workload, "--smoothing", smoothing, "--seed", "8",
+        "--check-bounds", "--steps-csv", str(steps_path),
+    )
+    assert code == 0
+    state = init(n, 4, smoothing)
+    trace = generate(parse_workload(workload, n=n, m=m, seed=8))
+    rows = [["t", "key", "depth", "rebuilt"]] + [
+        [str(rec.t), str(rec.key), str(rec.depth), str(int(rec.rebuilt))]
+        for rec in (step(state, key) for key in trace)
+    ]
+    with open(steps_path, newline="") as fh:
+        assert list(csv.reader(fh)) == rows
+
+
+def test_laplace_check_reports_a_fabricated_record():
+    bad = StepRecord(t=10, key=2, count=-100, depth=1, depth_pre=1, rebuilt=False)
+    assert checks.check_laplace_vs_raw(bad, 5, "laplace") == [
+        "t=10: smoothed frequency below half raw for key 2"
+    ]
+    assert checks.check_laplace_vs_raw(bad, 5, "none") == []
+    good = StepRecord(t=10, key=2, count=7, depth=1, depth_pre=1, rebuilt=False)
+    assert checks.check_laplace_vs_raw(good, 5, "laplace") == []
+
+
+def test_simulate_check_bounds_catches_a_bad_streamed_record(capsys, monkeypatch):
+    real_run = cli.run
+
+    def corrupting_run(state, trace, check_guarded=False, on_step=None):
+        def corrupt(rec):
+            if rec.t == 30:
+                rec.count = -100
+            on_step(rec)
+
+        return real_run(state, trace, check_guarded=check_guarded, on_step=corrupt)
+
+    monkeypatch.setattr(cli, "run", corrupting_run)
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "5", "--alpha", "2", "--m", "60",
+        "--workload", "uniform", "--check-bounds",
+    )
+    assert code == cli.EXIT_BOUND
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("bound violation: t=30: smoothed frequency below half raw")
+
+
+def test_steps_csv_holds_the_steps_served_before_a_violation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamic, "guarded_invariant_holds", lambda state: state.counters.t < 7)
+    steps_path = tmp_path / "steps.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--n", "5", "--alpha", "2", "--m", "40",
+        "--workload", "uniform", "--check-bounds", "--steps-csv", str(steps_path),
+    )
+    assert code == cli.EXIT_BOUND
+    assert "after t=7" in err
+    with open(steps_path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["t"] for r in rows] == [str(t) for t in range(1, 8)]
 
 
 def test_simulate_csv_format(tmp_path, capsys):
@@ -180,6 +252,36 @@ def test_compare_json(capsys):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 1 and rows[0]["workload"] == "uniform"
+
+
+@pytest.mark.parametrize(
+    "extra, needle",
+    [
+        (("--m", "0"), "error: generated workloads need m >= 1"),
+        (("--m", "-3"), "error: generated workloads need m >= 1"),
+        (("--alphas", ",,"), "error: --alphas names nothing"),
+        (("--workloads", ","), "error: --workloads names nothing"),
+        (("--alphas", " , "), "error: --alphas names nothing"),
+    ],
+)
+def test_compare_rejects_empty_inputs(capsys, extra, needle):
+    code, out, err = run_cli(capsys, "compare", "--n", "5", *extra)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(needle)
+
+
+def test_unexpected_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setattr(cli, "cmd_simulate", broken)
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "5", "--alpha", "2", "--m", "10", "--workload", "uniform",
+    )
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == "internal error: RuntimeError: something broke\n"
 
 
 def test_verify_quick(capsys):

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -179,8 +181,10 @@ def test_per_key_frequency_log_bound_raw_mode():
 
 def test_laplace_dominates_half_raw_after_warmup():
     trace = generate(parse_workload("zipf:1.0", n=10, m=400, seed=3))
-    report = run(init(10, 2, SMOOTHING_LAPLACE), trace)
-    for rec in report.steps:
+    records = []
+    report = run(init(10, 2, SMOOTHING_LAPLACE), trace, on_step=records.append)
+    assert len(records) == report.m == 400
+    for rec in records:
         if rec.t >= report.n:
             assert 2 * rec.t * (rec.count + 1) >= rec.count * (rec.t + report.n)
 
@@ -198,6 +202,47 @@ def test_run_report_consistency():
 def test_run_rejects_empty_trace():
     with pytest.raises(ValueError):
         run(init(3, 2), [])
+    with pytest.raises(ValueError):
+        run(init(3, 2), iter([]))
+
+
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+@pytest.mark.parametrize("n, workload, m", [
+    (1, "uniform", 30),
+    (5, "zipf:1.5", 300),
+    (16, "uniform", 800),
+    (64, "zipf:1.0", 2000),
+    (300, "zipf:1.0", 1500),
+])
+def test_streamed_records_match_step_oracle(smoothing, n, workload, m):
+    trace = generate(parse_workload(workload, n=n, m=m, seed=n))
+    oracle_state = init(n, 4, smoothing)
+    oracle = [step(oracle_state, key) for key in trace]
+    streamed = []
+    state = init(n, 4, smoothing)
+    report = run(state, iter(trace), on_step=streamed.append)
+    assert streamed == oracle
+    assert state == oracle_state
+    assert report.search_cost == sum(rec.depth for rec in oracle)
+    assert report.rebuilds == sum(rec.rebuilt for rec in oracle)
+    assert len(report.rebuild_log) == report.rebuilds
+
+
+def test_run_memory_does_not_grow_with_trace_length():
+    def peak_bytes(m):
+        trace = generate(parse_workload("zipf:1.0", n=16, m=m, seed=1))
+        state = init(16, 8)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run(state, trace)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_bytes(20_000), peak_bytes(80_000)
+    # an O(m) log would add at least a pointer per request: 480 kB here
+    assert long - short < 8192, (short, long)
 
 
 def test_single_key_universe():
