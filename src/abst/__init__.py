@@ -52,12 +52,14 @@ from .sfe import (
 from .trees import (
     SearchTree,
     build_balanced,
+    coded_depths,
     depth_map,
     depth_of,
     format_tree,
     in_order,
     parse_tree,
     sfe_to_bst,
+    tree_from_depths,
 )
 from .workload import (
     DEFAULT_SEED,

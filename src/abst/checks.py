@@ -24,6 +24,8 @@ from .dynamic import (
     SMOOTHING_NONE,
     SimulationReport,
     StepRecord,
+    _delta,
+    _drifted,
     init,
     run,
     step,
@@ -288,18 +290,16 @@ def check_trigger_locality(
 ) -> list[str]:
     """A request may newly violate the drift test only for its own key."""
     state = init(n, alpha, smoothing)
+    delta = _delta(smoothing)
     v: list[str] = []
     for key in trace:
         tree_weights, s = state.tree_weights, state.tree_total
-        counts = list(state.counters.counts)
+        counts = state.counters.counts
         t_next = state.counters.t + 1
+        total = t_next + delta * n
         for j in range(1, n + 1):
             w_next = counts[j - 1] + (1 if j == key else 0)
-            if smoothing == SMOOTHING_LAPLACE:
-                fires = 2 * tree_weights[j - 1] * (t_next + n) < s * (w_next + 1)
-            else:
-                fires = 2 * tree_weights[j - 1] * t_next < s * w_next
-            if fires and j != key:
+            if _drifted(tree_weights[j - 1], s, w_next + delta, total) and j != key:
                 v.append(f"t={t_next}: request for {key} fired the test for {j}")
         step(state, key)
     return v
@@ -314,13 +314,14 @@ def check_rebuild_matchings(
     for key in trace:
         rec = step(state, key)
         if rec.rebuilt:
-            pair = bst_to_matchings(state.tree)
+            tree = state.tree
+            pair = bst_to_matchings(tree)
             try:
                 back = matchings_to_bst(pair)
             except Exception as exc:
                 v.append(f"t={rec.t}: rebuilt tree gives invalid matchings: {exc}")
                 continue
-            if back != state.tree:
+            if back != tree:
                 v.append(f"t={rec.t}: matchings round trip changed the tree")
     return v
 

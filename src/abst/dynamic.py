@@ -5,6 +5,12 @@ Costs follow the matching model: serving a request costs the served key's
 depth, every tree swap costs a flat `alpha`. Observed frequencies and the
 tree's distribution are both integer weights over one total, so the drift
 test is an exact integer cross-multiplication.
+
+A request only ever reads its key's depth, so the simulator's state is the
+depth vector of the current tree, and a rebuild recomputes that vector
+(`trees.coded_depths`) without building a node. `state.tree` builds the
+tree from the depths when it is read. `run` and `step` serve requests
+through one loop, `_serve_all`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,14 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BoundViolationError, InvalidRequestError
 from .sfe import ProbabilityDistribution, common_weights, entropy_of_weights
-from .trees import SearchTree, build_balanced, coded_tree, depth_map
+from .trees import (
+    SearchTree,
+    build_balanced,
+    coded_depths,
+    coded_tree,
+    depth_map,
+    tree_from_depths,
+)
 
 SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
@@ -47,30 +60,34 @@ class CounterState:
         return cls(counts=[0] * n, t=0)
 
 
-def _observed(counters: CounterState, smoothing: str) -> tuple[Callable[[int], int], int]:
-    """Observed weight as a function of a key's count, and the observed total:
-    (w + d, t + d n), where add-one smoothing has d = 1 and raw counts d = 0."""
+def _delta(smoothing: str) -> int:
+    """The pseudo-count d of the observed weight w + d over the observed
+    total t + d n: 1 for add-one smoothing, 0 for raw counts."""
     if smoothing == SMOOTHING_LAPLACE:
-        delta = 1
-    elif smoothing == SMOOTHING_NONE:
-        delta = 0
-    else:
-        raise ValueError(f"unknown smoothing mode {smoothing!r}")
-    return delta.__add__, counters.t + delta * len(counters.counts)
+        return 1
+    if smoothing == SMOOTHING_NONE:
+        return 0
+    raise ValueError(f"unknown smoothing mode {smoothing!r}")
 
 
-def _observed_weights(counters: CounterState, smoothing: str) -> tuple[tuple[int, ...], int]:
+def _observed_weights(counts: Sequence[int], t: int, delta: int) -> tuple[tuple[int, ...], int]:
     """Observed weights of keys 1..n and their total."""
-    observe, total = _observed(counters, smoothing)
-    return tuple(map(observe, counters.counts)), total
+    return tuple(map(delta.__add__, counts)), t + delta * len(counts)
+
+
+def _drifted(tree_weight: int, tree_total: int, w: int, total: int) -> bool:
+    """True iff the tree probability tree_weight/tree_total of a key is below
+    half its observed frequency w/total: 2 W_k total < S w."""
+    return 2 * tree_weight * total < tree_total * w
 
 
 def empirical_q(counters: CounterState, key: int, smoothing: str) -> Fraction:
     """Observed frequency of `key`: w/t raw, (w+1)/(t+n) add-one smoothed."""
-    observe, total = _observed(counters, smoothing)
+    delta = _delta(smoothing)
+    total = counters.t + delta * len(counters.counts)
     if total < 1:
         raise ValueError("raw frequency is undefined before the first request")
-    return Fraction(observe(counters.counts[key - 1]), total)
+    return Fraction(counters.counts[key - 1] + delta, total)
 
 
 @dataclass
@@ -150,10 +167,9 @@ class SimulationState:
     alpha: Fraction
     smoothing: str
     counters: CounterState
-    tree: SearchTree
     tree_weights: tuple[int, ...]  # the tree's distribution: weight / tree_total
     tree_total: int
-    depth_by_key: dict[int, int]
+    depths: list[int]  # depth of key k in the current tree is depths[k - 1]
     search_cost: int = 0
     rebuilds: int = 0
     last_rebuild_t: int = 0
@@ -164,6 +180,11 @@ class SimulationState:
     @property
     def adjust_cost(self) -> Fraction:
         return self.alpha * self.rebuilds
+
+    @property
+    def tree(self) -> SearchTree:
+        """The current tree, built from `depths` at each read."""
+        return tree_from_depths(range(1, self.n + 1), self.depths)
 
 
 def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
@@ -184,16 +205,15 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
             RuntimeWarning,
             stacklevel=2,
         )
-    tree = build_balanced(n)
+    balanced = depth_map(build_balanced(n))
     return SimulationState(
         n=n,
         alpha=alpha,
         smoothing=smoothing,
         counters=CounterState.zeros(n),
-        tree=tree,
         tree_weights=(1,) * n,
         tree_total=n,
-        depth_by_key=depth_map(tree),
+        depths=[balanced[key] for key in range(1, n + 1)],
         counts_at_last_rebuild=[0] * n,
     )
 
@@ -203,7 +223,7 @@ def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
 
     The nonzero probabilities must form a distribution. Zero-probability keys
     (possible in raw-frequency mode before every key has been seen) are
-    grafted as leaves, see `coded_tree`.
+    grafted as leaves, see `coded_depths`.
     """
     probs = [Fraction(p) for p in probs]
     ProbabilityDistribution(tuple(p for p in probs if p))
@@ -211,72 +231,82 @@ def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
     return coded_tree(weights, total, range(1, len(probs) + 1))[0]
 
 
-def _drifted(state: SimulationState, key: int, w: int, total: int) -> bool:
-    """True iff the tree gives `key` less than half its observed frequency
-    w/total: 2 W_k total < S w for tree weight W_k over tree total S."""
-    return 2 * state.tree_weights[key - 1] * total < state.tree_total * w
-
-
-def _serve(state: SimulationState, key: int) -> tuple[bool, int, int]:
-    """Serve one request: count it, rebuild if the key drifted, then search.
-    Returns (rebuilt, depth_pre, depth).
+def _serve_all(
+    state: SimulationState,
+    trace: Iterable[int],
+    check_guarded: bool,
+    on_step: Callable[[StepRecord], object] | None,
+) -> None:
+    """Serve each request of `trace`: count it, rebuild if the key drifted,
+    then search. The one step core of `run` and `step`.
 
     Order matters: counters update first, the drift test compares the tree
     probability against half the updated frequency, and the request is served
-    on the post-rebuild tree.
+    on the post-rebuild tree. The state's hot fields live in locals; `t` and
+    the search cost are written back to the state before any exception
+    leaves, before `on_step` receives a step's record and before the
+    `check_guarded` test of the drift invariant.
     """
-    if not 1 <= key <= state.n:
-        raise InvalidRequestError(f"key {key} outside 1..{state.n}")
+    n = state.n
     c = state.counters
-    c.counts[key - 1] += 1
-    c.t += 1
-    t = c.t
-    w = c.counts[key - 1]
-    observe, total = _observed(c, state.smoothing)
-    fired = _drifted(state, key, observe(w), total)
-    depth_pre = state.depth_by_key[key]
-    if fired:
-        state.rebuild_log.append(
-            RebuildRecord(
-                t=t,
-                key=key,
-                count_now=w,
-                count_at_prev=state.counts_at_last_rebuild[key - 1],
-                prev_t=state.last_rebuild_t,
-            )
-        )
-        weights, total = _observed_weights(c, state.smoothing)
-        state.tree, state.depth_by_key = coded_tree(weights, total, range(1, state.n + 1))
-        state.tree_weights, state.tree_total = weights, total
-        state.rebuilds += 1
-        state.counts_at_last_rebuild = list(c.counts)
-        state.last_rebuild_t = t
-    depth = state.depth_by_key[key]
-    state.search_cost += depth
-    state.qlog_by_key[key] = state.qlog_by_key.get(key, 0.0) + math.log2(t / w)
-    return fired, depth_pre, depth
-
-
-def _record(state: SimulationState, key: int, served: tuple[bool, int, int]) -> StepRecord:
-    """The record of the request `_serve` just served for `key`."""
-    rebuilt, depth_pre, depth = served
-    c = state.counters
-    return StepRecord(
-        t=c.t, key=key, count=c.counts[key - 1], depth=depth, depth_pre=depth_pre,
-        rebuilt=rebuilt,
-    )
+    counts = c.counts
+    delta = _delta(state.smoothing)
+    depths = state.depths
+    tree_weights, tree_total = state.tree_weights, state.tree_total
+    qlog = state.qlog_by_key
+    log2 = math.log2
+    per_step = check_guarded or on_step is not None
+    t, search = c.t, state.search_cost
+    try:
+        for key in trace:
+            if not 1 <= key <= n:
+                raise InvalidRequestError(f"key {key} outside 1..{n}")
+            i = key - 1
+            w = counts[i] + 1
+            counts[i] = w
+            t += 1
+            depth_pre = depths[i]
+            rebuilt = _drifted(tree_weights[i], tree_total, w + delta, t + delta * n)
+            if rebuilt:
+                state.rebuild_log.append(
+                    RebuildRecord(t, key, w, state.counts_at_last_rebuild[i], state.last_rebuild_t)
+                )
+                tree_weights, tree_total = _observed_weights(counts, t, delta)
+                depths = coded_depths(tree_weights, tree_total)
+                state.tree_weights, state.tree_total = tree_weights, tree_total
+                state.depths = depths
+                state.rebuilds += 1
+                state.counts_at_last_rebuild = list(counts)
+                state.last_rebuild_t = t
+            depth = depths[i]
+            search += depth
+            qlog[key] = qlog.get(key, 0.0) + log2(t / w)
+            if per_step:
+                c.t, state.search_cost = t, search
+                if on_step is not None:
+                    on_step(StepRecord(t, key, w, depth, depth_pre, rebuilt))
+                if check_guarded and not guarded_invariant_holds(state):
+                    raise BoundViolationError(
+                        f"tree probability fell below half frequency after t={t}"
+                    )
+    finally:
+        c.t, state.search_cost = t, search
 
 
 def step(state: SimulationState, key: int) -> StepRecord:
-    """Serve one request (see `_serve`) and return its record."""
-    return _record(state, key, _serve(state, key))
+    """Serve one request (see `_serve_all`) and return its record."""
+    records: list[StepRecord] = []
+    _serve_all(state, (key,), False, records.append)
+    return records[0]
 
 
 def guarded_invariant_holds(state: SimulationState) -> bool:
     """Every key's tree probability is at least half its current frequency."""
-    weights, total = _observed_weights(state.counters, state.smoothing)
+    c = state.counters
+    weights, total = _observed_weights(c.counts, c.t, _delta(state.smoothing))
+    tree_weights, tree_total = state.tree_weights, state.tree_total
     return not any(
-        _drifted(state, key, w, total) for key, w in enumerate(weights, start=1)
+        _drifted(tree_weights[i], tree_total, w, total) for i, w in enumerate(weights)
     )
 
 
@@ -319,14 +349,7 @@ def run(
     """
     c = state.counters
     t_start = c.t
-    for key in trace:
-        served = _serve(state, key)
-        if on_step is not None:
-            on_step(_record(state, key, served))
-        if check_guarded and not guarded_invariant_holds(state):
-            raise BoundViolationError(
-                f"tree probability fell below half frequency after t={c.t}"
-            )
+    _serve_all(state, trace, check_guarded, on_step)
     if c.t == t_start:
         raise ValueError("empty trace")
     m = c.t

@@ -1,6 +1,6 @@
 """Biased binary search trees from order-preserving prefix codes.
 
-The coded tree is built straight from the key-ordered codewords, with no trie:
+A coded tree is computed as a depth vector, with no trie and no node objects:
 an explicit stack of key ranges lo..hi whose codewords share their first d
 bits. Because the code is prefix-free and order-preserving, bit d splits
 such a range into a run of 0s and a run of 1s. The range's root is the
@@ -9,6 +9,10 @@ with only one side takes that side's flank), and both remaining halves go
 back on the stack at depth d+1. This is the tree the code trie would give by
 promoting flanking leaves: keys stay in symmetric order and no key ends up
 deeper than its trie leaf (codeword length + 1).
+
+A BST is fixed by its in-order keys and their depths, so `tree_from_depths`
+builds the `Node` tree only when one is asked for; `coded_tree` is the two
+steps composed.
 """
 
 from __future__ import annotations
@@ -55,75 +59,98 @@ class SearchTree:
         return hash(format_tree(self))
 
 
-def coded_tree(
-    weights: Sequence[int], total: int, keys: Sequence[int]
-) -> tuple[SearchTree, dict[int, int]]:
-    """Biased BST for integer weights over `total`, and the depth of every key.
+def coded_depths(weights: Sequence[int], total: int) -> list[int]:
+    """Depth in the coded tree of each key, for integer weights over `total`.
 
-    `keys` labels the weights with strictly increasing key values. Keys of
-    positive weight are placed by their Shannon-Fano-Elias codewords; keys of
-    zero weight cannot get a codeword and are grafted as leaves in increasing
-    order, which never moves a coded key.
+    Keys of positive weight are placed by their Shannon-Fano-Elias codewords;
+    a key of zero weight cannot get a codeword, and each run of them hangs as
+    a chain one below the deeper of its coded neighbours, as leaf insertion
+    in increasing order would put it. No node is built: `tree_from_depths`
+    gives the tree these depths fix.
     """
     coded = [i for i, w in enumerate(weights) if w]
     code = sfe_code([weights[i] for i in coded], total)
     lengths = [length for length, _ in code]
     words = [word for _, word in code]
-    depths: dict[int, int] = {}
-    nodes: list[Node | None] = [None] * len(coded)  # coded nodes by rank
-    tree = SearchTree(None)
-    # (lo, hi, d, depth, parent, is_left): ranks lo..hi share d code bits
-    stack = [(0, len(coded) - 1, 0, 1, None, False)]
+    by_rank = [0] * len(coded)
+    stack = [(0, len(coded) - 1, 0, 1)] if coded else []  # (lo, hi, d, depth)
     while stack:
-        lo, hi, d, depth, parent, is_left = stack.pop()
-        if lo > hi:
-            continue
+        lo, hi, d, depth = stack.pop()
         r = lo
         if lo < hi:
-            s = bisect_left(
-                range(lo, hi + 1), 1, key=lambda i: words[i] >> (lengths[i] - 1 - d) & 1
-            ) + lo
-            if s > hi:
+            # bit d is 0 on a prefix of lo..hi and 1 on the rest; when one
+            # side is empty, the other side's flank (hi or lo) is the root
+            if not words[hi] >> (lengths[hi] - 1 - d) & 1:
                 r = hi
-            elif s > lo:
+            elif not words[lo] >> (lengths[lo] - 1 - d) & 1:
+                s = bisect_left(
+                    range(lo, hi + 1), 1, key=lambda i: words[i] >> (lengths[i] - 1 - d) & 1
+                ) + lo
                 r = s - 1 if lengths[s - 1] <= lengths[s] else s
-        key = keys[coded[r]]
-        node = nodes[r] = Node(key)
-        depths[key] = depth
-        if parent is None:
-            tree.root = node
-        elif is_left:
-            parent.left = node
-        else:
-            parent.right = node
-        stack.append((lo, r - 1, d + 1, depth + 1, node, True))
-        stack.append((r + 1, hi, d + 1, depth + 1, node, False))
-    # Leaf insertion in increasing order hangs each run of zero-weight keys
-    # as a right chain from the one empty slot between its coded neighbours
-    # a < b: a.right if that is empty, else b.left. The slot lies one below
-    # the deeper of a and b.
-    rank, tail, depth = 0, None, 0
+        by_rank[r] = depth
+        if lo < r:
+            stack.append((lo, r - 1, d + 1, depth + 1))
+        if r < hi:
+            stack.append((r + 1, hi, d + 1, depth + 1))
+    if len(coded) == len(weights):
+        return by_rank
+    depths = [0] * len(weights)
+    for i, depth in zip(coded, by_rank):
+        depths[i] = depth
+    rank, chain = 0, 0  # coded keys so far; depth of the last key of a zero run
     for i, w in enumerate(weights):
         if w:
-            rank, tail = rank + 1, None
+            rank, chain = rank + 1, 0
             continue
-        node = Node(keys[i])
-        if tail is not None:
-            tail.right = node
-        else:
-            a = nodes[rank - 1] if rank else None
-            b = nodes[rank] if rank < len(nodes) else None
-            if a is not None and a.right is None:
-                a.right = node
-            elif b is not None:
-                b.left = node
-            else:
-                tree.root = node
-            depth = max(depths[a.key] if a else 0, depths[b.key] if b else 0)
-        depth += 1
-        depths[keys[i]] = depth
-        tail = node
-    return tree, depths
+        if not chain:
+            a = by_rank[rank - 1] if rank else 0
+            b = by_rank[rank] if rank < len(coded) else 0
+            chain = max(a, b)
+        chain += 1
+        depths[i] = chain
+    return depths
+
+
+def tree_from_depths(keys: Sequence[int], depths: Sequence[int]) -> SearchTree:
+    """The one BST with `keys` in symmetric order at the given depths.
+
+    A BST is fixed by its in-order keys and their depths: every subtree's
+    root is the unique shallowest key of its range. One stack pass over the
+    keys builds it (the Cartesian tree of the depths); ValueError if no BST
+    has these depths.
+    """
+    if len(keys) != len(depths):
+        raise ValueError("keys and depths differ in length")
+    nodes = [Node(key) for key in keys]
+    parent = [-1] * len(nodes)
+    spine: list[int] = []  # the right spine of the tree built so far
+    for i, depth in enumerate(depths):
+        last = -1
+        while spine and depths[spine[-1]] > depth:
+            last = spine.pop()
+        if last >= 0:
+            nodes[i].left = nodes[last]
+            parent[last] = i
+        if spine:
+            nodes[spine[-1]].right = nodes[i]
+            parent[i] = spine[-1]
+        spine.append(i)
+    for i, p in enumerate(parent):
+        if depths[i] != (depths[p] + 1 if p >= 0 else 1):
+            raise ValueError("no binary search tree has these depths")
+    return SearchTree(nodes[spine[0]] if spine else None)
+
+
+def coded_tree(
+    weights: Sequence[int], total: int, keys: Sequence[int]
+) -> tuple[SearchTree, dict[int, int]]:
+    """Biased BST for integer weights over `total`, and the depth of every key.
+
+    `keys` labels the weights with strictly increasing key values; see
+    `coded_depths` for where each key goes.
+    """
+    depths = coded_depths(weights, total)
+    return tree_from_depths(keys, depths), dict(zip(keys, depths))
 
 
 def sfe_to_bst(

@@ -1,7 +1,12 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abst import checks, cli, dynamic
 from abst.dynamic import StepRecord, init, step
@@ -301,3 +306,82 @@ def test_report_json_round_trip(tmp_path, capsys):
     data = json.loads(out_path.read_text())
     assert set(data) >= {"n", "m", "alpha", "smoothing", "search_cost",
                          "adjust_cost", "rebuilds", "total"}
+
+
+# A grammar of argv: each command with its flags, each flag with valid
+# values (drawn three times as often) and invalid ones, plus flags and
+# commands that do not exist. Sizes stay small so that a valid run takes
+# milliseconds.
+def _values(valid: tuple, invalid: tuple) -> tuple:
+    return valid * 3 + invalid
+
+
+SIM_FLAGS = {
+    "--n": _values(("1", "5", "40"), ("0", "-1", "x", "1e3", "")),
+    "--alpha": _values(("2", "8", "5/2", "1"),
+                       ("0", "-2", "1e400", "1e-400", "nan", "inf", "1/0", "x")),
+    "--workload": _values(("uniform", "zipf:1.0", "zipf:1.5", "freq:3,1,0,2,1"),
+                          ("zipf:nan", "zipf:2000", "zipf:", "freq:1,0", "freq:", "freq:a",
+                           "bogus", "file:/nonexistent/abst-trace")),
+    "--m": _values(("1", "60", "400"), ("0", "-3", "x")),
+    "--smoothing": _values(("laplace", "none"), ("windowed",)),
+    "--seed": _values(("0", "7"), ("-1", "x")),
+    "--format": _values(("json", "csv"), ("xml",)),
+}
+SIM_EXTRA = (["--with-stat"], ["--check-bounds"], ["--help"], ["--bogus", "1"],
+             ["--steps-csv", tempfile.gettempdir()])  # a directory: not writable as a file
+COMPARE_FLAGS = {
+    "--n": _values(("1", "5", "16"), ("0", "x")),
+    "--m": _values(("1", "60"), ("0", "-3", "x")),
+    "--alphas": _values(("2", "2,8", "8,32", "1"), ("0", "1e-400", ",,", "x")),
+    "--workloads": _values(("uniform", "zipf:1.0,uniform"), ("bogus", ",")),
+    "--smoothing": _values(("laplace", "none"), ("windowed",)),
+    "--format": _values(("json", "csv"), ("xml",)),
+}
+DISTRIBUTIONS = ("0.1,0.2,0.4,0.2,0.1", "3/12,2/12,4/12,2/12,1/12", "1", "0.5,0.6", "0,1",
+                 "-1,2", "1/0", "a", "", "0.5,,0.5")
+DOCUMENTED_EXITS = {cli.EXIT_OK, cli.EXIT_VERIFY_FAILED, cli.EXIT_CONFIG, cli.EXIT_PARSE,
+                    cli.EXIT_BOUND, cli.EXIT_INTERNAL}
+
+
+def _command(name: str, flags: dict, extras: tuple) -> st.SearchStrategy:
+    """`name`, then each flag with a drawn value (one in six left out), then
+    up to three extra switches, in a drawn order."""
+    def flag(f: str) -> st.SearchStrategy:
+        return st.sampled_from(flags[f]).map(lambda v: [f, v])
+
+    present = st.sampled_from((True,) * 5 + (False,))
+    items = st.tuples(*(st.tuples(present, flag(f)) for f in flags)).map(
+        lambda pairs: [pair for keep, pair in pairs if keep]
+    )
+    chosen = st.tuples(items, st.lists(st.sampled_from(extras), max_size=3))
+    return chosen.flatmap(lambda c: st.permutations(c[0] + c[1])).map(
+        lambda parts: [name] + [tok for part in parts for tok in part]
+    )
+
+
+argvs = st.one_of(
+    _command("simulate", SIM_FLAGS, SIM_EXTRA),
+    _command("compare", COMPARE_FLAGS, (["--help"], ["--bogus"])),
+    st.tuples(st.sampled_from(["encode", "build"]),
+              st.lists(st.sampled_from(DISTRIBUTIONS), max_size=2)).map(
+        lambda c: [c[0]] + c[1]),
+    st.lists(st.sampled_from(["medium", "--seed", "x"]), max_size=2).map(
+        lambda rest: ["verify"] + rest),
+    st.sampled_from([[], ["bogus"], ["--version"], ["-h"]]),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=argvs)
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True):  # the documented alpha < 2 warning
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
+            code = exc.code
+    assert code in DOCUMENTED_EXITS, (argv, code, err.getvalue())
+    assert code != cli.EXIT_INTERNAL, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+import trie_oracle
+from abst import trees
 from abst.checks import check_report_bounds, check_trigger_locality, grid_m
 from abst.dynamic import (
     SMOOTHING_LAPLACE,
     SMOOTHING_NONE,
     CounterState,
+    RebuildRecord,
+    StepRecord,
     empirical_q,
     guarded_invariant_holds,
     init,
@@ -20,7 +24,7 @@ from abst.dynamic import (
     tree_for_probs,
 )
 from abst.errors import InvalidRequestError
-from abst.trees import format_tree, in_order
+from abst.trees import format_tree, in_order, tree_from_depths
 from abst.workload import generate, parse_workload
 
 TREE_B = "(3 (1 . (2 . .)) (4 . (5 . .)))"
@@ -64,6 +68,7 @@ def test_empirical_q_unknown_mode():
 def test_init_state():
     state = init(5, 2)
     assert state.tree_weights == (1,) * 5 and state.tree_total == 5
+    assert state.depths == [2, 3, 1, 2, 3]
     assert state.tree.root.key == 3
     assert in_order(state.tree) == [1, 2, 3, 4, 5]
     assert state.search_cost == 0 and state.rebuilds == 0
@@ -206,6 +211,45 @@ def test_run_rejects_empty_trace():
         run(init(3, 2), iter([]))
 
 
+def serve_oracle(state, key: int) -> StepRecord:
+    """One request served as the step core did before `run` and `step`
+    shared a hoisted loop: every field read from and written to the state,
+    and the rebuild by the node-building `trie_oracle.coded_tree`. Test
+    oracle."""
+    if not 1 <= key <= state.n:
+        raise InvalidRequestError(f"key {key} outside 1..{state.n}")
+    c = state.counters
+    c.counts[key - 1] += 1
+    c.t += 1
+    t = c.t
+    w = c.counts[key - 1]
+    delta = 1 if state.smoothing == SMOOTHING_LAPLACE else 0
+    total = t + delta * state.n
+    fired = 2 * state.tree_weights[key - 1] * total < state.tree_total * (w + delta)
+    depth_pre = state.depths[key - 1]
+    if fired:
+        state.rebuild_log.append(
+            RebuildRecord(
+                t=t,
+                key=key,
+                count_now=w,
+                count_at_prev=state.counts_at_last_rebuild[key - 1],
+                prev_t=state.last_rebuild_t,
+            )
+        )
+        weights = tuple(count + delta for count in c.counts)
+        _, depth_by_key = trie_oracle.coded_tree(weights, total, range(1, state.n + 1))
+        state.depths = [depth_by_key[k] for k in range(1, state.n + 1)]
+        state.tree_weights, state.tree_total = weights, total
+        state.rebuilds += 1
+        state.counts_at_last_rebuild = list(c.counts)
+        state.last_rebuild_t = t
+    depth = state.depths[key - 1]
+    state.search_cost += depth
+    state.qlog_by_key[key] = state.qlog_by_key.get(key, 0.0) + math.log2(t / w)
+    return StepRecord(t=t, key=key, count=w, depth=depth, depth_pre=depth_pre, rebuilt=fired)
+
+
 @pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
 @pytest.mark.parametrize("n, workload, m", [
     (1, "uniform", 30),
@@ -217,15 +261,56 @@ def test_run_rejects_empty_trace():
 def test_streamed_records_match_step_oracle(smoothing, n, workload, m):
     trace = generate(parse_workload(workload, n=n, m=m, seed=n))
     oracle_state = init(n, 4, smoothing)
-    oracle = [step(oracle_state, key) for key in trace]
+    oracle = [serve_oracle(oracle_state, key) for key in trace]
     streamed = []
     state = init(n, 4, smoothing)
     report = run(state, iter(trace), on_step=streamed.append)
     assert streamed == oracle
     assert state == oracle_state
+    stepped_state = init(n, 4, smoothing)
+    assert [step(stepped_state, key) for key in trace] == oracle
+    assert stepped_state == oracle_state
     assert report.search_cost == sum(rec.depth for rec in oracle)
-    assert report.rebuilds == sum(rec.rebuilt for rec in oracle)
-    assert len(report.rebuild_log) == report.rebuilds
+    assert report.rebuilds == sum(rec.rebuilt for rec in oracle) == len(report.rebuild_log)
+    if report.rebuilds:
+        keys = range(1, n + 1)
+        assert state.tree == trie_oracle.coded_tree(state.tree_weights, state.tree_total, keys)[0]
+
+
+def test_run_writes_its_counters_back_before_errors_and_sinks():
+    state = init(5, 2, SMOOTHING_NONE)
+    served = []
+
+    def sink(rec):
+        served.append(rec)
+        assert state.counters.t == rec.t
+        assert state.search_cost == sum(r.depth for r in served)
+
+    with pytest.raises(InvalidRequestError):
+        run(state, [3, 2, 3, 9, 1], on_step=sink)
+    assert len(served) == 3
+    assert state.counters.t == 3 and sum(state.counters.counts) == 3
+    assert state.search_cost == sum(rec.depth for rec in served)
+    assert run(state, [1]).m == 4
+
+
+def test_rebuilds_inside_run_build_no_nodes(monkeypatch):
+    trace = generate(parse_workload("zipf:1.5", n=256, m=4000, seed=3))
+    state = init(256, 4, SMOOTHING_NONE)
+    built = []
+    node_init = trees.Node.__init__
+
+    def counting_init(self, key):
+        built.append(key)
+        node_init(self, key)
+
+    monkeypatch.setattr(trees.Node, "__init__", counting_init)
+    report = run(state, trace)
+    assert report.rebuilds > 10
+    assert built == []
+    tree = state.tree
+    assert len(built) == 256
+    assert tree == tree_from_depths(range(1, 257), state.depths)
 
 
 def test_run_memory_does_not_grow_with_trace_length():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abst.errors import DimensionMismatchError, InvalidDistributionError
-from trie_oracle import fraction_bits
 from abst.sfe import (
     ProbabilityDistribution,
     average_code_length,
@@ -110,21 +109,6 @@ def test_ceil_log2_inverse_dyadic_boundaries():
     assert ceil_log2_inverse(Fraction(1, 3)) == 2
     assert ceil_log2_inverse(Fraction(2, 5)) == 2
     assert ceil_log2_inverse(Fraction(1)) == 0
-
-
-def test_fraction_bits_against_scaling_oracle():
-    # the reference pipeline's bit expansion, which the codeword tests trust
-    for x in (Fraction(1, 20), Fraction(1, 3), Fraction(19, 20), Fraction(7, 12)):
-        got = fraction_bits(x, 12)
-        oracle = "".join(
-            str((x.numerator * 2**k // x.denominator) % 2) for k in range(1, 13)
-        )
-        assert got == oracle
-
-
-def test_fraction_bits_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        fraction_bits(Fraction(3, 2), 4)
 
 
 def test_build_is_deterministic():

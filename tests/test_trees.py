@@ -1,19 +1,28 @@
 import dataclasses
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trie_oracle
-from abst.checks import random_distribution
 from abst.dynamic import init, run, tree_for_probs
 from abst.errors import KeyNotFoundError
-from abst.sfe import CodeTable, ProbabilityDistribution, build_sfe_code, parse_distribution
+from abst.sfe import (
+    CodeTable,
+    ProbabilityDistribution,
+    build_sfe_code,
+    is_prefix_free,
+    parse_distribution,
+)
 from abst.trees import (
     Node,
     SearchTree,
     build_balanced,
+    coded_depths,
     coded_tree,
     depth_map,
     depth_of,
@@ -21,38 +30,43 @@ from abst.trees import (
     in_order,
     parse_tree,
     sfe_to_bst,
+    tree_from_depths,
 )
-from trie_oracle import (
-    CorruptCodeError,
-    PrefixTree,
-    TrieNode,
-    build_prefix_tree,
-    insert_key,
-    prefix_tree_to_bst,
-)
+from trie_oracle import insert_key
 
 EXAMPLE_A = parse_distribution("0.1,0.2,0.4,0.2,0.1")
 EXAMPLE_B = parse_distribution("3/12,2/12,4/12,2/12,1/12")
 TREE_A = "(3 (2 (1 . .) .) (4 . (5 . .)))"
 TREE_B = "(3 (1 . (2 . .)) (4 . (5 . .)))"
+# Trees and code tables the retired Fraction code trie and its leaf-promoting
+# conversion gave, frozen before the trie was deleted: each case has integer
+# weights (zeros are grafted), optional key labels, the codewords of the
+# positive weights, and the tree in `format_tree` form.
+TRIE_GOLDENS = json.loads(
+    (Path(__file__).parent / "golden" / "trie_trees.json").read_text(encoding="utf-8")
+)
+
+
+def trie_leaf_depths(table: CodeTable) -> dict[int, int]:
+    """Depth of each key's leaf in the code trie: one below its last bit."""
+    return {e.key: e.length + 1 for e in table.entries}
 
 
 def test_trie_leaf_depths_example_a():
-    trie = build_prefix_tree(build_sfe_code(EXAMPLE_A))
-    assert trie.leaf_depths() == {1: 6, 2: 5, 3: 4, 4: 5, 5: 6}
-    assert [k for k, _ in trie.leaf_items()] == [1, 2, 3, 4, 5]
+    table = build_sfe_code(EXAMPLE_A)
+    assert trie_leaf_depths(table) == {1: 6, 2: 5, 3: 4, 4: 5, 5: 6}
+    assert table.codewords() == ["00001", "0011", "100", "1100", "11110"]
 
 
 def test_trie_single_codeword():
-    trie = build_prefix_tree(build_sfe_code([Fraction(1)]))
-    assert trie.root.left is None
-    assert trie.root.right is not None
-    assert trie.root.right.key == 1
+    # the trie held one leaf, the root's right child
+    assert build_sfe_code([Fraction(1)]).codewords() == ["1"]
 
 
 def test_trie_two_even_keys():
-    trie = build_prefix_tree(build_sfe_code([Fraction(1, 2), Fraction(1, 2)]))
-    assert trie.leaf_depths() == {1: 3, 2: 3}
+    table = build_sfe_code([Fraction(1, 2), Fraction(1, 2)])
+    assert trie_leaf_depths(table) == {1: 3, 2: 3}
+    assert table.codewords() == ["01", "11"]
 
 
 def test_trie_rejects_prefix_collision():
@@ -63,30 +77,28 @@ def test_trie_rejects_prefix_collision():
             for e in table.entries
         )
     )
-    with pytest.raises(CorruptCodeError):
-        build_prefix_tree(bad)
+    assert is_prefix_free(table.codewords())
+    assert not is_prefix_free(bad.codewords())
 
 
 def test_conversion_example_a():
-    tree = prefix_tree_to_bst(build_prefix_tree(build_sfe_code(EXAMPLE_A)))
-    assert format_tree(tree) == TREE_A
     assert format_tree(sfe_to_bst(EXAMPLE_A)) == TREE_A
+    assert format_tree(tree_from_depths(range(1, 6), [3, 2, 1, 2, 3])) == TREE_A
 
 
 def test_conversion_example_b():
-    tree = prefix_tree_to_bst(build_prefix_tree(build_sfe_code(EXAMPLE_B)))
-    assert format_tree(tree) == TREE_B
     assert format_tree(sfe_to_bst(EXAMPLE_B)) == TREE_B
+    assert format_tree(tree_from_depths(range(1, 6), [2, 3, 1, 2, 3])) == TREE_B
 
 
 def test_conversion_single_leaf():
-    tree = prefix_tree_to_bst(build_prefix_tree(build_sfe_code([Fraction(1)])))
-    assert format_tree(tree) == "(1 . .)"
     assert format_tree(sfe_to_bst([Fraction(1)])) == "(1 . .)"
+    assert coded_depths([7], 7) == [1]
 
 
 def test_conversion_empty_trie_gives_empty_tree():
-    assert prefix_tree_to_bst(PrefixTree(TrieNode())).root is None
+    assert coded_depths([], 0) == []
+    assert tree_from_depths([], []).root is None
 
 
 def test_sfe_to_bst_depths():
@@ -169,10 +181,10 @@ def test_insert_key_grafts_leaves():
 
 def test_conversion_is_deterministic():
     assert sfe_to_bst(EXAMPLE_A) == sfe_to_bst(EXAMPLE_A)
-    trie = build_prefix_tree(build_sfe_code(EXAMPLE_A))
-    assert prefix_tree_to_bst(trie) == prefix_tree_to_bst(trie)
-    # and the source trie is not consumed
-    assert trie.leaf_depths() == {1: 6, 2: 5, 3: 4, 4: 5, 5: 6}
+    weights = [1, 2, 4, 2, 1]
+    depths = coded_depths(weights, 10)
+    assert coded_depths(weights, 10) == depths == [3, 2, 1, 2, 3]
+    assert weights == [1, 2, 4, 2, 1]
 
 
 weight_lists = st.lists(st.integers(1, 64), min_size=2, max_size=32)
@@ -188,7 +200,7 @@ def test_conversion_invariants_random(weights):
     n = len(weights)
     assert in_order(tree) == list(range(1, n + 1))
     assert depths == depth_map(tree)
-    assert tree == trie_oracle.sfe_to_bst(dist)
+    assert tree == trie_oracle.coded_tree(weights, total, range(1, n + 1))[0]
     for key, p in enumerate(dist.probs, start=1):
         # never deeper than its code trie leaf
         assert depths[key] <= table.entry(key).length + 1
@@ -200,36 +212,53 @@ def test_conversion_invariants_random(weights):
             assert p.numerator < (p.denominator << -e)
 
 
-def _with_zeros(rng: random.Random, probs) -> list[Fraction]:
-    """The probabilities with zeros inserted at random places."""
-    out = list(probs)
-    for _ in range(rng.randint(1, 8)):
-        out.insert(rng.randint(0, len(out)), Fraction(0))
-    return out
-
-
 def test_range_walk_matches_trie_oracle():
-    rng = random.Random(2024)
-    dyadic = 0
-    for _ in range(500):
-        dist = random_distribution(rng, 2, 128)
-        dyadic += all(p.denominator & (p.denominator - 1) == 0 for p in dist.probs)
-        assert build_sfe_code(dist) == trie_oracle.build_sfe_code(dist)
-        assert sfe_to_bst(dist) == trie_oracle.sfe_to_bst(dist)
-        probs = _with_zeros(rng, dist.probs)
-        assert tree_for_probs(probs) == trie_oracle.tree_for_probs(probs)
-    assert dyadic >= 50
+    assert len(TRIE_GOLDENS) == 69
+    grafted = 0
+    for case in TRIE_GOLDENS:
+        weights, keys = case["weights"], case["keys"]
+        total = sum(weights)
+        probs = [Fraction(w, total) for w in weights]
+        positive = ProbabilityDistribution(tuple(p for p in probs if p))
+        assert build_sfe_code(positive).codewords() == case["codewords"]
+        if all(weights):
+            assert format_tree(sfe_to_bst(positive, keys)) == case["tree"]
+        else:
+            grafted += 1
+            assert format_tree(tree_for_probs(probs)) == case["tree"]
+        labels = keys or range(1, len(weights) + 1)
+        tree = tree_from_depths(labels, coded_depths(weights, total))
+        assert format_tree(tree) == case["tree"]
+    assert grafted == 24
 
 
 def test_range_walk_matches_trie_oracle_zipf_4096():
     n = 4096
     weights = [10**6 // r for r in range(1, n + 1)]
     total = sum(weights)
-    dist = ProbabilityDistribution(tuple(Fraction(w, total) for w in weights))
-    assert build_sfe_code(dist) == trie_oracle.build_sfe_code(dist)
-    tree, depths = coded_tree(weights, total, range(1, n + 1))
-    assert tree == trie_oracle.sfe_to_bst(dist) == sfe_to_bst(dist)
-    assert depths == depth_map(tree)
+    depths = coded_depths(weights, total)
+    want_tree, want_depths = trie_oracle.coded_tree(weights, total, range(1, n + 1))
+    assert tree_from_depths(range(1, n + 1), depths) == want_tree
+    assert dict(zip(range(1, n + 1), depths)) == want_depths
+    assert coded_tree(weights, total, range(1, n + 1)) == (want_tree, want_depths)
+
+
+def test_depth_vector_matches_node_oracle_random():
+    rng = random.Random(4111)
+    palettes = [(0, 0, 0, 1, 2, 7), (0, 1, 1, 3), (1, 2, 4, 8, 16), tuple(range(1, 1000))]
+    zeros = 0
+    for case in range(1600):
+        n = rng.randint(1, 80)
+        weights = [rng.choice(palettes[case % 4]) for _ in range(n)]
+        weights[rng.randrange(n)] = rng.randint(1, 9)
+        zeros += 0 in weights
+        keys = sorted(rng.sample(range(1, 4 * n + 1), n)) if case % 3 else range(1, n + 1)
+        total = sum(weights)
+        depths = coded_depths(weights, total)
+        want_tree, want_depths = trie_oracle.coded_tree(weights, total, keys)
+        assert tree_from_depths(keys, depths) == want_tree
+        assert dict(zip(keys, depths)) == want_depths
+    assert zeros >= 700
 
 
 def grafted_by_insertion(weights, keys):
@@ -306,6 +335,46 @@ def test_deep_grafted_chain_needs_no_recursion():
     state = init(3000, 4, "none")
     run(state, [1] * 5)
     tree = state.tree
-    assert state.depth_by_key[3000] == 3000
+    assert state.depths[2999] == 3000
     assert parse_tree(format_tree(tree)) == tree
     assert isinstance(hash(tree), int)
+
+
+def test_tree_from_depths_builds_deep_chains_without_recursion():
+    n = 3000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        right = tree_from_depths(range(1, n + 1), range(1, n + 1))
+        left = tree_from_depths(range(1, n + 1), range(n, 0, -1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert right.root.key == 1 and right.root.left is None
+    assert left.root.key == n and left.root.right is None
+    assert depth_map(right) == {k: k for k in range(1, n + 1)}
+    assert depth_map(left) == {k: n + 1 - k for k in range(1, n + 1)}
+
+
+def random_bst(rng: random.Random, keys: list[int]) -> SearchTree:
+    tree = SearchTree(None)
+    for key in rng.sample(keys, len(keys)):
+        insert_key(tree, key)
+    return tree
+
+
+def test_tree_from_depths_inverts_depth_map():
+    rng = random.Random(1980)
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        keys = sorted(rng.sample(range(1, 5 * n + 1), n))
+        tree = random_bst(rng, keys)
+        depths = depth_map(tree)
+        assert tree_from_depths(keys, [depths[k] for k in keys]) == tree
+
+
+@pytest.mark.parametrize("depths", [[2], [1, 1], [1, 3], [1, 2, 2], [2, 1, 3], [0], [2, 2, 1]])
+def test_tree_from_depths_rejects_impossible_depths(depths):
+    with pytest.raises(ValueError):
+        tree_from_depths(range(1, len(depths) + 1), depths)
+    with pytest.raises(ValueError):
+        tree_from_depths([1, 2], [1])
