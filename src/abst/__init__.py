@@ -7,7 +7,6 @@ from .baselines import (
     balanced_static_cost,
     brute_force_static_cost,
     optimal_static_cost,
-    stat_entropy_bounds,
     tree_cost,
 )
 from .dynamic import (
@@ -18,7 +17,6 @@ from .dynamic import (
     SimulationReport,
     SimulationState,
     StepRecord,
-    empirical_q,
     guarded_invariant_holds,
     init,
     run,
@@ -43,7 +41,6 @@ from .sfe import (
     ProbabilityDistribution,
     average_code_length,
     build_sfe_code,
-    ceil_log2_inverse,
     entropy,
     entropy_of_weights,
     is_prefix_free,
@@ -54,7 +51,6 @@ from .trees import (
     build_balanced,
     coded_depths,
     depth_map,
-    depth_of,
     format_tree,
     in_order,
     parse_tree,

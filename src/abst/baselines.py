@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .sfe import entropy_of_weights
 from .trees import SearchTree, build_balanced, build_from_roots, depth_map
 
 BRUTE_FORCE_MAX_N = 12
@@ -118,17 +116,6 @@ def brute_force_static_cost(weights: WeightVector) -> int:
         if best is None or total < best:
             best = total
     return best
-
-
-def stat_entropy_bounds(weights: WeightVector) -> tuple[float, float]:
-    """Entropy-based annotation band around the optimal static cost.
-
-    Lower constant 1/log2(3) is the classical comparison-tree bound; upper
-    constant 2 is generous. Report context only, never asserted.
-    """
-    h = entropy_of_weights(weights.weights)
-    m = weights.total
-    return m * max(1.0, h) / math.log2(3), 2.0 * m * (1.0 + h)
 
 
 def balanced_static_cost(weights: WeightVector) -> int:

@@ -272,17 +272,21 @@ def check_report_bounds(report: SimulationReport) -> list[str]:
     return v
 
 
-def check_laplace_vs_raw(rec: StepRecord, n: int, smoothing: str) -> list[str]:
-    """Smoothed frequency dominates half the raw one once t >= n, exactly.
+def check_served_depth(rec: StepRecord, n: int, smoothing: str) -> list[str]:
+    """A served key is less than log2(1/q) + 4 deep, exactly.
 
-    Takes one step's record, so that it can be applied to every step of a
-    run through `run(..., on_step=...)` without keeping the steps.
+    q = (w+d)/(t+dn) is the key's observed frequency after the step. The
+    drift invariant keeps its tree probability p at q/2 or more, and a key is
+    less than log2(1/p) + 3 deep in a coded tree (at most its codeword length
+    plus one) and in the balanced start tree (p = 1/n). So
+    (w+d) 2^depth < (t+dn) 2^4. Takes one step's record, so that it can be
+    applied to every step of a run through `run(..., on_step=...)` without
+    keeping the steps.
     """
-    if smoothing != SMOOTHING_LAPLACE or rec.t < n:
+    delta = _delta(smoothing)
+    if (rec.count + delta) << rec.depth < (rec.t + delta * n) << 4:
         return []
-    if 2 * rec.t * (rec.count + 1) >= rec.count * (rec.t + n):
-        return []
-    return [f"t={rec.t}: smoothed frequency below half raw for key {rec.key}"]
+    return [f"t={rec.t}: key {rec.key} served at depth {rec.depth}, not below log2(1/q) + 4"]
 
 
 def check_trigger_locality(
@@ -330,21 +334,22 @@ def suite_dynamic_properties(
     cells: Sequence[tuple[int, int, str]], seed: int
 ) -> list[str]:
     """Run each (n, alpha, workload) cell in both smoothing modes with the
-    drift guard on, then apply every cost-accounting check."""
+    drift guard and the served-depth check on, then apply every
+    cost-accounting check."""
     violations: list[str] = []
     for n, alpha, workload in cells:
         for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
             label = f"n={n} alpha={alpha} {workload} {smoothing}"
-            laplace: list[str] = []
+            deep: list[str] = []
             try:
                 report = run_cell(
                     n, alpha, workload, smoothing, seed=seed,
-                    on_step=lambda rec: laplace.extend(check_laplace_vs_raw(rec, n, smoothing)),
+                    on_step=lambda rec: deep.extend(check_served_depth(rec, n, smoothing)),
                 )
             except Exception as exc:
                 violations.append(f"{label}: run failed: {exc}")
                 continue
-            for msg in check_report_bounds(report) + laplace:
+            for msg in check_report_bounds(report) + deep:
                 violations.append(f"{label}: {msg}")
     return violations
 

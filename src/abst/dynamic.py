@@ -81,15 +81,6 @@ def _drifted(tree_weight: int, tree_total: int, w: int, total: int) -> bool:
     return 2 * tree_weight * total < tree_total * w
 
 
-def empirical_q(counters: CounterState, key: int, smoothing: str) -> Fraction:
-    """Observed frequency of `key`: w/t raw, (w+1)/(t+n) add-one smoothed."""
-    delta = _delta(smoothing)
-    total = counters.t + delta * len(counters.counts)
-    if total < 1:
-        raise ValueError("raw frequency is undefined before the first request")
-    return Fraction(counters.counts[key - 1] + delta, total)
-
-
 @dataclass
 class StepRecord:
     """One served request; `depth_pre` is the key's depth in the tree that
@@ -175,7 +166,7 @@ class SimulationState:
     last_rebuild_t: int = 0
     counts_at_last_rebuild: list[int] = field(default_factory=list)
     rebuild_log: list[RebuildRecord] = field(default_factory=list)
-    qlog_by_key: dict[int, float] = field(default_factory=dict)
+    qlog: list[float] = field(default_factory=list)  # key k's frequency-log sum is qlog[k - 1]
 
     @property
     def adjust_cost(self) -> Fraction:
@@ -215,6 +206,7 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
         tree_total=n,
         depths=[balanced[key] for key in range(1, n + 1)],
         counts_at_last_rebuild=[0] * n,
+        qlog=[0.0] * n,
     )
 
 
@@ -246,6 +238,10 @@ def _serve_all(
     the search cost are written back to the state before any exception
     leaves, before `on_step` receives a step's record and before the
     `check_guarded` test of the drift invariant.
+
+    That test covers every key on the first step and after a rebuild, and
+    the requested key otherwise: between rebuilds a request only lowers the
+    other keys' frequencies, so only its own key can newly drift.
     """
     n = state.n
     c = state.counters
@@ -253,10 +249,11 @@ def _serve_all(
     delta = _delta(state.smoothing)
     depths = state.depths
     tree_weights, tree_total = state.tree_weights, state.tree_total
-    qlog = state.qlog_by_key
+    qlog = state.qlog
     log2 = math.log2
     per_step = check_guarded or on_step is not None
     t, search = c.t, state.search_cost
+    scan = True  # the guard tests every key on a call's first step
     try:
         for key in trace:
             if not 1 <= key <= n:
@@ -280,15 +277,17 @@ def _serve_all(
                 state.last_rebuild_t = t
             depth = depths[i]
             search += depth
-            qlog[key] = qlog.get(key, 0.0) + log2(t / w)
+            qlog[i] += log2(t / w)
             if per_step:
                 c.t, state.search_cost = t, search
                 if on_step is not None:
                     on_step(StepRecord(t, key, w, depth, depth_pre, rebuilt))
-                if check_guarded and not guarded_invariant_holds(state):
-                    raise BoundViolationError(
-                        f"tree probability fell below half frequency after t={t}"
-                    )
+                if check_guarded:
+                    if not guarded_invariant_holds(state, None if scan or rebuilt else (key,)):
+                        raise BoundViolationError(
+                            f"tree probability fell below half frequency after t={t}"
+                        )
+                    scan = False
     finally:
         c.t, state.search_cost = t, search
 
@@ -300,13 +299,17 @@ def step(state: SimulationState, key: int) -> StepRecord:
     return records[0]
 
 
-def guarded_invariant_holds(state: SimulationState) -> bool:
-    """Every key's tree probability is at least half its current frequency."""
+def guarded_invariant_holds(state: SimulationState, keys: Iterable[int] | None = None) -> bool:
+    """The tree probability of each of `keys` (default: every key) is at
+    least half its current frequency."""
     c = state.counters
-    weights, total = _observed_weights(c.counts, c.t, _delta(state.smoothing))
+    delta = _delta(state.smoothing)
+    total = c.t + delta * state.n
     tree_weights, tree_total = state.tree_weights, state.tree_total
+    if keys is None:
+        keys = range(1, state.n + 1)
     return not any(
-        _drifted(tree_weights[i], tree_total, w, total) for i, w in enumerate(weights)
+        _drifted(tree_weights[k - 1], tree_total, c.counts[k - 1] + delta, total) for k in keys
     )
 
 
@@ -345,7 +348,8 @@ def run(
     the `StepRecord` of every request as it is served.
 
     With `check_guarded`, the drift invariant is re-verified after every step
-    and a violation raises immediately rather than surfacing in the report.
+    (see `_serve_all` for which keys it tests) and a violation raises
+    immediately rather than surfacing in the report.
     """
     c = state.counters
     t_start = c.t
@@ -369,5 +373,5 @@ def run(
         theorem_applicable=applicable,
         weights=tuple(c.counts),
         rebuild_log=state.rebuild_log,
-        qlog_by_key=state.qlog_by_key,
+        qlog_by_key={i + 1: q for i, (q, w) in enumerate(zip(state.qlog, c.counts)) if w},
     )

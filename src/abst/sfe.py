@@ -70,23 +70,6 @@ def parse_distribution(text: str) -> ProbabilityDistribution:
     return ProbabilityDistribution(tuple(_as_fraction(tok) for tok in items))
 
 
-def _ceil_log2_ratio(total: int, w: int) -> int:
-    """Smallest integer k >= 0 with w * 2^k >= total, i.e. ceil(log2(total/w)).
-
-    One shift-and-compare after a bit-length estimate, so dyadic ratios land
-    exactly on their boundary.
-    """
-    k = max(0, total.bit_length() - w.bit_length())
-    return k if w << k >= total else k + 1
-
-
-def ceil_log2_inverse(p: Fraction) -> int:
-    """Smallest integer k >= 0 with p * 2^k >= 1, i.e. ceil(log2(1/p))."""
-    if p <= 0:
-        raise InvalidDistributionError(f"cannot take log of {p}")
-    return _ceil_log2_ratio(p.denominator, p.numerator)
-
-
 def common_weights(probs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integer weights over the lcm S of the denominators: p_i = w_i / S.
 
@@ -96,20 +79,25 @@ def common_weights(probs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [p.numerator * (total // p.denominator) for p in probs], total
 
 
-def sfe_code(weights: Sequence[int], total: int) -> list[tuple[int, int]]:
-    """(length, codeword) per key for positive weights summing to `total`.
+def sfe_code(weights: Sequence[int], total: int) -> tuple[list[int], list[int]]:
+    """Lengths and codewords of the keys, for positive weights summing to `total`.
 
-    The codeword is an integer whose `length`-bit binary form, leading zeros
+    A codeword is an integer whose `length`-bit binary form, leading zeros
     included, is the first bits of the CDF midpoint (2 C_{i-1} + w_i) / 2S
     (Cover and Thomas, Elements of Information Theory, section 5.9).
     """
-    out = []
+    lengths, words = [], []
+    bits, total2 = total.bit_length(), 2 * total
     cum = 0
     for w in weights:
-        length = _ceil_log2_ratio(total, w) + 1
-        out.append((length, ((2 * cum + w) << length) // (2 * total)))
+        # ceil(log2(S/w)), the smallest k >= 0 with w << k >= S, is the
+        # bit-length difference or one more; dyadic ratios land on the former
+        k = bits - w.bit_length()
+        length = k + 1 if w << k >= total else k + 2
+        lengths.append(length)
+        words.append(((2 * cum + w) << length) // total2)
         cum += w
-    return out
+    return lengths, words
 
 
 @dataclass(frozen=True)
@@ -154,9 +142,8 @@ def build_sfe_code(dist: ProbabilityDistribution | Iterable) -> CodeTable:
     weights, total = common_weights(dist.probs)
     entries = []
     cum = 0
-    for rank, (w, (length, code)) in enumerate(
-        zip(weights, sfe_code(weights, total)), start=1
-    ):
+    lengths, words = sfe_code(weights, total)
+    for rank, (w, length, code) in enumerate(zip(weights, lengths, words), start=1):
         midpoint = Fraction(2 * cum + w, 2 * total)
         cum += w
         entries.append(

@@ -1,14 +1,24 @@
 """Biased binary search trees from order-preserving prefix codes.
 
-A coded tree is computed as a depth vector, with no trie and no node objects:
-an explicit stack of key ranges lo..hi whose codewords share their first d
-bits. Because the code is prefix-free and order-preserving, bit d splits
-such a range into a run of 0s and a run of 1s. The range's root is the
+A coded tree is computed as a depth vector, with no trie and no node objects.
+Key ranges lo..hi whose codewords share their first d bits are walked from an
+explicit stack. Because the code is prefix-free and order-preserving, bit d
+splits such a range into a run of 0s and a run of 1s. The range's root is the
 shorter-coded of the two keys flanking that split (ties go left, and a range
-with only one side takes that side's flank), and both remaining halves go
-back on the stack at depth d+1. This is the tree the code trie would give by
-promoting flanking leaves: keys stay in symmetric order and no key ends up
-deeper than its trie leaf (codeword length + 1).
+with only one side takes that side's flank) and sits at depth d+1; both
+remaining halves go back on the stack with d+1 shared bits. This is the
+tree the code trie would give by promoting flanking leaves: keys stay in
+symmetric order and no key ends up deeper than its trie leaf (codeword
+length + 1).
+
+The split is found in O(1), so a rebuild is linear. Let lcp[i] be the number
+of leading bits codewords i and i+1 share. A range's codewords share exactly
+its smallest lcp, so the range is mixed at bit d iff that minimum is d, and
+it then splits at the one pair holding it. The walk carries, with each range,
+a node of the min-rooted Cartesian tree of lcp (Vuillemin 1980) whose subtree
+covers the range's pairs, and descends from it to the range minimum. The
+subtrees handed to disjoint ranges are disjoint, so the descents are O(n) in
+all (compare the LCP intervals of Kasai et al. 2001).
 
 A BST is fixed by its in-order keys and their depths, so `tree_from_depths`
 builds the `Node` tree only when one is asked for; `coded_tree` is the two
@@ -17,10 +27,8 @@ steps composed.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Iterable, Sequence
 
-from .errors import KeyNotFoundError
 from .sfe import ProbabilityDistribution, common_weights, sfe_code
 
 
@@ -69,29 +77,51 @@ def coded_depths(weights: Sequence[int], total: int) -> list[int]:
     gives the tree these depths fix.
     """
     coded = [i for i, w in enumerate(weights) if w]
-    code = sfe_code([weights[i] for i in coded], total)
-    lengths = [length for length, _ in code]
-    words = [word for _, word in code]
-    by_rank = [0] * len(coded)
-    stack = [(0, len(coded) - 1, 0, 1)] if coded else []  # (lo, hi, d, depth)
+    lengths, words = sfe_code([weights[i] for i in coded], total)
+    n = len(coded)
+    # codewords padded to one length, so that a pair's xor has its top bit
+    # where the two first differ
+    top = max(lengths, default=0)
+    aligned = [word << (top - length) for word, length in zip(words, lengths)]
+    lcp = [top - (a ^ b).bit_length() for a, b in zip(aligned, aligned[1:])]
+    left, right = [-1] * (n - 1), [-1] * (n - 1)  # Cartesian tree of lcp
+    spine: list[int] = []
+    for i, v in enumerate(lcp):
+        last = -1
+        while spine and lcp[spine[-1]] > v:
+            last = spine.pop()
+        left[i] = last
+        if spine:
+            right[spine[-1]] = i
+        spine.append(i)
+    by_rank = [0] * n
+    # (lo, hi, d, m): ranks lo..hi share d code bits, their root goes at
+    # depth d+1, and the subtree of Cartesian node m covers pairs lo..hi-1
+    stack = [(0, n - 1, 0, spine[0] if spine else -1)] if n else []
     while stack:
-        lo, hi, d, depth = stack.pop()
-        r = lo
-        if lo < hi:
-            # bit d is 0 on a prefix of lo..hi and 1 on the rest; when one
-            # side is empty, the other side's flank (hi or lo) is the root
-            if not words[hi] >> (lengths[hi] - 1 - d) & 1:
-                r = hi
-            elif not words[lo] >> (lengths[lo] - 1 - d) & 1:
-                s = bisect_left(
-                    range(lo, hi + 1), 1, key=lambda i: words[i] >> (lengths[i] - 1 - d) & 1
-                ) + lo
-                r = s - 1 if lengths[s - 1] <= lengths[s] else s
-        by_rank[r] = depth
-        if lo < r:
-            stack.append((lo, r - 1, d + 1, depth + 1))
-        if r < hi:
-            stack.append((r + 1, hi, d + 1, depth + 1))
+        lo, hi, d, m = stack.pop()
+        while lo < hi:
+            while not lo <= m < hi:  # descend past pairs that left the range
+                m = left[m] if m >= hi else right[m]
+            if lcp[m] == d:  # bit d is 0 up to rank m and 1 from m+1
+                r = m if lengths[m] <= lengths[m + 1] else m + 1
+                by_rank[r] = d + 1
+                if lo < r:
+                    stack.append((lo, r - 1, d + 1, left[m]))
+                if r < hi:
+                    stack.append((r + 1, hi, d + 1, right[m]))
+                break
+            # bit d is the same on the whole range: peel the flank on the
+            # side of the empty run, all-1s at lo, all-0s at hi
+            if aligned[hi] >> (top - 1 - d) & 1:
+                by_rank[lo] = d + 1
+                lo += 1
+            else:
+                by_rank[hi] = d + 1
+                hi -= 1
+            d += 1
+        else:
+            by_rank[lo] = d + 1
     if len(coded) == len(weights):
         return by_rank
     depths = [0] * len(weights)
@@ -174,18 +204,6 @@ def sfe_to_bst(
             raise ValueError("keys must be strictly increasing")
     weights, total = common_weights(dist.probs)
     return coded_tree(weights, total, keys)[0]
-
-
-def depth_of(tree: SearchTree, key: int) -> int:
-    """Node-count depth of `key` (root is 1)."""
-    node = tree.root
-    depth = 1
-    while node is not None:
-        if key == node.key:
-            return depth
-        node = node.left if key < node.key else node.right
-        depth += 1
-    raise KeyNotFoundError(f"key {key} not in tree")
 
 
 def depth_map(tree: SearchTree) -> dict[int, int]:

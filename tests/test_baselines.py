@@ -1,4 +1,3 @@
-import math
 import random
 import sys
 
@@ -9,7 +8,6 @@ from abst.baselines import (
     balanced_static_cost,
     brute_force_static_cost,
     optimal_static_cost,
-    stat_entropy_bounds,
     tree_cost,
 )
 from abst.trees import Node, SearchTree, depth_map, format_tree, in_order
@@ -146,15 +144,6 @@ def test_optimal_never_exceeds_balanced():
             tuple(rng.randint(0, 50) for _ in range(n - 1)) + (rng.randint(1, 50),)
         )
         assert optimal_static_cost(weights)[0] <= balanced_static_cost(weights)
-
-
-def test_entropy_annotation_band():
-    lower, upper = stat_entropy_bounds(WeightVector((1, 1, 1, 1)))
-    assert lower == pytest.approx(4 * 2.0 / math.log2(3))
-    assert upper == pytest.approx(2.0 * 4 * 3.0)
-    lower, upper = stat_entropy_bounds(WeightVector((6,)))
-    assert lower == pytest.approx(6 / math.log2(3))
-    assert upper == pytest.approx(12.0)
 
 
 def test_optimal_argmin_builds_a_deep_chain_without_recursion():

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -106,14 +107,16 @@ def test_steps_csv_matches_step_oracle(tmp_path, capsys, n, workload, smoothing)
         assert list(csv.reader(fh)) == rows
 
 
-def test_laplace_check_reports_a_fabricated_record():
-    bad = StepRecord(t=10, key=2, count=-100, depth=1, depth_pre=1, rebuilt=False)
-    assert checks.check_laplace_vs_raw(bad, 5, "laplace") == [
-        "t=10: smoothed frequency below half raw for key 2"
+def test_depth_check_reports_a_fabricated_record():
+    # q = (4+1)/(35+5) = 1/8 allows depth < 7 with add-one smoothing
+    deep = StepRecord(t=35, key=2, count=4, depth=7, depth_pre=7, rebuilt=False)
+    assert checks.check_served_depth(deep, 5, "laplace") == [
+        "t=35: key 2 served at depth 7, not below log2(1/q) + 4"
     ]
-    assert checks.check_laplace_vs_raw(bad, 5, "none") == []
-    good = StepRecord(t=10, key=2, count=7, depth=1, depth_pre=1, rebuilt=False)
-    assert checks.check_laplace_vs_raw(good, 5, "laplace") == []
+    assert checks.check_served_depth(dataclasses.replace(deep, depth=6), 5, "laplace") == []
+    # raw q = 4/35 allows depth < 7.13
+    assert checks.check_served_depth(deep, 5, "none") == []
+    assert checks.check_served_depth(dataclasses.replace(deep, depth=8), 5, "none") != []
 
 
 def test_simulate_check_bounds_catches_a_bad_streamed_record(capsys, monkeypatch):
@@ -122,7 +125,7 @@ def test_simulate_check_bounds_catches_a_bad_streamed_record(capsys, monkeypatch
     def corrupting_run(state, trace, check_guarded=False, on_step=None):
         def corrupt(rec):
             if rec.t == 30:
-                rec.count = -100
+                rec.depth = 40
             on_step(rec)
 
         return real_run(state, trace, check_guarded=check_guarded, on_step=corrupt)
@@ -135,11 +138,14 @@ def test_simulate_check_bounds_catches_a_bad_streamed_record(capsys, monkeypatch
     assert code == cli.EXIT_BOUND
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("bound violation: t=30: smoothed frequency below half raw")
+    assert err.startswith("bound violation: t=30: key ")
+    assert "served at depth 40" in err
 
 
 def test_steps_csv_holds_the_steps_served_before_a_violation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(dynamic, "guarded_invariant_holds", lambda state: state.counters.t < 7)
+    monkeypatch.setattr(
+        dynamic, "guarded_invariant_holds", lambda state, keys=None: state.counters.t < 7
+    )
     steps_path = tmp_path / "steps.csv"
     code, _, err = run_cli(
         capsys, "simulate", "--n", "5", "--alpha", "2", "--m", "40",

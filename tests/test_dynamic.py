@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import trie_oracle
-from abst import trees
+from abst import dynamic, trees
 from abst.checks import check_report_bounds, check_trigger_locality, grid_m
 from abst.dynamic import (
     SMOOTHING_LAPLACE,
@@ -15,7 +15,6 @@ from abst.dynamic import (
     CounterState,
     RebuildRecord,
     StepRecord,
-    empirical_q,
     guarded_invariant_holds,
     init,
     run,
@@ -23,7 +22,7 @@ from abst.dynamic import (
     theorem_threshold,
     tree_for_probs,
 )
-from abst.errors import InvalidRequestError
+from abst.errors import BoundViolationError, InvalidRequestError
 from abst.trees import format_tree, in_order, tree_from_depths
 from abst.workload import generate, parse_workload
 
@@ -43,26 +42,20 @@ def test_counter_state_validation():
 
 
 def test_empirical_q_raw():
-    c = CounterState(counts=[3, 2, 4, 2, 1], t=12)
-    assert empirical_q(c, 1, SMOOTHING_NONE) == Fraction(3, 12)
-    c = CounterState(counts=[2, 2, 4, 2, 1], t=11)
-    assert empirical_q(c, 1, SMOOTHING_NONE) == Fraction(2, 11)
+    # the observed frequency of key k is weights[k-1] / total
+    assert dynamic._observed_weights([3, 2, 4, 2, 1], 12, 0) == ((3, 2, 4, 2, 1), 12)
+    assert dynamic._observed_weights([2, 2, 4, 2, 1], 11, 0) == ((2, 2, 4, 2, 1), 11)
 
 
 def test_empirical_q_laplace_prior():
-    c = CounterState.zeros(5)
-    for key in range(1, 6):
-        assert empirical_q(c, key, SMOOTHING_LAPLACE) == Fraction(1, 5)
-
-
-def test_empirical_q_raw_undefined_before_first_request():
-    with pytest.raises(ValueError):
-        empirical_q(CounterState.zeros(3), 1, SMOOTHING_NONE)
+    assert dynamic._observed_weights([0] * 5, 0, 1) == ((1,) * 5, 5)
+    assert dynamic._observed_weights([3, 0], 3, 1) == ((4, 1), 5)
 
 
 def test_empirical_q_unknown_mode():
+    assert dynamic._delta(SMOOTHING_LAPLACE) == 1 and dynamic._delta(SMOOTHING_NONE) == 0
     with pytest.raises(ValueError):
-        empirical_q(CounterState.zeros(3), 1, "windowed")
+        dynamic._delta("windowed")
 
 
 def test_init_state():
@@ -100,11 +93,11 @@ def test_worked_trace_rebuild_schedule():
     # eleventh request: tree probability 1/10 is not below (2/11)/2
     assert records[10].rebuilt is False
     assert state.tree_weights == (1, 2, 4, 2, 1) and state.tree_total == 10
-    assert empirical_q(state.counters, 1, SMOOTHING_NONE) == Fraction(2, 11)
+    assert state.counters.counts[0] == 2 and state.counters.t == 11
     # twelfth request: 1/10 < (3/12)/2 fires a rebuild
     records.append(step(state, WORKED_TRACE[11]))
     assert records[11].rebuilt
-    assert empirical_q(state.counters, 1, SMOOTHING_NONE) == Fraction(3, 12)
+    assert state.counters.counts[0] == 3 and state.counters.t == 12
     assert [r.t for r in records if r.rebuilt] == [1, 2, 4, 9, 10, 12]
     assert state.tree_weights == (3, 2, 4, 2, 1) and state.tree_total == 12
     assert format_tree(state.tree) == TREE_B
@@ -158,6 +151,56 @@ def test_guarded_invariant_random_runs():
         for _ in range(300):
             step(state, rng.randint(1, 8))
             assert guarded_invariant_holds(state)
+
+
+def test_guard_scans_every_key_after_a_rebuild(monkeypatch):
+    # A faulty rebuild gives key 2 a quarter of its observed weight. Only
+    # key 1 is requested, so only a scan of every key after the rebuild (at
+    # t=3) sees key 2 drift; a guard that tests the requested key alone
+    # lets the run finish.
+    observed = dynamic._observed_weights
+
+    def faulty(counts, t, delta):
+        weights, total = observed(counts, t, delta)
+        scaled = tuple(w if k == 1 else 4 * w for k, w in enumerate(weights))
+        return scaled, 4 * total - 3 * weights[1]
+
+    monkeypatch.setattr(dynamic, "_observed_weights", faulty)
+    assert run(init(4, 2), [1] * 20).rebuilds == 1
+    state = init(4, 2)
+    with pytest.raises(BoundViolationError, match="after t=3"):
+        run(state, [1] * 20, check_guarded=True)
+    assert state.rebuilds == 1
+
+
+def test_guard_scans_every_key_on_the_first_step_of_a_run():
+    state = init(4, 2, SMOOTHING_NONE)
+    run(state, [1, 2, 3, 4], check_guarded=True)
+    # a state that was not guarded: key 1 drifted, while the next request,
+    # for key 4, does not drift and does not rebuild
+    state.tree_weights, state.tree_total = (1, 33, 33, 33), 100
+    assert not guarded_invariant_holds(state)
+    assert guarded_invariant_holds(state, (2, 3, 4))
+    rebuilds = state.rebuilds
+    with pytest.raises(BoundViolationError, match="after t=5"):
+        run(state, [4], check_guarded=True)
+    assert state.rebuilds == rebuilds
+
+
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+def test_trigger_locality_flags_a_run_that_rebuilds_late(monkeypatch, smoothing):
+    # the simulator fires at a quarter of the observed frequency, not half;
+    # the check keeps the true drift test, so keys left drifted show up
+    monkeypatch.setattr(dynamic, "_drifted", lambda tw, s, w, total: 4 * tw * total < s * w)
+    trace = generate(parse_workload("zipf:1.0", n=8, m=200, seed=5))
+    assert check_trigger_locality(8, 2, trace, smoothing) != []
+
+
+def test_trigger_locality_flags_a_run_with_the_wrong_pseudo_count(monkeypatch):
+    # add-one smoothing served with raw counts: the pseudo-count is off by one
+    monkeypatch.setattr(dynamic, "_delta", lambda smoothing: 0)
+    trace = generate(parse_workload("zipf:1.0", n=8, m=200, seed=5))
+    assert check_trigger_locality(8, 2, trace, SMOOTHING_LAPLACE) != []
 
 
 def test_trigger_only_fires_for_requested_key():
@@ -246,7 +289,7 @@ def serve_oracle(state, key: int) -> StepRecord:
         state.last_rebuild_t = t
     depth = state.depths[key - 1]
     state.search_cost += depth
-    state.qlog_by_key[key] = state.qlog_by_key.get(key, 0.0) + math.log2(t / w)
+    state.qlog[key - 1] += math.log2(t / w)
     return StepRecord(t=t, key=key, count=w, depth=depth, depth_pre=depth_pre, rebuilt=fired)
 
 

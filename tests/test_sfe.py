@@ -8,11 +8,11 @@ from abst.sfe import (
     ProbabilityDistribution,
     average_code_length,
     build_sfe_code,
-    ceil_log2_inverse,
     entropy,
     entropy_of_weights,
     is_prefix_free,
     parse_distribution,
+    sfe_code,
 )
 
 EXAMPLE_A = parse_distribution("0.1,0.2,0.4,0.2,0.1")
@@ -104,11 +104,14 @@ def test_parse_distribution_rejects_garbage():
 
 
 def test_ceil_log2_inverse_dyadic_boundaries():
+    # a codeword is ceil(log2(S/w)) + 1 bits long
     for k in range(12):
-        assert ceil_log2_inverse(Fraction(1, 2**k)) == k
-    assert ceil_log2_inverse(Fraction(1, 3)) == 2
-    assert ceil_log2_inverse(Fraction(2, 5)) == 2
-    assert ceil_log2_inverse(Fraction(1)) == 0
+        assert sfe_code([2**k], 2**k) == ([1], [1])
+        if k:
+            assert sfe_code([1, 2**k - 1], 2**k)[0][0] == k + 1
+    assert sfe_code([1, 2], 3)[0] == [3, 2]
+    assert sfe_code([2, 3], 5)[0] == [3, 2]
+    assert sfe_code([2**40 + 1, 2**41 - 1], 3 * 2**40)[0] == [3, 2]
 
 
 def test_build_is_deterministic():

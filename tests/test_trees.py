@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import trie_oracle
 from abst.dynamic import init, run, tree_for_probs
-from abst.errors import KeyNotFoundError
 from abst.sfe import (
     CodeTable,
     ProbabilityDistribution,
@@ -25,7 +24,6 @@ from abst.trees import (
     coded_depths,
     coded_tree,
     depth_map,
-    depth_of,
     format_tree,
     in_order,
     parse_tree,
@@ -110,7 +108,7 @@ def test_sfe_to_bst_depths():
 def test_sfe_to_bst_relabeled_keys():
     tree = sfe_to_bst(EXAMPLE_A, keys=[2, 4, 6, 8, 10])
     assert in_order(tree) == [2, 4, 6, 8, 10]
-    assert depth_of(tree, 6) == 1
+    assert depth_map(tree)[6] == 1
     with pytest.raises(ValueError):
         sfe_to_bst(EXAMPLE_A, keys=[1, 2, 3])
     with pytest.raises(ValueError):
@@ -118,12 +116,12 @@ def test_sfe_to_bst_relabeled_keys():
 
 
 def test_depth_of():
-    tree = sfe_to_bst(EXAMPLE_A)
-    assert depth_of(tree, 3) == 1
-    assert depth_of(tree, 5) == 3
-    assert depth_of(parse_tree("(7 . .)"), 7) == 1
-    with pytest.raises(KeyNotFoundError):
-        depth_of(tree, 9)
+    depths = depth_map(sfe_to_bst(EXAMPLE_A))
+    assert depths[3] == 1
+    assert depths[5] == 3
+    assert 9 not in depths
+    assert depth_map(parse_tree("(7 . .)")) == {7: 1}
+    assert depth_map(parse_tree(".")) == {}
 
 
 def test_format_parse_round_trip():
@@ -140,7 +138,7 @@ def test_parse_tree_rejects_garbage():
 
 def test_balanced_tree_shape():
     tree = build_balanced(5)
-    assert depth_of(tree, 3) == 1
+    assert depth_map(tree)[3] == 1
     assert in_order(tree) == [1, 2, 3, 4, 5]
     assert build_balanced(1).root.key == 1
     for n in (1, 2, 3, 7, 20, 100):
@@ -227,8 +225,9 @@ def test_range_walk_matches_trie_oracle():
             grafted += 1
             assert format_tree(tree_for_probs(probs)) == case["tree"]
         labels = keys or range(1, len(weights) + 1)
-        tree = tree_from_depths(labels, coded_depths(weights, total))
-        assert format_tree(tree) == case["tree"]
+        depths = coded_depths(weights, total)
+        assert depths == trie_oracle.coded_depths(weights, total)
+        assert format_tree(tree_from_depths(labels, depths)) == case["tree"]
     assert grafted == 24
 
 
@@ -241,6 +240,34 @@ def test_range_walk_matches_trie_oracle_zipf_4096():
     assert tree_from_depths(range(1, n + 1), depths) == want_tree
     assert dict(zip(range(1, n + 1), depths)) == want_depths
     assert coded_tree(weights, total, range(1, n + 1)) == (want_tree, want_depths)
+
+
+def test_lcp_walk_matches_bisect_walk_zipf_16384():
+    n = 16384
+    weights = [10**7 // r for r in range(1, n + 1)]  # Zipf exponent 1.0
+    total = sum(weights)
+    assert coded_depths(weights, total) == trie_oracle.coded_depths(weights, total)
+
+
+def test_lcp_walk_matches_bisect_walk_random():
+    rng = random.Random(1980)
+    palettes = [
+        (0, 0, 0, 1, 2, 7),  # zero-heavy: gap chains between coded runs
+        (1, 2**20),  # extreme ratios: long codewords beside short ones
+        (1, 1, 1, 2),  # many equal lengths: the flank tie rule decides
+        (1, 2, 4, 8, 16),  # dyadic: lengths land on their boundaries
+        tuple(range(1, 1000)),
+        (0, 1, 2**20),
+    ]
+    zeros = 0
+    for case in range(3000):
+        n = rng.randint(1, 90)
+        weights = [rng.choice(palettes[case % len(palettes)]) for _ in range(n)]
+        weights[rng.randrange(n)] = rng.randint(1, 9)
+        zeros += 0 in weights
+        total = sum(weights)
+        assert coded_depths(weights, total) == trie_oracle.coded_depths(weights, total), weights
+    assert zeros >= 900
 
 
 def test_depth_vector_matches_node_oracle_random():

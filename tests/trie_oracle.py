@@ -1,6 +1,12 @@
-"""Reference rebuild pipeline for tests: the coded tree built node by node,
-and the leaf insertion that grafted zero-weight keys one root-to-leaf walk at
-a time.
+"""Reference rebuild pipeline for tests: the coded depths found by bisecting
+each range, the coded tree built node by node, and the leaf insertion that
+grafted zero-weight keys one root-to-leaf walk at a time.
+
+`coded_depths` is the range walk `abst.trees` used before it found each
+split from the codewords' LCP array: a mixed range is split by a binary
+search over bit d. It is kept as written (only its `sfe_code` call reads the
+new `(lengths, words)` result) so the tests can require the two walks to give
+identical depths.
 
 `coded_tree` is the range walk `abst.trees` used before the tree became a
 function of the depth vector: it links a `Node` per key as it walks, where
@@ -20,6 +26,56 @@ from abst.sfe import sfe_code
 from abst.trees import Node, SearchTree
 
 
+def coded_depths(weights: Sequence[int], total: int) -> list[int]:
+    """Depth in the coded tree of each key, for integer weights over `total`.
+
+    Keys of positive weight are placed by their Shannon-Fano-Elias codewords;
+    a key of zero weight cannot get a codeword, and each run of them hangs as
+    a chain one below the deeper of its coded neighbours, as leaf insertion
+    in increasing order would put it. No node is built: `tree_from_depths`
+    gives the tree these depths fix.
+    """
+    coded = [i for i, w in enumerate(weights) if w]
+    lengths, words = sfe_code([weights[i] for i in coded], total)
+    by_rank = [0] * len(coded)
+    stack = [(0, len(coded) - 1, 0, 1)] if coded else []  # (lo, hi, d, depth)
+    while stack:
+        lo, hi, d, depth = stack.pop()
+        r = lo
+        if lo < hi:
+            # bit d is 0 on a prefix of lo..hi and 1 on the rest; when one
+            # side is empty, the other side's flank (hi or lo) is the root
+            if not words[hi] >> (lengths[hi] - 1 - d) & 1:
+                r = hi
+            elif not words[lo] >> (lengths[lo] - 1 - d) & 1:
+                s = bisect_left(
+                    range(lo, hi + 1), 1, key=lambda i: words[i] >> (lengths[i] - 1 - d) & 1
+                ) + lo
+                r = s - 1 if lengths[s - 1] <= lengths[s] else s
+        by_rank[r] = depth
+        if lo < r:
+            stack.append((lo, r - 1, d + 1, depth + 1))
+        if r < hi:
+            stack.append((r + 1, hi, d + 1, depth + 1))
+    if len(coded) == len(weights):
+        return by_rank
+    depths = [0] * len(weights)
+    for i, depth in zip(coded, by_rank):
+        depths[i] = depth
+    rank, chain = 0, 0  # coded keys so far; depth of the last key of a zero run
+    for i, w in enumerate(weights):
+        if w:
+            rank, chain = rank + 1, 0
+            continue
+        if not chain:
+            a = by_rank[rank - 1] if rank else 0
+            b = by_rank[rank] if rank < len(coded) else 0
+            chain = max(a, b)
+        chain += 1
+        depths[i] = chain
+    return depths
+
+
 def coded_tree(
     weights: Sequence[int], total: int, keys: Sequence[int]
 ) -> tuple[SearchTree, dict[int, int]]:
@@ -31,9 +87,7 @@ def coded_tree(
     order, which never moves a coded key.
     """
     coded = [i for i, w in enumerate(weights) if w]
-    code = sfe_code([weights[i] for i in coded], total)
-    lengths = [length for length, _ in code]
-    words = [word for _, word in code]
+    lengths, words = sfe_code([weights[i] for i in coded], total)
     depths: dict[int, int] = {}
     nodes: list[Node | None] = [None] * len(coded)  # coded nodes by rank
     tree = SearchTree(None)
