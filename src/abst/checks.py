@@ -25,7 +25,7 @@ from .dynamic import (
     SimulationReport,
     StepRecord,
     _delta,
-    _drifted,
+    _drift_floor,
     init,
     run,
     step,
@@ -292,7 +292,9 @@ def check_served_depth(rec: StepRecord, n: int, smoothing: str) -> list[str]:
 def check_trigger_locality(
     n: int, alpha: int, trace: Sequence[int], smoothing: str
 ) -> list[str]:
-    """A request may newly violate the drift test only for its own key."""
+    """A request may newly violate the drift test only for its own key, and
+    after its step that key has not drifted: the request either left its
+    tree probability at least half its frequency or rebuilt the tree."""
     state = init(n, alpha, smoothing)
     delta = _delta(smoothing)
     v: list[str] = []
@@ -303,9 +305,12 @@ def check_trigger_locality(
         total = t_next + delta * n
         for j in range(1, n + 1):
             w_next = counts[j - 1] + (1 if j == key else 0)
-            if _drifted(tree_weights[j - 1], s, w_next + delta, total) and j != key:
+            if w_next + delta >= _drift_floor(tree_weights[j - 1], s, total) and j != key:
                 v.append(f"t={t_next}: request for {key} fired the test for {j}")
         step(state, key)
+        floor = _drift_floor(state.tree_weights[key - 1], state.tree_total, total)
+        if state.counters.counts[key - 1] + delta >= floor:
+            v.append(f"t={t_next}: key {key} still drifted after its own request")
     return v
 
 

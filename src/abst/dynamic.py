@@ -4,7 +4,14 @@ below half its observed frequency.
 Costs follow the matching model: serving a request costs the served key's
 depth, every tree swap costs a flat `alpha`. Observed frequencies and the
 tree's distribution are both integer weights over one total, so the drift
-test is an exact integer cross-multiplication.
+test is exact integer arithmetic. A key of tree weight W (of S) drifts when
+2 W T < S x for its observed weight x of total T, that is when x reaches its
+drift floor 2 W T // S + 1 (`_drift_floor`). Between rebuilds W and S are
+fixed and T only grows, so a key's floor never falls: the state caches the
+floor last computed for each key (`state.floors`, reset at each rebuild),
+and a request whose observed weight is below its key's cached floor needs
+no other test. Only a request that reaches it recomputes the floor at the
+current total, and rebuilds if it reaches that one too.
 
 A request only ever reads its key's depth, so the simulator's state is the
 depth vector of the current tree, and a rebuild recomputes that vector
@@ -75,10 +82,11 @@ def _observed_weights(counts: Sequence[int], t: int, delta: int) -> tuple[tuple[
     return tuple(map(delta.__add__, counts)), t + delta * len(counts)
 
 
-def _drifted(tree_weight: int, tree_total: int, w: int, total: int) -> bool:
-    """True iff the tree probability tree_weight/tree_total of a key is below
-    half its observed frequency w/total: 2 W_k total < S w."""
-    return 2 * tree_weight * total < tree_total * w
+def _drift_floor(tree_weight: int, tree_total: int, total: int) -> int:
+    """The smallest observed weight w at which a key of tree probability
+    tree_weight/tree_total has drifted, i.e. is below half its observed
+    frequency w/total: 2 W_k total < S w holds iff w >= floor(2 W_k total / S) + 1."""
+    return 2 * tree_weight * total // tree_total + 1
 
 
 @dataclass
@@ -167,6 +175,9 @@ class SimulationState:
     counts_at_last_rebuild: list[int] = field(default_factory=list)
     rebuild_log: list[RebuildRecord] = field(default_factory=list)
     qlog: list[float] = field(default_factory=list)  # key k's frequency-log sum is qlog[k - 1]
+    # key k cannot drift while its observed weight is below floors[k - 1], a
+    # drift floor of the current tree at some earlier total; 0 means unknown
+    floors: list[int] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def adjust_cost(self) -> Fraction:
@@ -207,6 +218,7 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
         depths=[balanced[key] for key in range(1, n + 1)],
         counts_at_last_rebuild=[0] * n,
         qlog=[0.0] * n,
+        floors=[0] * n,
     )
 
 
@@ -232,12 +244,13 @@ def _serve_all(
     """Serve each request of `trace`: count it, rebuild if the key drifted,
     then search. The one step core of `run` and `step`.
 
-    Order matters: counters update first, the drift test compares the tree
-    probability against half the updated frequency, and the request is served
-    on the post-rebuild tree. The state's hot fields live in locals; `t` and
-    the search cost are written back to the state before any exception
-    leaves, before `on_step` receives a step's record and before the
-    `check_guarded` test of the drift invariant.
+    Order matters: counters update first, the drift test compares the
+    updated observed weight against the key's cached floor and then, if it
+    reaches it, against the floor at the updated total, and the request is
+    served on the post-rebuild tree. The state's hot fields live in locals;
+    `t` and the search cost are written back to the state before any
+    exception leaves, before `on_step` receives a step's record and before
+    the `check_guarded` test of the drift invariant.
 
     That test covers every key on the first step and after a rebuild, and
     the requested key otherwise: between rebuilds a request only lowers the
@@ -250,6 +263,8 @@ def _serve_all(
     depths = state.depths
     tree_weights, tree_total = state.tree_weights, state.tree_total
     qlog = state.qlog
+    floors = state.floors
+    pseudo_total = delta * n
     log2 = math.log2
     per_step = check_guarded or on_step is not None
     t, search = c.t, state.search_cost
@@ -262,26 +277,32 @@ def _serve_all(
             w = counts[i] + 1
             counts[i] = w
             t += 1
-            depth_pre = depths[i]
-            rebuilt = _drifted(tree_weights[i], tree_total, w + delta, t + delta * n)
-            if rebuilt:
-                state.rebuild_log.append(
-                    RebuildRecord(t, key, w, state.counts_at_last_rebuild[i], state.last_rebuild_t)
-                )
-                tree_weights, tree_total = _observed_weights(counts, t, delta)
-                depths = coded_depths(tree_weights, tree_total)
-                state.tree_weights, state.tree_total = tree_weights, tree_total
-                state.depths = depths
-                state.rebuilds += 1
-                state.counts_at_last_rebuild = list(counts)
-                state.last_rebuild_t = t
+            rebuilt = False
+            if w + delta >= floors[i]:
+                floor = _drift_floor(tree_weights[i], tree_total, t + pseudo_total)
+                if w + delta < floor:
+                    floors[i] = floor
+                else:
+                    rebuilt = True
+                    depth_pre = depths[i]
+                    state.rebuild_log.append(RebuildRecord(
+                        t, key, w, state.counts_at_last_rebuild[i], state.last_rebuild_t
+                    ))
+                    tree_weights, tree_total = _observed_weights(counts, t, delta)
+                    depths = coded_depths(tree_weights, tree_total)
+                    state.tree_weights, state.tree_total = tree_weights, tree_total
+                    state.depths = depths
+                    floors = state.floors = [0] * n
+                    state.rebuilds += 1
+                    state.counts_at_last_rebuild = list(counts)
+                    state.last_rebuild_t = t
             depth = depths[i]
             search += depth
             qlog[i] += log2(t / w)
             if per_step:
                 c.t, state.search_cost = t, search
                 if on_step is not None:
-                    on_step(StepRecord(t, key, w, depth, depth_pre, rebuilt))
+                    on_step(StepRecord(t, key, w, depth, depth_pre if rebuilt else depth, rebuilt))
                 if check_guarded:
                     if not guarded_invariant_holds(state, None if scan or rebuilt else (key,)):
                         raise BoundViolationError(
@@ -308,8 +329,8 @@ def guarded_invariant_holds(state: SimulationState, keys: Iterable[int] | None =
     tree_weights, tree_total = state.tree_weights, state.tree_total
     if keys is None:
         keys = range(1, state.n + 1)
-    return not any(
-        _drifted(tree_weights[k - 1], tree_total, c.counts[k - 1] + delta, total) for k in keys
+    return all(
+        c.counts[k - 1] + delta < _drift_floor(tree_weights[k - 1], tree_total, total) for k in keys
     )
 
 

@@ -65,6 +65,7 @@ def test_init_state():
     assert state.tree.root.key == 3
     assert in_order(state.tree) == [1, 2, 3, 4, 5]
     assert state.search_cost == 0 and state.rebuilds == 0
+    assert state.floors == [0] * 5
     single = init(1, 2)
     assert single.tree.root.key == 1
 
@@ -191,7 +192,7 @@ def test_guard_scans_every_key_on_the_first_step_of_a_run():
 def test_trigger_locality_flags_a_run_that_rebuilds_late(monkeypatch, smoothing):
     # the simulator fires at a quarter of the observed frequency, not half;
     # the check keeps the true drift test, so keys left drifted show up
-    monkeypatch.setattr(dynamic, "_drifted", lambda tw, s, w, total: 4 * tw * total < s * w)
+    monkeypatch.setattr(dynamic, "_drift_floor", lambda tw, s, total: 4 * tw * total // s + 1)
     trace = generate(parse_workload("zipf:1.0", n=8, m=200, seed=5))
     assert check_trigger_locality(8, 2, trace, smoothing) != []
 
@@ -201,6 +202,50 @@ def test_trigger_locality_flags_a_run_with_the_wrong_pseudo_count(monkeypatch):
     monkeypatch.setattr(dynamic, "_delta", lambda smoothing: 0)
     trace = generate(parse_workload("zipf:1.0", n=8, m=200, seed=5))
     assert check_trigger_locality(8, 2, trace, SMOOTHING_LAPLACE) != []
+
+
+def skip_first_rebuild(monkeypatch, n: int, trace, smoothing: str) -> StepRecord:
+    """Patch the simulator's drift floor so that a run of `trace` skips its
+    first rebuild, and tests that key exactly again at its next request, as a
+    drift test that swallowed its first firing would. Returns the record of
+    the request that fires in a clean run."""
+    clean = []
+    run(init(n, 2, smoothing), trace, on_step=clean.append)
+    first = next(rec for rec in clean if rec.rebuilt)
+    delta = dynamic._delta(smoothing)
+    true_floor = dynamic._drift_floor
+
+    def floor(tree_weight, tree_total, total):
+        if total == first.t + delta * n:
+            return first.count + delta + 1
+        return true_floor(tree_weight, tree_total, total)
+
+    monkeypatch.setattr(dynamic, "_drift_floor", floor)
+    return first
+
+
+@pytest.mark.parametrize("n, workload, seed, smoothing", [
+    (8, "zipf:1.0", 5, SMOOTHING_LAPLACE),
+    (5, "uniform", 2, SMOOTHING_LAPLACE),
+    (5, "uniform", 2, SMOOTHING_NONE),
+    (32, "zipf:1.5", 3, SMOOTHING_LAPLACE),
+    (12, "zipf:1.5", 7, SMOOTHING_LAPLACE),
+])
+def test_trigger_locality_flags_a_run_that_skips_one_rebuild(
+    monkeypatch, n, workload, seed, smoothing
+):
+    # In these runs no other key is drifted when a request arrives: the
+    # skipped key's own next request rebuilds, or its drift clears first.
+    # Only the test of the requested key after its step sees the fault.
+    trace = generate(parse_workload(workload, n=n, m=300, seed=seed))
+    assert check_trigger_locality(n, 2, trace, smoothing) == []
+    first = skip_first_rebuild(monkeypatch, n, trace, smoothing)
+    records = []
+    run(init(n, 2, smoothing), trace, on_step=records.append)
+    assert not records[first.t - 1].rebuilt
+    assert check_trigger_locality(n, 2, trace, smoothing) == [
+        f"t={first.t}: key {first.key} still drifted after its own request"
+    ]
 
 
 def test_trigger_only_fires_for_requested_key():
@@ -318,6 +363,81 @@ def test_streamed_records_match_step_oracle(smoothing, n, workload, m):
     if report.rebuilds:
         keys = range(1, n + 1)
         assert state.tree == trie_oracle.coded_tree(state.tree_weights, state.tree_total, keys)[0]
+
+
+@pytest.mark.parametrize("smoothing, counts", [
+    (SMOOTHING_LAPLACE, [2, 4, 0]),
+    (SMOOTHING_NONE, [3, 6, 0]),
+])
+def test_drift_gate_fires_exactly_at_the_cached_floor(smoothing, counts):
+    # Key 1 has tree probability 2/10 and is requested twice, at observed
+    # totals 10 and 11, where its drift floor is the same. Its observed
+    # weight lands one below the floor, which is cached, then on it, which
+    # must fire through the cached compare.
+    delta = dynamic._delta(smoothing)
+    floor = dynamic._drift_floor(2, 10, 10)
+    assert dynamic._drift_floor(2, 10, 11) == floor == counts[0] + 2 + delta
+
+    def state_at_counts():
+        state = init(3, 2, smoothing)
+        state.tree_weights, state.tree_total = (2, 3, 5), 10
+        state.counters = CounterState(list(counts), sum(counts))
+        return state
+
+    state = state_at_counts()
+    below = step(state, 1)
+    assert not below.rebuilt and below.count + delta == floor - 1
+    assert state.floors[0] == floor
+    at = step(state, 1)
+    assert at.rebuilt and at.count + delta == floor
+    oracle_state = state_at_counts()
+    assert [serve_oracle(oracle_state, 1) for _ in range(2)] == [below, at]
+    assert state == oracle_state
+
+
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+def test_cached_floors_match_the_oracle_across_chunked_runs_and_steps(monkeypatch, smoothing):
+    # few rebuilds over many requests, so most requests pass the cached
+    # floor and many recompute it without firing; the floors must carry
+    # over between `run` and `step` calls on one state
+    trace = generate(parse_workload("zipf:1.0", n=64, m=6000, seed=64))
+    oracle_state = init(64, 8, smoothing)
+    oracle = [serve_oracle(oracle_state, key) for key in trace]
+    computed = []
+    true_floor = dynamic._drift_floor
+    monkeypatch.setattr(
+        dynamic, "_drift_floor", lambda *args: computed.append(args) or true_floor(*args)
+    )
+    state = init(64, 8, smoothing)
+    records = []
+    for start in range(0, len(trace), 250):
+        block = trace[start:start + 250]
+        run(state, block[:-3], on_step=records.append)
+        records += [step(state, key) for key in block[-3:]]
+    assert records == oracle
+    assert state == oracle_state
+    assert len(computed) - state.rebuilds > 500
+    assert len(computed) < len(trace) // 4
+
+
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+def test_floors_are_reset_at_each_rebuild(smoothing):
+    # Key 1's request at t=62 caches its floor under the uniform tree, about
+    # half the total. Key 2's surge then rebuilds with key 1 at a small
+    # weight, so key 1's own surge must fire far below the cached floor.
+    trace = [1] + [2, 3, 4] * 20 + [1] + [2] * 80 + [1] * 40
+    oracle_state = init(4, 2, smoothing)
+    oracle = [serve_oracle(oracle_state, key) for key in trace]
+    state = init(4, 2, smoothing)
+    records = []
+    run(state, trace, on_step=records.append)
+    assert records == oracle
+    assert state == oracle_state
+    delta = dynamic._delta(smoothing)
+    cached = dynamic._drift_floor(1, 4, 62 + 4 * delta)
+    surge = next(rec for rec in records if rec.rebuilt and rec.key == 1 and rec.t > 62)
+    assert surge.count + delta < cached
+    assert check_trigger_locality(4, 2, trace, smoothing) == []
 
 
 def test_run_writes_its_counters_back_before_errors_and_sinks():
