@@ -9,11 +9,11 @@ from .baselines import (
     optimal_static_cost,
     tree_cost,
 )
+from .checks import RebuildRecord, RunLedger
 from .dynamic import (
     SMOOTHING_LAPLACE,
     SMOOTHING_NONE,
     CounterState,
-    RebuildRecord,
     SimulationReport,
     SimulationState,
     StepRecord,

@@ -3,14 +3,16 @@
 Every suite takes an explicit seed, returns a list of violation strings
 (empty means pass), and uses exact arithmetic wherever the quantity under
 test is rational; floats only enter through entropy terms, compared at 1e-9.
+The cost-accounting checks read a run through its step stream (`RunLedger`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .baselines import (
     WeightVector,
@@ -34,6 +36,7 @@ from .dynamic import (
 )
 from .matching import bst_to_matchings, matchings_to_bst, route
 from .sfe import (
+    CodeTable,
     ProbabilityDistribution,
     average_code_length,
     build_sfe_code,
@@ -211,49 +214,82 @@ def grid_m(n: int, alpha: int) -> int:
     return max(20, math.ceil(theorem_threshold(n, Fraction(alpha))))
 
 
+@dataclasses.dataclass
+class RebuildRecord:
+    """A tree swap: who fired it, their count now and at the previous swap."""
+
+    t: int
+    key: int
+    count_now: int
+    count_at_prev: int
+    prev_t: int
+
+
+class RunLedger:
+    """A run's `on_step` sink keeping what `check_report_bounds` reads, from
+    every step of the run's `run` and `step` calls: each key's count and sum
+    of log2(t / w) (`counts`, `qlog`, indexed by key - 1), a `RebuildRecord`
+    per rebuild (`rebuilds`) and the `check_served_depth` findings (`deep`)."""
+
+    def __init__(self, n: int, smoothing: str):
+        self.n, self.smoothing = n, smoothing
+        self.counts = [0] * n
+        self.qlog = [0.0] * n
+        self.rebuilds: list[RebuildRecord] = []
+        self.deep: list[str] = []
+        self._counts_at_rebuild = [0] * n
+
+    def __call__(self, rec: StepRecord) -> None:
+        i = rec.key - 1
+        self.counts[i] += 1
+        if rec.rebuilt:
+            prev_t = self.rebuilds[-1].t if self.rebuilds else 0
+            at_prev = self._counts_at_rebuild[i]
+            self.rebuilds.append(RebuildRecord(rec.t, rec.key, rec.count, at_prev, prev_t))
+            self._counts_at_rebuild = list(self.counts)
+        self.qlog[i] += math.log2(rec.t / rec.count)
+        self.deep += check_served_depth(rec, self.n, self.smoothing)
+
+
 def run_cell(
-    n: int,
-    alpha: int,
-    workload: str,
-    smoothing: str,
-    seed: int = DEFAULT_SEED,
-    m: int | None = None,
-    on_step: Callable[[StepRecord], object] | None = None,
-) -> SimulationReport:
-    """Generate one grid cell's trace and run it with per-step guard checks;
-    `on_step` receives every step's record, as in `run`."""
-    if m is None:
-        m = grid_m(n, alpha)
-    trace = generate(parse_workload(workload, n=n, m=m, seed=seed))
+    n: int, alpha: int, workload: str, smoothing: str, seed: int = DEFAULT_SEED
+) -> tuple[SimulationReport, RunLedger]:
+    """Generate one grid cell's trace and run it with per-step guard checks
+    and a `RunLedger` as its sink; returns the report and the ledger."""
+    trace = generate(parse_workload(workload, n=n, m=grid_m(n, alpha), seed=seed))
     state = init(n, alpha, smoothing)
-    return run(state, trace, check_guarded=True, on_step=on_step)
+    ledger = RunLedger(n, smoothing)
+    return run(state, trace, check_guarded=True, on_step=ledger), ledger
 
 
-def check_report_bounds(report: SimulationReport) -> list[str]:
-    """Cost-accounting invariants on a finished run.
+def check_report_bounds(report: SimulationReport, ledger: RunLedger) -> list[str]:
+    """Cost-accounting invariants on a finished run whose steps all fed `ledger`.
 
-    Checks, in order: count doubling between consecutive rebuilds, the
-    per-key and aggregate frequency-log bounds, the adjustment-cost cap,
-    the total-cost guarantee when applicable, and internal consistency of
-    the report's totals.
+    Checks, in order: that the ledger saw every request and rebuild, count
+    doubling between consecutive rebuilds, the per-key and aggregate
+    frequency-log bounds, the adjustment-cost cap, the total-cost guarantee
+    when applicable, internal consistency of the report's totals, and the
+    ledger's served-depth findings.
     """
     v: list[str] = []
     m = report.m
     tol = ENTROPY_TOL * max(1.0, m)
-    for rec in report.rebuild_log:
+    seen = sum(ledger.counts)
+    if seen < m or len(ledger.rebuilds) < report.rebuilds:
+        v.append(f"ledger saw {seen} requests and {len(ledger.rebuilds)} rebuilds "
+                 f"of the report's {m} and {report.rebuilds}")
+    for rec in ledger.rebuilds:
         if not 2 * rec.count_at_prev < rec.count_now:
             v.append(
                 f"rebuild at t={rec.t}: count {rec.count_now} did not double "
                 f"from {rec.count_at_prev}"
             )
-    for key, w in enumerate(report.weights, start=1):
-        if w == 0:
-            continue
-        qlog = report.qlog_by_key.get(key, 0.0)
+    qlogs = [(key, w, q) for key, (w, q) in enumerate(zip(report.weights, ledger.qlog), 1) if w]
+    for key, w, qlog in qlogs:
         limit = w * math.log2(m / w) + 2 * w
         if qlog > limit + tol:
             v.append(f"key {key}: frequency-log sum {qlog:.6f} > {limit:.6f}")
-    total_qlog = sum(report.qlog_by_key.values())
+    total_qlog = sum(q for _, _, q in qlogs)
     agg_limit = m * report.entropy_empirical + 2 * m
     if total_qlog > agg_limit + tol:
         v.append(f"aggregate frequency-log sum {total_qlog:.6f} > {agg_limit:.6f}")
@@ -269,7 +305,7 @@ def check_report_bounds(report: SimulationReport) -> list[str]:
         v.append("total != search + adjust")
     if report.adjust_cost != report.alpha * report.rebuilds:
         v.append("adjust != alpha * rebuilds")
-    return v
+    return v + ledger.deep
 
 
 def check_served_depth(rec: StepRecord, n: int, smoothing: str) -> list[str]:
@@ -279,9 +315,8 @@ def check_served_depth(rec: StepRecord, n: int, smoothing: str) -> list[str]:
     drift invariant keeps its tree probability p at q/2 or more, and a key is
     less than log2(1/p) + 3 deep in a coded tree (at most its codeword length
     plus one) and in the balanced start tree (p = 1/n). So
-    (w+d) 2^depth < (t+dn) 2^4. Takes one step's record, so that it can be
-    applied to every step of a run through `run(..., on_step=...)` without
-    keeping the steps.
+    (w+d) 2^depth < (t+dn) 2^4. Takes one step's record, so that `RunLedger`
+    can apply it to every step of a run without keeping the steps.
     """
     delta = _delta(smoothing)
     if (rec.count + delta) << rec.depth < (rec.t + delta * n) << 4:
@@ -345,26 +380,18 @@ def suite_dynamic_properties(
     for n, alpha, workload in cells:
         for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
             label = f"n={n} alpha={alpha} {workload} {smoothing}"
-            deep: list[str] = []
             try:
-                report = run_cell(
-                    n, alpha, workload, smoothing, seed=seed,
-                    on_step=lambda rec: deep.extend(check_served_depth(rec, n, smoothing)),
-                )
+                report, ledger = run_cell(n, alpha, workload, smoothing, seed=seed)
             except Exception as exc:
                 violations.append(f"{label}: run failed: {exc}")
                 continue
-            for msg in check_report_bounds(report) + deep:
+            for msg in check_report_bounds(report, ledger):
                 violations.append(f"{label}: {msg}")
     return violations
 
 
 def fault_injection_selftest() -> list[str]:
     """The prefix-freeness check must flag a deliberately corrupted table."""
-    import dataclasses
-
-    from .sfe import CodeTable
-
     table = build_sfe_code(
         ProbabilityDistribution(
             (Fraction(1, 10), Fraction(2, 10), Fraction(4, 10), Fraction(2, 10), Fraction(1, 10))

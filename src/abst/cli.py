@@ -102,19 +102,18 @@ def _steps_csv_sink(fh) -> Callable[[StepRecord], object]:
 def cmd_simulate(args) -> int:
     """Run one trace. `--steps-csv` rows are written as the requests are
     served, so after a bound violation the file holds the steps served so
-    far; `--check-bounds` applies the served-depth check to the same stream."""
+    far; `--check-bounds` feeds the same stream to a `checks.RunLedger`."""
     spec = parse_workload(args.workload, n=args.n, m=args.m, seed=args.seed)
     trace = generate(spec)
     state = init(args.n, _parse_alpha(args.alpha), args.smoothing)
     sinks: list[Callable[[StepRecord], object]] = []
-    deep: list[str] = []
+    ledger = checks.RunLedger(args.n, args.smoothing)
     with contextlib.ExitStack() as stack:
         if args.steps_csv:
             fh = stack.enter_context(open(args.steps_csv, "w", encoding="utf-8", newline=""))
             sinks.append(_steps_csv_sink(fh))
         if args.check_bounds:
-            sinks.append(lambda rec: deep.extend(
-                checks.check_served_depth(rec, args.n, args.smoothing)))
+            sinks.append(ledger)
 
         def on_step(rec: StepRecord) -> None:
             for sink in sinks:
@@ -127,7 +126,7 @@ def cmd_simulate(args) -> int:
         report.stat_cost = stat
         report.rho = float(report.total) / stat
     if args.check_bounds:
-        problems = checks.check_report_bounds(report) + deep
+        problems = checks.check_report_bounds(report, ledger)
         if problems:
             for msg in problems:
                 print(f"bound violation: {msg}", file=sys.stderr)

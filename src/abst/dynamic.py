@@ -17,7 +17,8 @@ A request only ever reads its key's depth, so the simulator's state is the
 depth vector of the current tree, and a rebuild recomputes that vector
 (`trees.coded_depths`) without building a node. `state.tree` builds the
 tree from the depths when it is read. `run` and `step` serve requests
-through one loop, `_serve_all`.
+through one loop, `_serve_all`. The cost-accounting checks' own bookkeeping
+is kept from the `StepRecord` stream by `checks.RunLedger`, not here.
 """
 
 from __future__ import annotations
@@ -104,17 +105,6 @@ class StepRecord:
 
 
 @dataclass
-class RebuildRecord:
-    """A tree swap: who fired it, their count now and at the previous swap."""
-
-    t: int
-    key: int
-    count_now: int
-    count_at_prev: int
-    prev_t: int
-
-
-@dataclass
 class SimulationReport:
     n: int
     m: int
@@ -130,8 +120,6 @@ class SimulationReport:
     weights: tuple[int, ...]
     stat_cost: int | None = None
     rho: float | None = None
-    rebuild_log: list[RebuildRecord] = field(default_factory=list, repr=False)
-    qlog_by_key: dict[int, float] = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -171,10 +159,6 @@ class SimulationState:
     depths: list[int]  # depth of key k in the current tree is depths[k - 1]
     search_cost: int = 0
     rebuilds: int = 0
-    last_rebuild_t: int = 0
-    counts_at_last_rebuild: list[int] = field(default_factory=list)
-    rebuild_log: list[RebuildRecord] = field(default_factory=list)
-    qlog: list[float] = field(default_factory=list)  # key k's frequency-log sum is qlog[k - 1]
     # key k cannot drift while its observed weight is below floors[k - 1], a
     # drift floor of the current tree at some earlier total; 0 means unknown
     floors: list[int] = field(default_factory=list, compare=False, repr=False)
@@ -216,8 +200,6 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
         tree_weights=(1,) * n,
         tree_total=n,
         depths=[balanced[key] for key in range(1, n + 1)],
-        counts_at_last_rebuild=[0] * n,
-        qlog=[0.0] * n,
         floors=[0] * n,
     )
 
@@ -262,10 +244,8 @@ def _serve_all(
     delta = _delta(state.smoothing)
     depths = state.depths
     tree_weights, tree_total = state.tree_weights, state.tree_total
-    qlog = state.qlog
     floors = state.floors
     pseudo_total = delta * n
-    log2 = math.log2
     per_step = check_guarded or on_step is not None
     t, search = c.t, state.search_cost
     scan = True  # the guard tests every key on a call's first step
@@ -285,20 +265,14 @@ def _serve_all(
                 else:
                     rebuilt = True
                     depth_pre = depths[i]
-                    state.rebuild_log.append(RebuildRecord(
-                        t, key, w, state.counts_at_last_rebuild[i], state.last_rebuild_t
-                    ))
                     tree_weights, tree_total = _observed_weights(counts, t, delta)
                     depths = coded_depths(tree_weights, tree_total)
                     state.tree_weights, state.tree_total = tree_weights, tree_total
                     state.depths = depths
                     floors = state.floors = [0] * n
                     state.rebuilds += 1
-                    state.counts_at_last_rebuild = list(counts)
-                    state.last_rebuild_t = t
             depth = depths[i]
             search += depth
-            qlog[i] += log2(t / w)
             if per_step:
                 c.t, state.search_cost = t, search
                 if on_step is not None:
@@ -365,8 +339,8 @@ def run(
     """Serve a whole trace and summarize costs.
 
     The run keeps O(n) state whatever the trace length: no per-step log. A
-    caller that wants each step's record passes `on_step`, which receives
-    the `StepRecord` of every request as it is served.
+    caller that wants each step's record, such as a `checks.RunLedger`,
+    passes `on_step`, which receives each request's `StepRecord` as served.
 
     With `check_guarded`, the drift invariant is re-verified after every step
     (see `_serve_all` for which keys it tests) and a violation raises
@@ -393,6 +367,4 @@ def run(
         theorem_bound=m * (8.0 + h),
         theorem_applicable=applicable,
         weights=tuple(c.counts),
-        rebuild_log=state.rebuild_log,
-        qlog_by_key={i + 1: q for i, (q, w) in enumerate(zip(state.qlog, c.counts)) if w},
     )

@@ -14,6 +14,7 @@ import pytest
 from abst.baselines import WeightVector, brute_force_static_cost, optimal_static_cost
 from abst.checks import (
     ENTROPY_TOL,
+    RunLedger,
     check_report_bounds,
     depth_bound_ok,
     grid_m,
@@ -49,18 +50,18 @@ def distribution_suite():
 @pytest.fixture(scope="module")
 def grid_reports():
     """Every guarantee-grid cell, run in both smoothing modes with the
-    per-step drift guard enabled."""
+    per-step drift guard enabled, with the ledger each run fed."""
     reports = {}
+    ledgers = {}
     timings = {}
     started = time.perf_counter()
     for n, alpha, workload in theorem_grid():
         for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
             cell_start = time.perf_counter()
-            reports[(n, alpha, workload, smoothing)] = run_cell(
-                n, alpha, workload, smoothing, seed=GRID_SEED
-            )
-            timings[(n, alpha, workload, smoothing)] = time.perf_counter() - cell_start
-    return reports, timings, time.perf_counter() - started
+            cell = (n, alpha, workload, smoothing)
+            reports[cell], ledgers[cell] = run_cell(n, alpha, workload, smoothing, seed=GRID_SEED)
+            timings[cell] = time.perf_counter() - cell_start
+    return reports, ledgers, timings, time.perf_counter() - started
 
 
 def test_c1_code_length_sandwich(distribution_suite):
@@ -136,7 +137,7 @@ def test_c4_static_optimum_oracle_equivalence():
 
 
 def test_c5_total_cost_guarantee_grid(grid_reports):
-    reports, timings, total_elapsed = grid_reports
+    reports, _, timings, total_elapsed = grid_reports
     violations = []
     for (n, alpha, workload, smoothing), report in reports.items():
         label = f"n={n} alpha={alpha} {workload} {smoothing}"
@@ -159,12 +160,13 @@ def test_c5_total_cost_guarantee_grid(grid_reports):
 
 
 def test_c6_accounting_invariants_grid(grid_reports):
-    reports, _, _ = grid_reports
+    reports, ledgers, _, _ = grid_reports
     violations = []
     for (n, alpha, workload, smoothing), report in reports.items():
         label = f"n={n} alpha={alpha} {workload} {smoothing}"
+        ledger = ledgers[(n, alpha, workload, smoothing)]
         # (a) count doubling at every rebuild
-        for rec in report.rebuild_log:
+        for rec in ledger.rebuilds:
             if not 2 * rec.count_at_prev < rec.count_now:
                 violations.append(f"{label}: no doubling at t={rec.t}")
         # (b) per-key frequency-log bound, raw-frequency runs
@@ -173,7 +175,7 @@ def test_c6_accounting_invariants_grid(grid_reports):
                 if w == 0:
                     continue
                 bound = w * math.log2(report.m / w) + 2 * w
-                if report.qlog_by_key.get(key, 0.0) > bound + ENTROPY_TOL * report.m:
+                if ledger.qlog[key - 1] > bound + ENTROPY_TOL * report.m:
                     violations.append(f"{label}: key {key} exceeds frequency-log bound")
         # (c) adjustment cost cap
         cap = 2 * n * alpha * math.log2(alpha) + report.m
@@ -205,14 +207,15 @@ def test_c8_static_optimality_ratio_trend():
     base = grid_m(n, alpha)
     for m in (base, 2 * base, 4 * base, 8 * base):
         trace = generate(parse_workload("zipf:1.0", n=n, m=m, seed=GRID_SEED))
-        report = run(init(n, alpha), trace)
+        ledger = RunLedger(n, SMOOTHING_LAPLACE)
+        report = run(init(n, alpha), trace, on_step=ledger)
         stat, _ = optimal_static_cost(WeightVector(report.weights))
         rho = float(report.total) / stat
         print(f"{m:>8} {float(report.total):>10.0f} {stat:>10} {rho:>8.3f}")
         if report.total != report.search_cost + report.adjust_cost:
             violations.append(f"m={m}: inconsistent totals")
-        if check_report_bounds(report):
-            violations.append(f"m={m}: {check_report_bounds(report)}")
+        if check_report_bounds(report, ledger):
+            violations.append(f"m={m}: {check_report_bounds(report, ledger)}")
         if rho <= 0:
             violations.append(f"m={m}: nonpositive ratio")
     _conclude("criterion 8: ratio trend reported", violations)

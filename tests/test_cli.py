@@ -228,7 +228,7 @@ def test_simulate_trace_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_simulate_bound_violation_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(checks, "check_report_bounds", lambda report: ["fabricated"])
+    monkeypatch.setattr(checks, "check_report_bounds", lambda report, ledger: ["fabricated"])
     trace_path = tmp_path / "t.txt"
     write_trace(trace_path, [1, 2, 3])
     code, _, err = run_cli(

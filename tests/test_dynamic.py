@@ -8,12 +8,17 @@ import pytest
 
 import trie_oracle
 from abst import dynamic, trees
-from abst.checks import check_report_bounds, check_trigger_locality, grid_m
+from abst.checks import (
+    RebuildRecord,
+    RunLedger,
+    check_report_bounds,
+    check_trigger_locality,
+    grid_m,
+)
 from abst.dynamic import (
     SMOOTHING_LAPLACE,
     SMOOTHING_NONE,
     CounterState,
-    RebuildRecord,
     StepRecord,
     guarded_invariant_holds,
     init,
@@ -258,18 +263,21 @@ def test_rebuild_count_doubling():
     trace = generate(parse_workload("zipf:1.5", n=16, m=600, seed=9))
     for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
         state = init(16, 2, smoothing)
-        report = run(state, trace)
-        for rec in report.rebuild_log:
+        ledger = RunLedger(16, smoothing)
+        report = run(state, trace, on_step=ledger)
+        assert len(ledger.rebuilds) == report.rebuilds
+        for rec in ledger.rebuilds:
             assert 2 * rec.count_at_prev < rec.count_now
 
 
 def test_per_key_frequency_log_bound_raw_mode():
     trace = generate(parse_workload("uniform", n=12, m=500, seed=11))
-    report = run(init(12, 4, SMOOTHING_NONE), trace)
+    ledger = RunLedger(12, SMOOTHING_NONE)
+    report = run(init(12, 4, SMOOTHING_NONE), trace, on_step=ledger)
     m = report.m
     for key, w in enumerate(report.weights, start=1):
         if w:
-            assert report.qlog_by_key[key] <= w * math.log2(m / w) + 2 * w + 1e-6
+            assert ledger.qlog[key - 1] <= w * math.log2(m / w) + 2 * w + 1e-6
 
 
 def test_laplace_dominates_half_raw_after_warmup():
@@ -284,12 +292,37 @@ def test_laplace_dominates_half_raw_after_warmup():
 
 def test_run_report_consistency():
     trace = generate(parse_workload("zipf:1.0", n=16, m=grid_m(16, 8), seed=2))
-    report = run(init(16, 8), trace, check_guarded=True)
+    ledger = RunLedger(16, SMOOTHING_LAPLACE)
+    report = run(init(16, 8), trace, check_guarded=True, on_step=ledger)
     assert report.total == report.search_cost + report.adjust_cost
     assert report.adjust_cost == report.alpha * report.rebuilds
     assert sum(report.weights) == report.m
     assert report.theorem_applicable
-    assert check_report_bounds(report) == []
+    assert check_report_bounds(report, ledger) == []
+
+
+def test_report_bounds_flag_a_ledger_that_missed_steps():
+    # the per-key checks must not pass on a ledger that has nothing to check
+    trace = generate(parse_workload("zipf:1.0", n=16, m=grid_m(16, 8), seed=2))
+    half = len(trace) // 2
+    state = init(16, 8)
+    never, second, full = (RunLedger(16, SMOOTHING_LAPLACE) for _ in range(3))
+    first = run(state, trace[:half], on_step=full)
+    assert first.rebuilds > 0
+
+    def both(rec):
+        full(rec)
+        second(rec)
+
+    report = run(state, trace[half:], on_step=both)
+    assert check_report_bounds(report, full) == []
+    assert check_report_bounds(report, never) == [
+        f"ledger saw 0 requests and 0 rebuilds of the report's {report.m} and {report.rebuilds}"
+    ]
+    assert check_report_bounds(report, second) == [
+        f"ledger saw {len(trace) - half} requests and {report.rebuilds - first.rebuilds} "
+        f"rebuilds of the report's {report.m} and {report.rebuilds}"
+    ]
 
 
 def test_run_rejects_empty_trace():
@@ -316,25 +349,13 @@ def serve_oracle(state, key: int) -> StepRecord:
     fired = 2 * state.tree_weights[key - 1] * total < state.tree_total * (w + delta)
     depth_pre = state.depths[key - 1]
     if fired:
-        state.rebuild_log.append(
-            RebuildRecord(
-                t=t,
-                key=key,
-                count_now=w,
-                count_at_prev=state.counts_at_last_rebuild[key - 1],
-                prev_t=state.last_rebuild_t,
-            )
-        )
         weights = tuple(count + delta for count in c.counts)
         _, depth_by_key = trie_oracle.coded_tree(weights, total, range(1, state.n + 1))
         state.depths = [depth_by_key[k] for k in range(1, state.n + 1)]
         state.tree_weights, state.tree_total = weights, total
         state.rebuilds += 1
-        state.counts_at_last_rebuild = list(c.counts)
-        state.last_rebuild_t = t
     depth = state.depths[key - 1]
     state.search_cost += depth
-    state.qlog[key - 1] += math.log2(t / w)
     return StepRecord(t=t, key=key, count=w, depth=depth, depth_pre=depth_pre, rebuilt=fired)
 
 
@@ -352,17 +373,65 @@ def test_streamed_records_match_step_oracle(smoothing, n, workload, m):
     oracle = [serve_oracle(oracle_state, key) for key in trace]
     streamed = []
     state = init(n, 4, smoothing)
-    report = run(state, iter(trace), on_step=streamed.append)
+    ledger = RunLedger(n, smoothing)
+
+    def sink(rec):
+        streamed.append(rec)
+        ledger(rec)
+
+    report = run(state, iter(trace), on_step=sink)
     assert streamed == oracle
     assert state == oracle_state
     stepped_state = init(n, 4, smoothing)
     assert [step(stepped_state, key) for key in trace] == oracle
     assert stepped_state == oracle_state
     assert report.search_cost == sum(rec.depth for rec in oracle)
-    assert report.rebuilds == sum(rec.rebuilt for rec in oracle) == len(report.rebuild_log)
+    assert report.rebuilds == sum(rec.rebuilt for rec in oracle) == len(ledger.rebuilds)
     if report.rebuilds:
         keys = range(1, n + 1)
         assert state.tree == trie_oracle.coded_tree(state.tree_weights, state.tree_total, keys)[0]
+
+
+def rebuilds_from_records(trace, records) -> list[RebuildRecord]:
+    """The rebuild log of a run, from its step records and its trace: the
+    firing key's count at the previous rebuild is counted in the trace."""
+    rebuilds, prev_t = [], 0
+    for rec in records:
+        if rec.rebuilt:
+            at_prev = trace[:prev_t].count(rec.key)
+            rebuilds.append(RebuildRecord(rec.t, rec.key, rec.count, at_prev, prev_t))
+            prev_t = rec.t
+    return rebuilds
+
+
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+@pytest.mark.parametrize("n, workload, m", [
+    (1, "uniform", 30),
+    (5, "zipf:1.5", 300),
+    (64, "zipf:1.0", 2000),
+    (300, "zipf:1.0", 1500),
+])
+def test_ledger_matches_oracles_across_chunked_runs_and_steps(smoothing, n, workload, m):
+    trace = generate(parse_workload(workload, n=n, m=m, seed=n))
+    # each key's frequency-log sum from the trace alone: t and its running count
+    counts, sums = [0] * n, [0.0] * n
+    for t, key in enumerate(trace, start=1):
+        counts[key - 1] += 1
+        sums[key - 1] += math.log2(t / counts[key - 1])
+    oracle_state = init(n, 4, smoothing)
+    oracle = [serve_oracle(oracle_state, key) for key in trace]
+    state, ledger = init(n, 4, smoothing), RunLedger(n, smoothing)
+    for start in range(0, m, 97):
+        block = trace[start:start + 97]
+        for key in block[:3]:
+            ledger(step(state, key))
+        report = run(state, block[3:], on_step=ledger)
+    assert report.m == m
+    assert [q.hex() for q in ledger.qlog] == [q.hex() for q in sums]
+    assert ledger.counts == counts
+    assert ledger.rebuilds == rebuilds_from_records(trace, oracle)
+    assert len(ledger.rebuilds) == report.rebuilds
+    assert check_report_bounds(report, ledger) == []
 
 
 @pytest.mark.parametrize("smoothing, counts", [

@@ -2,8 +2,9 @@
 
 `tests/golden/cli.json` holds, for each `simulate` configuration, the report
 JSON, the report CSV, the SHA-256 and row count of `--steps-csv`, and the
-SHA-256 of the run's `qlog_by_key` and `rebuild_log`; and the CSV of the
-README `compare` grid. A speed-up must leave every byte of them as
+SHA-256 of the run's per-key frequency-log sums (over the requested keys)
+and rebuild records, both kept by a `checks.RunLedger` fed the run's steps;
+and the CSV of the README `compare` grid. A speed-up must leave every byte of them as
 it was. To re-pin after a deliberate change of outputs, run
 `PYTHONPATH=src python tests/test_golden.py`, which rewrites the file from the
 code on the path.
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from abst import cli, generate, init, parse_workload, run
+from abst import RunLedger, cli, generate, init, parse_workload, run
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "cli.json"
 
@@ -65,13 +66,14 @@ def simulate_outputs(args: str, tmp: Path) -> dict:
 
 
 def run_logs(argv: list[str]) -> dict:
-    """Digests of the `qlog_by_key` and `rebuild_log` of the same run made
-    through the library."""
+    """Digests of the ledger's frequency-log sums and rebuild records of the
+    same run made through the library."""
     args = cli.build_parser().parse_args(argv)
     trace = generate(parse_workload(args.workload, n=args.n, m=args.m, seed=args.seed))
-    report = run(init(args.n, Fraction(args.alpha), args.smoothing), trace)
-    qlog = sorted((key, q.hex()) for key, q in report.qlog_by_key.items())
-    rebuilds = [dataclasses.astuple(rec) for rec in report.rebuild_log]
+    ledger = RunLedger(args.n, args.smoothing)
+    report = run(init(args.n, Fraction(args.alpha), args.smoothing), trace, on_step=ledger)
+    qlog = [(key, q.hex()) for key, (q, w) in enumerate(zip(ledger.qlog, report.weights), 1) if w]
+    rebuilds = [dataclasses.astuple(rec) for rec in ledger.rebuilds]
     return {
         "qlog_sha256": _sha256(json.dumps(qlog).encode()),
         "rebuild_log_sha256": _sha256(json.dumps(rebuilds).encode()),
