@@ -349,6 +349,18 @@ def check_trigger_locality(
     return v
 
 
+def cold_surge_trace(n: int, seed: int) -> list[int]:
+    """A trace on which a stale drift floor skips a rebuild (n >= 3): a key
+    rests while 4n rounds of the others leave its tree weight high, so its
+    second request caches a high drift floor; another key's surge then
+    rebuilds, cutting the rested key's tree weight, and its own surge must
+    rebuild long before it reaches that floor."""
+    rng = random.Random(seed)
+    hot, *rest = rng.sample(range(1, n + 1), n)
+    rounds = [key for _ in range(4 * n) for key in rng.sample(rest, n - 1)]
+    return [hot, *rounds, hot] + [rest[0]] * (16 * n) + [hot] * (8 * n)
+
+
 def check_rebuild_matchings(
     n: int, alpha: int, trace: Sequence[int], smoothing: str
 ) -> list[str]:
@@ -441,8 +453,8 @@ def run_verify(scale: str, seed: int = DEFAULT_SEED) -> dict[str, list[str]]:
         "fault-injection": fault_injection_selftest(),
     }
     locality = []
-    for n, alpha, workload, m in local:
-        trace = generate(parse_workload(workload, n=n, m=m, seed=seed + 5))
+    traces = [(n, a, generate(parse_workload(w, n=n, m=m, seed=seed + 5))) for n, a, w, m in local]
+    for n, alpha, trace in traces + [(8, 2, cold_surge_trace(8, seed + 5))]:
         for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
             locality += check_trigger_locality(n, alpha, trace, smoothing)
             locality += check_rebuild_matchings(n, alpha, trace, smoothing)

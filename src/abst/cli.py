@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import sys
+import warnings
 from fractions import Fraction
 from typing import Callable
 
@@ -60,19 +62,35 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _emit_report(report: SimulationReport, fmt: str, out_path: str | None) -> None:
-    data = report.to_dict()
-    if fmt == "json":
-        text = json.dumps(data, indent=2) + "\n"
+def _emit(args, value, cols: list[str], rows: list[dict]) -> None:
+    """Write `value` as indented JSON, or `rows` as CSV under `cols`, as
+    `--format` asks, to the `--out` file if one is given, else to stdout."""
+    if args.format == "json":
+        text = json.dumps(value, indent=2) + "\n"
     else:
-        cols = list(data)
-        rows = [[_csv_cell(data[c]) for c in cols]]
-        text = _csv_text(cols, rows)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        text = _csv_text(cols, [[_csv_cell(row.get(c)) for c in cols] for row in rows])
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _add_stat(report: SimulationReport) -> None:
+    """Set the report's hindsight-optimal static cost and its ratio rho."""
+    stat, _ = optimal_static_cost(WeightVector(report.weights))
+    report.stat_cost, report.rho = stat, float(report.total) / stat
+
+
+@contextlib.contextmanager
+def _warnings_as_lines():
+    """Print each distinct warning raised in the block, such as `init`'s for
+    alpha < 2, as one `warning:` line on stderr, not as a Python warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
 
 
 def _csv_cell(value):
@@ -82,8 +100,6 @@ def _csv_cell(value):
 
 
 def _csv_text(cols, rows) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(cols)
@@ -105,7 +121,8 @@ def cmd_simulate(args) -> int:
     far; `--check-bounds` feeds the same stream to a `checks.RunLedger`."""
     spec = parse_workload(args.workload, n=args.n, m=args.m, seed=args.seed)
     trace = generate(spec)
-    state = init(args.n, _parse_alpha(args.alpha), args.smoothing)
+    with _warnings_as_lines():
+        state = init(args.n, _parse_alpha(args.alpha), args.smoothing)
     sinks: list[Callable[[StepRecord], object]] = []
     ledger = checks.RunLedger(args.n, args.smoothing)
     with contextlib.ExitStack() as stack:
@@ -122,16 +139,15 @@ def cmd_simulate(args) -> int:
         report = run(state, trace, check_guarded=args.check_bounds,
                      on_step=on_step if sinks else None)
     if args.with_stat:
-        stat, _ = optimal_static_cost(WeightVector(report.weights))
-        report.stat_cost = stat
-        report.rho = float(report.total) / stat
+        _add_stat(report)
     if args.check_bounds:
         problems = checks.check_report_bounds(report, ledger)
         if problems:
             for msg in problems:
                 print(f"bound violation: {msg}", file=sys.stderr)
             return EXIT_BOUND
-    _emit_report(report, args.format, args.out)
+    data = report.to_dict()
+    _emit(args, data, list(data), [data])
     return EXIT_OK
 
 
@@ -149,30 +165,21 @@ def cmd_compare(args) -> int:
     rows = []
     for alpha_text in alphas:
         alpha = _parse_alpha(alpha_text)
-        for workload in workloads:
-            m = args.m if args.m is not None else checks.grid_m(args.n, alpha)
-            spec = parse_workload(workload, n=args.n, m=m, seed=args.seed)
-            trace = generate(spec)
-            state = init(args.n, alpha, args.smoothing)
-            report = run(state, trace)
-            stat, _ = optimal_static_cost(WeightVector(report.weights))
-            report.stat_cost = stat
-            report.rho = float(report.total) / stat
-            row = report.to_dict()
-            row["workload"] = workload
-            rows.append(row)
+        with _warnings_as_lines():  # once per alpha, not per workload
+            for workload in workloads:
+                m = args.m if args.m is not None else checks.grid_m(args.n, alpha)
+                spec = parse_workload(workload, n=args.n, m=m, seed=args.seed)
+                trace = generate(spec)
+                state = init(args.n, alpha, args.smoothing)
+                report = run(state, trace)
+                _add_stat(report)
+                row = report.to_dict()
+                row["workload"] = workload
+                rows.append(row)
     cols = ["n", "alpha", "workload", "m", "smoothing", "search_cost", "adjust_cost",
             "rebuilds", "total", "entropy_empirical", "theorem_bound",
             "theorem_applicable", "stat_cost", "rho"]
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        text = _csv_text(cols, [[_csv_cell(r.get(c)) for c in cols] for r in rows])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, rows, cols, rows)
     return EXIT_OK
 
 

@@ -32,14 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BoundViolationError, InvalidRequestError
 from .sfe import ProbabilityDistribution, common_weights, entropy_of_weights
-from .trees import (
-    SearchTree,
-    build_balanced,
-    coded_depths,
-    coded_tree,
-    depth_map,
-    tree_from_depths,
-)
+from .trees import SearchTree, build_balanced, coded_depths, tree_from_depths
 
 SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
@@ -191,7 +184,6 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
             RuntimeWarning,
             stacklevel=2,
         )
-    balanced = depth_map(build_balanced(n))
     return SimulationState(
         n=n,
         alpha=alpha,
@@ -199,7 +191,7 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
         counters=CounterState.zeros(n),
         tree_weights=(1,) * n,
         tree_total=n,
-        depths=[balanced[key] for key in range(1, n + 1)],
+        depths=list(build_balanced(n).depths),
         floors=[0] * n,
     )
 
@@ -214,7 +206,7 @@ def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
     probs = [Fraction(p) for p in probs]
     ProbabilityDistribution(tuple(p for p in probs if p))
     weights, total = common_weights(probs)
-    return coded_tree(weights, total, range(1, len(probs) + 1))[0]
+    return tree_from_depths(range(1, len(probs) + 1), coded_depths(weights, total))
 
 
 def _serve_all(

@@ -2,15 +2,19 @@
 
 Each spine switch holds a partial matching over the n ports (ports are key
 ranks); greedy comparison routing from the root reaches any key in exactly
-its tree depth.
+its tree depth. `bst_to_matchings` reads each key's children from the tree's
+depths (`trees._links`); `matchings_to_bst` walks the matchings from the root
+for each port's depth, and the tree those depths fix must give the same
+matchings back, or the matchings break symmetric order.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 from .errors import InvalidMatchingError, KeyNotFoundError
-from .trees import Node, SearchTree, in_order
+from .trees import SearchTree, _links
 
 
 @dataclass
@@ -38,20 +42,16 @@ class MatchingPair:
 
 
 def bst_to_matchings(tree: SearchTree) -> MatchingPair:
-    """Extract the two child matchings of a tree over ranks 1..n."""
-    keys = in_order(tree)
+    """Extract the two child matchings of a tree over ranks 1..n; ValueError
+    if its depths fit no BST."""
+    keys = tree.keys
+    _, left, right = _links(tree.depths)
     pair = MatchingPair(n=len(keys))
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        if node.left is not None:
-            pair.left[node.key] = node.left.key
-            stack.append(node.left)
-        if node.right is not None:
-            pair.right[node.key] = node.right.key
-            stack.append(node.right)
+    for i, key in enumerate(keys):
+        if left[i] >= 0:
+            pair.left[key] = keys[left[i]]
+        if right[i] >= 0:
+            pair.right[key] = keys[right[i]]
     return pair
 
 
@@ -79,28 +79,24 @@ def matchings_to_bst(pair: MatchingPair) -> SearchTree:
             if u == v:
                 raise InvalidMatchingError(f"{name} edge {u}->{v} is a self-loop")
     root_key = _find_root(pair)
-    nodes = {k: Node(k) for k in range(1, pair.n + 1)}
-    for u, v in pair.left.items():
-        nodes[u].left = nodes[v]
-    for u, v in pair.right.items():
-        nodes[u].right = nodes[v]
     # reachability: unique parents plus one root still allow an off-tree cycle
-    seen = set()
-    stack = [nodes[root_key]]
-    while stack:
-        node = stack.pop()
-        seen.add(node.key)
-        if node.left is not None:
-            stack.append(node.left)
-        if node.right is not None:
-            stack.append(node.right)
-    if len(seen) != pair.n:
-        missing = sorted(set(range(1, pair.n + 1)) - seen)
+    depths, reached = {root_key: 1}, [root_key]
+    for u in reached:  # grows as it goes: a breadth-first walk from the root
+        for v in (pair.left.get(u), pair.right.get(u)):
+            if v is not None:
+                depths[v] = depths[u] + 1
+                reached.append(v)
+    keys = range(1, pair.n + 1)
+    if len(depths) != pair.n:
+        missing = sorted(set(keys) - depths.keys())
         raise InvalidMatchingError(f"ports unreachable from the root: {missing}")
-    tree = SearchTree(nodes[root_key])
-    if in_order(tree) != list(range(1, pair.n + 1)):
-        raise InvalidMatchingError("matchings violate symmetric order")
-    return tree
+    # the BST over ranks 1..n at these depths has these matchings iff they
+    # describe a tree in symmetric order
+    tree = SearchTree(tuple(keys), tuple(depths[k] for k in keys))
+    with contextlib.suppress(ValueError):  # raised when the depths fit no BST
+        if bst_to_matchings(tree) == pair:
+            return tree
+    raise InvalidMatchingError("matchings violate symmetric order")
 
 
 def route(pair: MatchingPair, target: int) -> list[int]:

@@ -20,51 +20,35 @@ covers the range's pairs, and descends from it to the range minimum. The
 subtrees handed to disjoint ranges are disjoint, so the descents are O(n) in
 all (compare the LCP intervals of Kasai et al. 2001).
 
-A BST is fixed by its in-order keys and their depths, so `tree_from_depths`
-builds the `Node` tree only when one is asked for; `coded_tree` is the two
-steps composed.
+A BST is fixed by its in-order keys and their depths, so a `SearchTree` is
+those two tuples and nothing else; `sfe_to_bst` pairs the keys with
+`coded_depths`. The child links are read when they are needed (by
+`format_tree` and `matching.bst_to_matchings`) from one stack pass over the
+depths, `_links`, which is also the check that the depths fit a BST.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .sfe import ProbabilityDistribution, common_weights, sfe_code
 
 
-class Node:
-    __slots__ = ("key", "left", "right")
-
-    def __init__(self, key: int):
-        self.key = key
-        self.left: Node | None = None
-        self.right: Node | None = None
-
-
+@dataclass(frozen=True)
 class SearchTree:
-    """BST over key ranks in symmetric order. Empty tree has root None."""
+    """BST as its keys in symmetric order and their depths, root at depth 1.
 
-    def __init__(self, root: Node | None):
-        self.root = root
+    `tree_from_depths` is the constructor that checks the depths fit a BST.
+    """
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SearchTree):
-            return NotImplemented
-        stack = [(self.root, other.root)]
-        while stack:
-            a, b = stack.pop()
-            if (a is None) != (b is None):
-                return False
-            if a is None:
-                continue
-            if a.key != b.key:
-                return False
-            stack.append((a.left, b.left))
-            stack.append((a.right, b.right))
-        return True
+    keys: tuple[int, ...]
+    depths: tuple[int, ...]
 
-    def __hash__(self):
-        return hash(format_tree(self))
+    @property
+    def root(self) -> int | None:
+        """The root key; None for the empty tree."""
+        return self.keys[self.depths.index(1)] if self.keys else None
 
 
 def coded_depths(weights: Sequence[int], total: int) -> list[int]:
@@ -73,8 +57,8 @@ def coded_depths(weights: Sequence[int], total: int) -> list[int]:
     Keys of positive weight are placed by their Shannon-Fano-Elias codewords;
     a key of zero weight cannot get a codeword, and each run of them hangs as
     a chain one below the deeper of its coded neighbours, as leaf insertion
-    in increasing order would put it. No node is built: `tree_from_depths`
-    gives the tree these depths fix.
+    in increasing order would put it. `tree_from_depths` gives the tree
+    these depths fix.
     """
     coded = [i for i, w in enumerate(weights) if w]
     lengths, words = sfe_code([weights[i] for i in coded], total)
@@ -141,46 +125,40 @@ def coded_depths(weights: Sequence[int], total: int) -> list[int]:
     return depths
 
 
-def tree_from_depths(keys: Sequence[int], depths: Sequence[int]) -> SearchTree:
-    """The one BST with `keys` in symmetric order at the given depths.
+def _links(depths: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """The root position of the one BST whose in-order keys sit at these
+    depths, and each position's left and right child (-1 for none).
 
-    A BST is fixed by its in-order keys and their depths: every subtree's
-    root is the unique shallowest key of its range. One stack pass over the
-    keys builds it (the Cartesian tree of the depths); ValueError if no BST
-    has these depths.
+    Every subtree's root is the unique shallowest key of its range, so one
+    stack pass builds the tree (the Cartesian tree of the depths); ValueError
+    if no BST has these depths.
     """
-    if len(keys) != len(depths):
-        raise ValueError("keys and depths differ in length")
-    nodes = [Node(key) for key in keys]
-    parent = [-1] * len(nodes)
+    n = len(depths)
+    left, right = [-1] * n, [-1] * n
     spine: list[int] = []  # the right spine of the tree built so far
     for i, depth in enumerate(depths):
         last = -1
         while spine and depths[spine[-1]] > depth:
             last = spine.pop()
-        if last >= 0:
-            nodes[i].left = nodes[last]
-            parent[last] = i
+        left[i] = last
         if spine:
-            nodes[spine[-1]].right = nodes[i]
-            parent[i] = spine[-1]
+            right[spine[-1]] = i
         spine.append(i)
-    for i, p in enumerate(parent):
-        if depths[i] != (depths[p] + 1 if p >= 0 else 1):
-            raise ValueError("no binary search tree has these depths")
-    return SearchTree(nodes[spine[0]] if spine else None)
+    root = spine[0] if spine else -1
+    if spine and depths[root] != 1 or any(
+        c >= 0 and depths[c] != depths[i] + 1 for i in range(n) for c in (left[i], right[i])
+    ):
+        raise ValueError("no binary search tree has these depths")
+    return root, left, right
 
 
-def coded_tree(
-    weights: Sequence[int], total: int, keys: Sequence[int]
-) -> tuple[SearchTree, dict[int, int]]:
-    """Biased BST for integer weights over `total`, and the depth of every key.
-
-    `keys` labels the weights with strictly increasing key values; see
-    `coded_depths` for where each key goes.
-    """
-    depths = coded_depths(weights, total)
-    return tree_from_depths(keys, depths), dict(zip(keys, depths))
+def tree_from_depths(keys: Sequence[int], depths: Sequence[int]) -> SearchTree:
+    """The one BST with `keys` in symmetric order at the given depths;
+    ValueError if no BST has them."""
+    if len(keys) != len(depths):
+        raise ValueError("keys and depths differ in length")
+    _links(depths)
+    return SearchTree(tuple(keys), tuple(depths))
 
 
 def sfe_to_bst(
@@ -203,50 +181,32 @@ def sfe_to_bst(
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("keys must be strictly increasing")
     weights, total = common_weights(dist.probs)
-    return coded_tree(weights, total, keys)[0]
+    return tree_from_depths(keys, coded_depths(weights, total))
 
 
 def depth_map(tree: SearchTree) -> dict[int, int]:
     """Depth of every key, root at depth 1."""
-    out: dict[int, int] = {}
-    stack = [(tree.root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if node is None:
-            continue
-        out[node.key] = depth
-        stack.append((node.left, depth + 1))
-        stack.append((node.right, depth + 1))
-    return out
+    return dict(zip(tree.keys, tree.depths))
 
 
 def in_order(tree: SearchTree) -> list[int]:
-    out: list[int] = []
-    stack: list[Node] = []
-    node = tree.root
-    while node is not None or stack:
-        while node is not None:
-            stack.append(node)
-            node = node.left
-        node = stack.pop()
-        out.append(node.key)
-        node = node.right
-    return out
+    return list(tree.keys)
 
 
 def format_tree(tree: SearchTree) -> str:
     """Serialize as nested `(key left right)` with `.` for empty."""
+    root, left, right = _links(tree.depths)
     parts: list[str] = []
-    stack: list = [tree.root]  # subtrees to write, and literal text between them
+    stack: list = [root]  # subtree positions to write, and literal text between them
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
-        elif item is None:
+        elif item < 0:
             parts.append(".")
         else:
-            parts.append(f"({item.key} ")
-            stack += [")", item.right, " ", item.left]
+            parts.append(f"({tree.keys[item]} ")
+            stack += [")", right[item], " ", left[item]]
     return "".join(parts)
 
 
@@ -260,31 +220,30 @@ def parse_tree(text: str) -> SearchTree:
             raise ValueError("unexpected end of tree text")
         return tok
 
-    # open nodes, each with whether its left subtree is already attached
-    open_nodes: list[tuple[Node, bool]] = []
+    keys, depths = [], []
+    # open nodes, each with whether its left subtree is already complete
+    open_keys: list[tuple[int, bool]] = []
     while True:
         tok = take()
         if tok == "(":
-            open_nodes.append((Node(int(take())), False))
+            open_keys.append((int(take()), False))
             continue
         if tok != ".":
             raise ValueError(f"expected '(' or '.', got {tok!r}")
-        done = None  # the subtree just completed
-        while open_nodes and open_nodes[-1][1]:
-            node = open_nodes.pop()[0]
-            node.right = done
+        while open_keys and open_keys[-1][1]:  # a right subtree just completed
+            open_keys.pop()
             closing = take()
             if closing != ")":
                 raise ValueError(f"expected ')', got {closing!r}")
-            done = node
-        if not open_nodes:
+        if not open_keys:
             break
-        node = open_nodes[-1][0]
-        node.left = done
-        open_nodes[-1] = (node, True)
+        key = open_keys[-1][0]  # its left subtree is done: it comes next in order
+        keys.append(key)
+        depths.append(len(open_keys))
+        open_keys[-1] = (key, True)
     if next(tokens, None) is not None:
         raise ValueError("trailing tokens after tree")
-    return SearchTree(done)
+    return SearchTree(tuple(keys), tuple(depths))
 
 
 def build_balanced(n: int) -> SearchTree:
@@ -299,19 +258,14 @@ def build_from_roots(n: int, root_of: Callable[[int, int], int]) -> SearchTree:
 
     Built with an explicit stack, so no depth hits the recursion limit.
     """
-    tree = SearchTree(None)
-    stack = [(1, n, None, False)]  # (lo, hi, parent, is_left)
+    depths = [0] * n
+    stack = [(1, n, 1)]  # (lo, hi, depth of their root)
     while stack:
-        lo, hi, parent, is_left = stack.pop()
+        lo, hi, depth = stack.pop()
         if lo > hi:
             continue
-        node = Node(root_of(lo, hi))
-        if parent is None:
-            tree.root = node
-        elif is_left:
-            parent.left = node
-        else:
-            parent.right = node
-        stack.append((lo, node.key - 1, node, True))
-        stack.append((node.key + 1, hi, node, False))
-    return tree
+        root = root_of(lo, hi)
+        depths[root - 1] = depth
+        stack.append((lo, root - 1, depth + 1))
+        stack.append((root + 1, hi, depth + 1))
+    return SearchTree(tuple(range(1, n + 1)), tuple(depths))

@@ -10,7 +10,8 @@ from abst.baselines import (
     optimal_static_cost,
     tree_cost,
 )
-from abst.trees import Node, SearchTree, depth_map, format_tree, in_order
+from abst.trees import SearchTree, depth_map, format_tree, in_order
+from trie_oracle import LinkedTree, Node
 
 
 def cubic_optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
@@ -36,7 +37,7 @@ def cubic_optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
                     best, best_r = c, r
             cost[i][j] = best + prefix[j] - prefix[i - 1]
             root[i][j] = best_r
-    tree = SearchTree(None)
+    tree = LinkedTree(None)
     stack = [(1, n, None, False)]
     while stack:
         i, j, parent, is_left = stack.pop()
@@ -51,7 +52,7 @@ def cubic_optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
             parent.right = node
         stack.append((i, node.key - 1, node, True))
         stack.append((node.key + 1, j, node, False))
-    return cost[1][n], tree
+    return cost[1][n], tree.search_tree()
 
 
 def test_weight_vector_validation():
@@ -73,7 +74,7 @@ def test_optimal_single_key():
 def test_optimal_three_uniform():
     cost, tree = optimal_static_cost(WeightVector((1, 1, 1)))
     assert cost == 5
-    assert tree.root.key == 2
+    assert tree.root == 2
 
 
 def test_optimal_example_weights():
@@ -159,4 +160,4 @@ def test_optimal_argmin_builds_a_deep_chain_without_recursion():
     assert depth_map(tree) == {key: n + 1 - key for key in range(1, n + 1)}
     assert tree_cost(tree, weights) == cost
     # root ties still break toward the smaller key
-    assert optimal_static_cost(WeightVector((1, 1)))[1].root.key == 1
+    assert optimal_static_cost(WeightVector((1, 1)))[1].root == 1

@@ -216,6 +216,21 @@ def test_alpha_too_small_for_a_float_is_a_config_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_alpha_below_two_warns_in_one_stderr_line_per_alpha(capsys):
+    warning = "warning: alpha < 2: accepted, but the total-cost guarantee is off\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "simulate", "--n", "7", "--alpha", "1", "--m", "300",
+                                 "--workload", "zipf:1.0", "--seed", "4")
+        assert code == 0 and json.loads(out)["theorem_applicable"] is False
+        assert err == warning
+        code, out, err = run_cli(capsys, "compare", "--n", "7", "--m", "100",
+                                 "--alphas", "1,1/2,8", "--workloads", "uniform,zipf:1.0")
+        assert code == 0 and len(out.splitlines()) == 1 + 3 * 2
+        assert err == warning * 2
+    assert caught == []  # no Python warning reaches the user
+
+
 def test_simulate_trace_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1\nnope\n")

@@ -67,12 +67,12 @@ def test_init_state():
     state = init(5, 2)
     assert state.tree_weights == (1,) * 5 and state.tree_total == 5
     assert state.depths == [2, 3, 1, 2, 3]
-    assert state.tree.root.key == 3
+    assert state.tree.root == 3
     assert in_order(state.tree) == [1, 2, 3, 4, 5]
     assert state.search_cost == 0 and state.rebuilds == 0
     assert state.floors == [0] * 5
     single = init(1, 2)
-    assert single.tree.root.key == 1
+    assert single.tree.root == 1
 
 
 def test_init_rejects_bad_arguments():
@@ -136,7 +136,7 @@ def test_first_request_rebuild_with_unseen_keys():
     rec = step(state, 3)
     assert rec.rebuilt
     assert in_order(state.tree) == [1, 2, 3, 4, 5]
-    assert state.tree.root.key == 3
+    assert state.tree.root == 3
     assert guarded_invariant_holds(state)
 
 
@@ -526,22 +526,21 @@ def test_run_writes_its_counters_back_before_errors_and_sinks():
     assert run(state, [1]).m == 4
 
 
-def test_rebuilds_inside_run_build_no_nodes(monkeypatch):
+def test_run_builds_no_tree(monkeypatch):
+    # a rebuild recomputes the depth vector only; the parent pass that makes
+    # a tree of it runs once per `state.tree` read and never inside `run`
     trace = generate(parse_workload("zipf:1.5", n=256, m=4000, seed=3))
     state = init(256, 4, SMOOTHING_NONE)
-    built = []
-    node_init = trees.Node.__init__
-
-    def counting_init(self, key):
-        built.append(key)
-        node_init(self, key)
-
-    monkeypatch.setattr(trees.Node, "__init__", counting_init)
+    passes = []
+    links = trees._links
+    monkeypatch.setattr(trees, "_links", lambda depths: passes.append(depths) or links(depths))
     report = run(state, trace)
     assert report.rebuilds > 10
-    assert built == []
+    assert passes == []
     tree = state.tree
-    assert len(built) == 256
+    assert passes == [state.depths]
+    assert state.tree == tree
+    assert len(passes) == 2
     assert tree == tree_from_depths(range(1, 257), state.depths)
 
 

@@ -29,7 +29,7 @@ def test_example_b_matchings():
 def test_single_node_matchings_empty():
     pair = bst_to_matchings(parse_tree("(1 . .)"))
     assert pair.n == 1 and pair.left == {} and pair.right == {}
-    assert matchings_to_bst(pair).root.key == 1
+    assert matchings_to_bst(pair).root == 1
 
 
 def test_round_trip_identity():

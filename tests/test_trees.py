@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import trie_oracle
 from abst.dynamic import init, run, tree_for_probs
+from abst.matching import bst_to_matchings, matchings_to_bst
 from abst.sfe import (
     CodeTable,
     ProbabilityDistribution,
@@ -18,11 +19,9 @@ from abst.sfe import (
     parse_distribution,
 )
 from abst.trees import (
-    Node,
     SearchTree,
     build_balanced,
     coded_depths,
-    coded_tree,
     depth_map,
     format_tree,
     in_order,
@@ -30,7 +29,7 @@ from abst.trees import (
     sfe_to_bst,
     tree_from_depths,
 )
-from trie_oracle import insert_key
+from trie_oracle import LinkedTree, Node, insert_key
 
 EXAMPLE_A = parse_distribution("0.1,0.2,0.4,0.2,0.1")
 EXAMPLE_B = parse_distribution("3/12,2/12,4/12,2/12,1/12")
@@ -140,7 +139,7 @@ def test_balanced_tree_shape():
     tree = build_balanced(5)
     assert depth_map(tree)[3] == 1
     assert in_order(tree) == [1, 2, 3, 4, 5]
-    assert build_balanced(1).root.key == 1
+    assert build_balanced(1).root == 1
     for n in (1, 2, 3, 7, 20, 100):
         assert max(depth_map(build_balanced(n)).values()) <= (n + 1).bit_length()
     with pytest.raises(ValueError):
@@ -159,7 +158,7 @@ def recursive_balanced(n: int) -> SearchTree:
         node.right = build(mid + 1, hi)
         return node
 
-    return SearchTree(build(1, n))
+    return LinkedTree(build(1, n)).search_tree()
 
 
 def test_balanced_tree_matches_recursive_build():
@@ -168,11 +167,11 @@ def test_balanced_tree_matches_recursive_build():
 
 
 def test_insert_key_grafts_leaves():
-    tree = parse_tree("(2 . .)")
+    tree = LinkedTree(Node(2))
     assert insert_key(tree, 1) == 2
     assert insert_key(tree, 3) == 2
     assert insert_key(tree, 4) == 3
-    assert format_tree(tree) == "(2 (1 . .) (3 . (4 . .)))"
+    assert format_tree(tree.search_tree()) == "(2 (1 . .) (3 . (4 . .)))"
     with pytest.raises(ValueError):
         insert_key(tree, 2)
 
@@ -183,6 +182,13 @@ def test_conversion_is_deterministic():
     depths = coded_depths(weights, 10)
     assert coded_depths(weights, 10) == depths == [3, 2, 1, 2, 3]
     assert weights == [1, 2, 4, 2, 1]
+
+
+def coded_tree(weights, total, keys) -> tuple[SearchTree, dict[int, int]]:
+    """The coded tree for integer weights over `total`, as `sfe_to_bst`
+    builds it, and its depth map."""
+    depths = coded_depths(weights, total)
+    return tree_from_depths(keys, depths), dict(zip(keys, depths))
 
 
 weight_lists = st.lists(st.integers(1, 64), min_size=2, max_size=32)
@@ -295,23 +301,20 @@ def grafted_by_insertion(weights, keys):
     tree, depths = coded_tree(
         [weights[i] for i in coded], sum(weights), [keys[i] for i in coded]
     )
+    linked = LinkedTree()
+    for _, key in sorted(zip(tree.depths, tree.keys)):  # each parent before its children
+        insert_key(linked, key)
     for i, w in enumerate(weights):
         if not w:
-            depths[keys[i]] = insert_key(tree, keys[i])
-    return tree, depths
+            depths[keys[i]] = insert_key(linked, keys[i])
+    return linked.search_tree(), depths
 
 
 def graft_slots(weights, keys, tree) -> set[str]:
     """Where each run of zero-weight keys between two coded keys a < b starts:
     "a.right" or "b.left"."""
-    parent = {}
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        for child in (node.left, node.right):
-            if child is not None:
-                parent[child.key] = node.key
-                stack.append(child)
+    pair = bst_to_matchings(tree)
+    parent = {child: key for match in (pair.left, pair.right) for key, child in match.items()}
     slots = set()
     for i in range(1, len(weights) - 1):
         if weights[i - 1] and not weights[i] and any(weights[i:]):
@@ -376,17 +379,16 @@ def test_tree_from_depths_builds_deep_chains_without_recursion():
         left = tree_from_depths(range(1, n + 1), range(n, 0, -1))
     finally:
         sys.setrecursionlimit(limit)
-    assert right.root.key == 1 and right.root.left is None
-    assert left.root.key == n and left.root.right is None
+    assert right.root == 1 and left.root == n
     assert depth_map(right) == {k: k for k in range(1, n + 1)}
     assert depth_map(left) == {k: n + 1 - k for k in range(1, n + 1)}
 
 
 def random_bst(rng: random.Random, keys: list[int]) -> SearchTree:
-    tree = SearchTree(None)
+    tree = LinkedTree()
     for key in rng.sample(keys, len(keys)):
         insert_key(tree, key)
-    return tree
+    return tree.search_tree()
 
 
 def test_tree_from_depths_inverts_depth_map():
@@ -397,6 +399,40 @@ def test_tree_from_depths_inverts_depth_map():
         tree = random_bst(rng, keys)
         depths = depth_map(tree)
         assert tree_from_depths(keys, [depths[k] for k in keys]) == tree
+
+
+def test_child_links_match_the_linked_oracle():
+    # `format_tree`, `bst_to_matchings` and `matchings_to_bst` read each key's
+    # children from the depths alone; the node walks of the same trees built
+    # as linked nodes must agree, also on chains deeper than the recursion limit
+    rng = random.Random(2020)
+    linked = []
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        tree = LinkedTree()
+        for key in rng.sample(range(1, n + 1), n):
+            insert_key(tree, key)
+        linked.append(tree)
+    n = 3000
+    for keys, side in ((range(1, n + 1), "right"), (range(n, 0, -1), "left")):
+        tree = LinkedTree(Node(keys[0]))
+        node = tree.root
+        for key in keys[1:]:
+            setattr(node, side, Node(key))
+            node = getattr(node, side)
+        linked.append(tree)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        for tree in linked:
+            want = tree.search_tree()
+            pair = bst_to_matchings(want)
+            assert format_tree(want) == trie_oracle.format_linked(tree)
+            assert (pair.left, pair.right) == trie_oracle.linked_matchings(tree)
+            assert matchings_to_bst(pair) == want
+    finally:
+        sys.setrecursionlimit(limit)
+    assert linked[-1].search_tree().depths == tuple(range(n, 0, -1))
 
 
 @pytest.mark.parametrize("depths", [[2], [1, 1], [1, 3], [1, 2, 2], [2, 1, 3], [0], [2, 2, 1]])

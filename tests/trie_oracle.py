@@ -1,6 +1,7 @@
 """Reference rebuild pipeline for tests: the coded depths found by bisecting
 each range, the coded tree built node by node, and the leaf insertion that
-grafted zero-weight keys one root-to-leaf walk at a time.
+grafted zero-weight keys one root-to-leaf walk at a time; with the linked
+`Node` trees they build, and the walks that read such a tree.
 
 `coded_depths` is the range walk `abst.trees` used before it found each
 split from the codewords' LCP array: a mixed range is split by a binary
@@ -10,11 +11,17 @@ identical depths.
 
 `coded_tree` is the range walk `abst.trees` used before the tree became a
 function of the depth vector: it links a `Node` per key as it walks, where
-`trees.coded_depths` only records depths and `trees.tree_from_depths` builds
-the tree afterwards. It is kept as written so the tests can require the two
-to give identical trees and depth maps. The code trie it replaced was retired
-once it had been frozen as golden trees and code tables
-(`tests/golden/trie_trees.json`). Only tests import this module.
+`trees.coded_depths` only records depths. It is kept as written so the tests
+can require the two to give identical trees and depth maps. The code trie it
+replaced was retired once it had been frozen as golden trees and code tables
+(`tests/golden/trie_trees.json`).
+
+`abst.trees.SearchTree` is a BST's in-order keys and depths, with no nodes.
+The oracles here build a `LinkedTree` of `Node`s, as the library once did,
+and only what they return is converted, by `LinkedTree.search_tree`.
+`format_linked` and `linked_matchings` are the node walks that
+`trees.format_tree` and `matching.bst_to_matchings` ran before the tree lost
+its nodes. Only tests import this module.
 """
 
 from __future__ import annotations
@@ -23,7 +30,72 @@ from bisect import bisect_left
 from typing import Sequence
 
 from abst.sfe import sfe_code
-from abst.trees import Node, SearchTree
+from abst.trees import SearchTree
+
+
+class Node:
+    __slots__ = ("key", "left", "right")
+
+    def __init__(self, key: int):
+        self.key = key
+        self.left: Node | None = None
+        self.right: Node | None = None
+
+
+class LinkedTree:
+    """A BST of linked `Node`s; empty tree has root None."""
+
+    def __init__(self, root: Node | None = None):
+        self.root = root
+
+    def search_tree(self) -> SearchTree:
+        """The same tree as in-order keys and depths, by an in-order walk."""
+        keys, depths = [], []
+        stack: list[tuple[Node, int]] = []
+        node, depth = self.root, 1
+        while node is not None or stack:
+            while node is not None:
+                stack.append((node, depth))
+                node, depth = node.left, depth + 1
+            node, depth = stack.pop()
+            keys.append(node.key)
+            depths.append(depth)
+            node, depth = node.right, depth + 1
+        return SearchTree(tuple(keys), tuple(depths))
+
+
+def format_linked(tree: LinkedTree) -> str:
+    """Serialize as nested `(key left right)` with `.` for empty."""
+    parts: list[str] = []
+    stack: list = [tree.root]  # subtrees to write, and literal text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item is None:
+            parts.append(".")
+        else:
+            parts.append(f"({item.key} ")
+            stack += [")", item.right, " ", item.left]
+    return "".join(parts)
+
+
+def linked_matchings(tree: LinkedTree) -> tuple[dict[int, int], dict[int, int]]:
+    """Each key's left child and each key's right child."""
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        if node.left is not None:
+            left[node.key] = node.left.key
+            stack.append(node.left)
+        if node.right is not None:
+            right[node.key] = node.right.key
+            stack.append(node.right)
+    return left, right
 
 
 def coded_depths(weights: Sequence[int], total: int) -> list[int]:
@@ -90,7 +162,7 @@ def coded_tree(
     lengths, words = sfe_code([weights[i] for i in coded], total)
     depths: dict[int, int] = {}
     nodes: list[Node | None] = [None] * len(coded)  # coded nodes by rank
-    tree = SearchTree(None)
+    tree = LinkedTree(None)
     # (lo, hi, d, depth, parent, is_left): ranks lo..hi share d code bits
     stack = [(0, len(coded) - 1, 0, 1, None, False)]
     while stack:
@@ -142,10 +214,10 @@ def coded_tree(
         depth += 1
         depths[keys[i]] = depth
         tail = node
-    return tree, depths
+    return tree.search_tree(), depths
 
 
-def insert_key(tree: SearchTree, key: int) -> int:
+def insert_key(tree: LinkedTree, key: int) -> int:
     """Standard leaf insertion; existing key depths are unchanged.
 
     Returns the depth of the new leaf.
