@@ -9,7 +9,7 @@ from .baselines import (
     optimal_static_cost,
     tree_cost,
 )
-from .checks import RebuildRecord, RunLedger
+from .checks import RebuildRecord, RunLedger, guarded_invariant_holds
 from .dynamic import (
     SMOOTHING_LAPLACE,
     SMOOTHING_NONE,
@@ -17,7 +17,6 @@ from .dynamic import (
     SimulationReport,
     SimulationState,
     StepRecord,
-    guarded_invariant_holds,
     init,
     run,
     step,

@@ -3,7 +3,8 @@
 Every suite takes an explicit seed, returns a list of violation strings
 (empty means pass), and uses exact arithmetic wherever the quantity under
 test is rational; floats only enter through entropy terms, compared at 1e-9.
-The cost-accounting checks read a run through its step stream (`RunLedger`).
+The drift-invariant guard and the cost-accounting checks read a run through
+its step stream (`RunLedger`), so the simulator's serve loop holds no checks.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .baselines import (
     WeightVector,
@@ -25,6 +26,7 @@ from .dynamic import (
     SMOOTHING_LAPLACE,
     SMOOTHING_NONE,
     SimulationReport,
+    SimulationState,
     StepRecord,
     _delta,
     _drift_floor,
@@ -34,6 +36,7 @@ from .dynamic import (
     theorem_threshold,
     tree_for_probs,
 )
+from .errors import BoundViolationError
 from .matching import bst_to_matchings, matchings_to_bst, route
 from .sfe import (
     CodeTable,
@@ -126,7 +129,7 @@ def suite_code_properties(cases: int, n_hi: int, seed: int) -> list[str]:
 
 def suite_tree_properties(cases: int, n_hi: int, seed: int) -> list[str]:
     """Depth bound, never deeper than the code trie leaf, symmetric order,
-    totality, determinism of the coded tree."""
+    determinism of the coded tree."""
     rng = random.Random(seed)
     violations: list[str] = []
     for case in range(cases):
@@ -136,8 +139,6 @@ def suite_tree_properties(cases: int, n_hi: int, seed: int) -> list[str]:
         depths = depth_map(tree)
         if in_order(tree) != list(range(1, dist.n + 1)):
             violations.append(f"case {case}: output violates symmetric order")
-        if set(depths) != set(range(1, dist.n + 1)):
-            violations.append(f"case {case}: key set changed in conversion")
         for entry, p in zip(table.entries, dist.probs):
             key = entry.key
             if not depth_bound_ok(depths[key], p):
@@ -225,19 +226,38 @@ class RebuildRecord:
     prev_t: int
 
 
-class RunLedger:
-    """A run's `on_step` sink keeping what `check_report_bounds` reads, from
-    every step of the run's `run` and `step` calls: each key's count and sum
-    of log2(t / w) (`counts`, `qlog`, indexed by key - 1), a `RebuildRecord`
-    per rebuild (`rebuilds`) and the `check_served_depth` findings (`deep`)."""
+def guarded_invariant_holds(state: SimulationState, keys: Iterable[int] | None = None) -> bool:
+    """The tree probability of each of `keys` (default: every key) is at
+    least half its current frequency."""
+    c = state.counters
+    delta = _delta(state.smoothing)
+    total = c.t + delta * state.n
+    tree_weights, tree_total = state.tree_weights, state.tree_total
+    if keys is None:
+        keys = range(1, state.n + 1)
+    return all(
+        c.counts[k - 1] + delta < _drift_floor(tree_weights[k - 1], tree_total, total) for k in keys
+    )
 
-    def __init__(self, n: int, smoothing: str):
-        self.n, self.smoothing = n, smoothing
-        self.counts = [0] * n
-        self.qlog = [0.0] * n
+
+class RunLedger:
+    """The `on_step` sink of every `run` and `step` call on `state`. It keeps
+    what `check_report_bounds` reads: each key's count and sum of log2(t / w)
+    (`counts`, `qlog`, indexed by key - 1), a `RebuildRecord` per rebuild
+    (`rebuilds`) and the `check_served_depth` findings (`deep`). It raises
+    `BoundViolationError` at the first step after which the drift invariant
+    fails, testing every key on its first step and after a rebuild, and the
+    requested key otherwise: between rebuilds a request only lowers the other
+    keys' frequencies. A state edited between steps needs a fresh ledger."""
+
+    def __init__(self, state: SimulationState):
+        self.state = state
+        self.counts = [0] * state.n
+        self.qlog = [0.0] * state.n
         self.rebuilds: list[RebuildRecord] = []
         self.deep: list[str] = []
-        self._counts_at_rebuild = [0] * n
+        self._counts_at_rebuild = [0] * state.n
+        self._scan = True  # the guard tests every key on the first step
 
     def __call__(self, rec: StepRecord) -> None:
         i = rec.key - 1
@@ -248,18 +268,23 @@ class RunLedger:
             self.rebuilds.append(RebuildRecord(rec.t, rec.key, rec.count, at_prev, prev_t))
             self._counts_at_rebuild = list(self.counts)
         self.qlog[i] += math.log2(rec.t / rec.count)
-        self.deep += check_served_depth(rec, self.n, self.smoothing)
+        state = self.state
+        self.deep += check_served_depth(rec, state.n, state.smoothing)
+        if not guarded_invariant_holds(state, None if self._scan or rec.rebuilt else (rec.key,)):
+            raise BoundViolationError(f"tree probability fell below half frequency after t={rec.t}")
+        self._scan = False
 
 
 def run_cell(
     n: int, alpha: int, workload: str, smoothing: str, seed: int = DEFAULT_SEED
 ) -> tuple[SimulationReport, RunLedger]:
-    """Generate one grid cell's trace and run it with per-step guard checks
-    and a `RunLedger` as its sink; returns the report and the ledger."""
+    """Generate one grid cell's trace and run it with a `RunLedger` as its
+    sink, which guards the drift invariant at each step; returns the report
+    and the ledger."""
     trace = generate(parse_workload(workload, n=n, m=grid_m(n, alpha), seed=seed))
     state = init(n, alpha, smoothing)
-    ledger = RunLedger(n, smoothing)
-    return run(state, trace, check_guarded=True, on_step=ledger), ledger
+    ledger = RunLedger(state)
+    return run(state, trace, on_step=ledger), ledger
 
 
 def check_report_bounds(report: SimulationReport, ledger: RunLedger) -> list[str]:

@@ -117,14 +117,16 @@ def _steps_csv_sink(fh) -> Callable[[StepRecord], object]:
 
 def cmd_simulate(args) -> int:
     """Run one trace. `--steps-csv` rows are written as the requests are
-    served, so after a bound violation the file holds the steps served so
-    far; `--check-bounds` feeds the same stream to a `checks.RunLedger`."""
+    served; `--check-bounds` feeds the same stream, after the CSV, to a
+    `checks.RunLedger`, which raises on the first step that breaks the drift
+    invariant. So after a violation the file holds the steps served so far,
+    the violating one included."""
     spec = parse_workload(args.workload, n=args.n, m=args.m, seed=args.seed)
     trace = generate(spec)
     with _warnings_as_lines():
         state = init(args.n, _parse_alpha(args.alpha), args.smoothing)
     sinks: list[Callable[[StepRecord], object]] = []
-    ledger = checks.RunLedger(args.n, args.smoothing)
+    ledger = checks.RunLedger(state)
     with contextlib.ExitStack() as stack:
         if args.steps_csv:
             fh = stack.enter_context(open(args.steps_csv, "w", encoding="utf-8", newline=""))
@@ -136,8 +138,7 @@ def cmd_simulate(args) -> int:
             for sink in sinks:
                 sink(rec)
 
-        report = run(state, trace, check_guarded=args.check_bounds,
-                     on_step=on_step if sinks else None)
+        report = run(state, trace, on_step=on_step if sinks else None)
     if args.with_stat:
         _add_stat(report)
     if args.check_bounds:

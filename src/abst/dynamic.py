@@ -17,8 +17,9 @@ A request only ever reads its key's depth, so the simulator's state is the
 depth vector of the current tree, and a rebuild recomputes that vector
 (`trees.coded_depths`) without building a node. `state.tree` builds the
 tree from the depths when it is read. `run` and `step` serve requests
-through one loop, `_serve_all`. The cost-accounting checks' own bookkeeping
-is kept from the `StepRecord` stream by `checks.RunLedger`, not here.
+through one loop, `_serve_all`. This module holds no checker code: the
+drift-invariant guard and the cost-accounting checks' bookkeeping read the
+`StepRecord` stream through `checks.RunLedger`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import BoundViolationError, InvalidRequestError
+from .errors import InvalidRequestError
 from .sfe import ProbabilityDistribution, common_weights, entropy_of_weights
 from .trees import SearchTree, build_balanced, coded_depths, tree_from_depths
 
@@ -212,23 +213,18 @@ def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
 def _serve_all(
     state: SimulationState,
     trace: Iterable[int],
-    check_guarded: bool,
     on_step: Callable[[StepRecord], object] | None,
 ) -> None:
     """Serve each request of `trace`: count it, rebuild if the key drifted,
-    then search. The one step core of `run` and `step`.
+    search, and hand its record to `on_step`. The one step core of `run`
+    and `step`.
 
     Order matters: counters update first, the drift test compares the
     updated observed weight against the key's cached floor and then, if it
     reaches it, against the floor at the updated total, and the request is
     served on the post-rebuild tree. The state's hot fields live in locals;
     `t` and the search cost are written back to the state before any
-    exception leaves, before `on_step` receives a step's record and before
-    the `check_guarded` test of the drift invariant.
-
-    That test covers every key on the first step and after a rebuild, and
-    the requested key otherwise: between rebuilds a request only lowers the
-    other keys' frequencies, so only its own key can newly drift.
+    exception leaves and before `on_step` receives a step's record.
     """
     n = state.n
     c = state.counters
@@ -238,9 +234,8 @@ def _serve_all(
     tree_weights, tree_total = state.tree_weights, state.tree_total
     floors = state.floors
     pseudo_total = delta * n
-    per_step = check_guarded or on_step is not None
+    per_step = on_step is not None
     t, search = c.t, state.search_cost
-    scan = True  # the guard tests every key on a call's first step
     try:
         for key in trace:
             if not 1 <= key <= n:
@@ -267,14 +262,7 @@ def _serve_all(
             search += depth
             if per_step:
                 c.t, state.search_cost = t, search
-                if on_step is not None:
-                    on_step(StepRecord(t, key, w, depth, depth_pre if rebuilt else depth, rebuilt))
-                if check_guarded:
-                    if not guarded_invariant_holds(state, None if scan or rebuilt else (key,)):
-                        raise BoundViolationError(
-                            f"tree probability fell below half frequency after t={t}"
-                        )
-                    scan = False
+                on_step(StepRecord(t, key, w, depth, depth_pre if rebuilt else depth, rebuilt))
     finally:
         c.t, state.search_cost = t, search
 
@@ -282,22 +270,8 @@ def _serve_all(
 def step(state: SimulationState, key: int) -> StepRecord:
     """Serve one request (see `_serve_all`) and return its record."""
     records: list[StepRecord] = []
-    _serve_all(state, (key,), False, records.append)
+    _serve_all(state, (key,), records.append)
     return records[0]
-
-
-def guarded_invariant_holds(state: SimulationState, keys: Iterable[int] | None = None) -> bool:
-    """The tree probability of each of `keys` (default: every key) is at
-    least half its current frequency."""
-    c = state.counters
-    delta = _delta(state.smoothing)
-    total = c.t + delta * state.n
-    tree_weights, tree_total = state.tree_weights, state.tree_total
-    if keys is None:
-        keys = range(1, state.n + 1)
-    return all(
-        c.counts[k - 1] + delta < _drift_floor(tree_weights[k - 1], tree_total, total) for k in keys
-    )
 
 
 def _alpha_float(alpha: Fraction) -> float:
@@ -325,7 +299,6 @@ def theorem_threshold(n: int, alpha: Fraction) -> float:
 def run(
     state: SimulationState,
     trace: Iterable[int],
-    check_guarded: bool = False,
     on_step: Callable[[StepRecord], object] | None = None,
 ) -> SimulationReport:
     """Serve a whole trace and summarize costs.
@@ -333,14 +306,10 @@ def run(
     The run keeps O(n) state whatever the trace length: no per-step log. A
     caller that wants each step's record, such as a `checks.RunLedger`,
     passes `on_step`, which receives each request's `StepRecord` as served.
-
-    With `check_guarded`, the drift invariant is re-verified after every step
-    (see `_serve_all` for which keys it tests) and a violation raises
-    immediately rather than surfacing in the report.
     """
     c = state.counters
     t_start = c.t
-    _serve_all(state, trace, check_guarded, on_step)
+    _serve_all(state, trace, on_step)
     if c.t == t_start:
         raise ValueError("empty trace")
     m = c.t

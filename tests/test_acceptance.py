@@ -181,8 +181,8 @@ def test_c6_accounting_invariants_grid(grid_reports):
         cap = 2 * n * alpha * math.log2(alpha) + report.m
         if float(report.adjust_cost) > cap + ENTROPY_TOL * report.m:
             violations.append(f"{label}: adjust {float(report.adjust_cost)} > {cap:.3f}")
-        # (d) drift guard held after every step: run_cell used check_guarded,
-        # which raises on the first violation, so reaching here means it held
+        # (d) drift guard held after every step: run_cell's RunLedger tests it
+        # and raises on the first violation, so reaching here means it held
     _conclude("criterion 6: accounting invariants on the grid", violations)
 
 
@@ -207,8 +207,9 @@ def test_c8_static_optimality_ratio_trend():
     base = grid_m(n, alpha)
     for m in (base, 2 * base, 4 * base, 8 * base):
         trace = generate(parse_workload("zipf:1.0", n=n, m=m, seed=GRID_SEED))
-        ledger = RunLedger(n, SMOOTHING_LAPLACE)
-        report = run(init(n, alpha), trace, on_step=ledger)
+        state = init(n, alpha)
+        ledger = RunLedger(state)
+        report = run(state, trace, on_step=ledger)
         stat, _ = optimal_static_cost(WeightVector(report.weights))
         rho = float(report.total) / stat
         print(f"{m:>8} {float(report.total):>10.0f} {stat:>10} {rho:>8.3f}")

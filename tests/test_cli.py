@@ -9,7 +9,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abst import checks, cli, dynamic
+from abst import checks, cli
 from abst.dynamic import StepRecord, init, step
 from abst.workload import generate, parse_workload, write_trace
 
@@ -122,13 +122,13 @@ def test_depth_check_reports_a_fabricated_record():
 def test_simulate_check_bounds_catches_a_bad_streamed_record(capsys, monkeypatch):
     real_run = cli.run
 
-    def corrupting_run(state, trace, check_guarded=False, on_step=None):
+    def corrupting_run(state, trace, on_step=None):
         def corrupt(rec):
             if rec.t == 30:
                 rec.depth = 40
             on_step(rec)
 
-        return real_run(state, trace, check_guarded=check_guarded, on_step=corrupt)
+        return real_run(state, trace, on_step=corrupt)
 
     monkeypatch.setattr(cli, "run", corrupting_run)
     code, out, err = run_cli(
@@ -144,7 +144,7 @@ def test_simulate_check_bounds_catches_a_bad_streamed_record(capsys, monkeypatch
 
 def test_steps_csv_holds_the_steps_served_before_a_violation(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        dynamic, "guarded_invariant_holds", lambda state, keys=None: state.counters.t < 7
+        checks, "guarded_invariant_holds", lambda state, keys=None: state.counters.t < 7
     )
     steps_path = tmp_path / "steps.csv"
     code, _, err = run_cli(
@@ -398,11 +398,13 @@ argvs = st.one_of(
 def test_cli_fuzz_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(record=True):  # the documented alpha < 2 warning
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
             code = exc.code
+    assert caught == [], (argv, [str(w.message) for w in caught])
     assert code in DOCUMENTED_EXITS, (argv, code, err.getvalue())
     assert code != cli.EXIT_INTERNAL, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv

@@ -14,13 +14,13 @@ from abst.checks import (
     check_report_bounds,
     check_trigger_locality,
     grid_m,
+    guarded_invariant_holds,
 )
 from abst.dynamic import (
     SMOOTHING_LAPLACE,
     SMOOTHING_NONE,
     CounterState,
     StepRecord,
-    guarded_invariant_holds,
     init,
     run,
     step,
@@ -175,21 +175,28 @@ def test_guard_scans_every_key_after_a_rebuild(monkeypatch):
     assert run(init(4, 2), [1] * 20).rebuilds == 1
     state = init(4, 2)
     with pytest.raises(BoundViolationError, match="after t=3"):
-        run(state, [1] * 20, check_guarded=True)
+        run(state, [1] * 20, on_step=RunLedger(state))
+    assert state.rebuilds == 1
+    # the same guard on records fed one `step` at a time
+    state = init(4, 2)
+    ledger = RunLedger(state)
+    with pytest.raises(BoundViolationError, match="after t=3"):
+        for key in [1] * 20:
+            ledger(step(state, key))
     assert state.rebuilds == 1
 
 
-def test_guard_scans_every_key_on_the_first_step_of_a_run():
+def test_guard_scans_every_key_on_a_ledgers_first_step():
     state = init(4, 2, SMOOTHING_NONE)
-    run(state, [1, 2, 3, 4], check_guarded=True)
-    # a state that was not guarded: key 1 drifted, while the next request,
-    # for key 4, does not drift and does not rebuild
+    run(state, [1, 2, 3, 4], on_step=RunLedger(state))
+    # a state edited by hand: key 1 drifted, while the next request, for
+    # key 4, does not drift and does not rebuild
     state.tree_weights, state.tree_total = (1, 33, 33, 33), 100
     assert not guarded_invariant_holds(state)
     assert guarded_invariant_holds(state, (2, 3, 4))
     rebuilds = state.rebuilds
     with pytest.raises(BoundViolationError, match="after t=5"):
-        run(state, [4], check_guarded=True)
+        run(state, [4], on_step=RunLedger(state))
     assert state.rebuilds == rebuilds
 
 
@@ -263,7 +270,7 @@ def test_rebuild_count_doubling():
     trace = generate(parse_workload("zipf:1.5", n=16, m=600, seed=9))
     for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
         state = init(16, 2, smoothing)
-        ledger = RunLedger(16, smoothing)
+        ledger = RunLedger(state)
         report = run(state, trace, on_step=ledger)
         assert len(ledger.rebuilds) == report.rebuilds
         for rec in ledger.rebuilds:
@@ -272,8 +279,9 @@ def test_rebuild_count_doubling():
 
 def test_per_key_frequency_log_bound_raw_mode():
     trace = generate(parse_workload("uniform", n=12, m=500, seed=11))
-    ledger = RunLedger(12, SMOOTHING_NONE)
-    report = run(init(12, 4, SMOOTHING_NONE), trace, on_step=ledger)
+    state = init(12, 4, SMOOTHING_NONE)
+    ledger = RunLedger(state)
+    report = run(state, trace, on_step=ledger)
     m = report.m
     for key, w in enumerate(report.weights, start=1):
         if w:
@@ -292,8 +300,9 @@ def test_laplace_dominates_half_raw_after_warmup():
 
 def test_run_report_consistency():
     trace = generate(parse_workload("zipf:1.0", n=16, m=grid_m(16, 8), seed=2))
-    ledger = RunLedger(16, SMOOTHING_LAPLACE)
-    report = run(init(16, 8), trace, check_guarded=True, on_step=ledger)
+    state = init(16, 8)
+    ledger = RunLedger(state)
+    report = run(state, trace, on_step=ledger)
     assert report.total == report.search_cost + report.adjust_cost
     assert report.adjust_cost == report.alpha * report.rebuilds
     assert sum(report.weights) == report.m
@@ -306,7 +315,7 @@ def test_report_bounds_flag_a_ledger_that_missed_steps():
     trace = generate(parse_workload("zipf:1.0", n=16, m=grid_m(16, 8), seed=2))
     half = len(trace) // 2
     state = init(16, 8)
-    never, second, full = (RunLedger(16, SMOOTHING_LAPLACE) for _ in range(3))
+    never, second, full = (RunLedger(state) for _ in range(3))
     first = run(state, trace[:half], on_step=full)
     assert first.rebuilds > 0
 
@@ -373,7 +382,7 @@ def test_streamed_records_match_step_oracle(smoothing, n, workload, m):
     oracle = [serve_oracle(oracle_state, key) for key in trace]
     streamed = []
     state = init(n, 4, smoothing)
-    ledger = RunLedger(n, smoothing)
+    ledger = RunLedger(state)
 
     def sink(rec):
         streamed.append(rec)
@@ -420,7 +429,8 @@ def test_ledger_matches_oracles_across_chunked_runs_and_steps(smoothing, n, work
         sums[key - 1] += math.log2(t / counts[key - 1])
     oracle_state = init(n, 4, smoothing)
     oracle = [serve_oracle(oracle_state, key) for key in trace]
-    state, ledger = init(n, 4, smoothing), RunLedger(n, smoothing)
+    state = init(n, 4, smoothing)
+    ledger = RunLedger(state)
     for start in range(0, m, 97):
         block = trace[start:start + 97]
         for key in block[:3]:

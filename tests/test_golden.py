@@ -70,8 +70,9 @@ def run_logs(argv: list[str]) -> dict:
     same run made through the library."""
     args = cli.build_parser().parse_args(argv)
     trace = generate(parse_workload(args.workload, n=args.n, m=args.m, seed=args.seed))
-    ledger = RunLedger(args.n, args.smoothing)
-    report = run(init(args.n, Fraction(args.alpha), args.smoothing), trace, on_step=ledger)
+    state = init(args.n, Fraction(args.alpha), args.smoothing)
+    ledger = RunLedger(state)
+    report = run(state, trace, on_step=ledger)
     qlog = [(key, q.hex()) for key, (q, w) in enumerate(zip(ledger.qlog, report.weights), 1) if w]
     rebuilds = [dataclasses.astuple(rec) for rec in ledger.rebuilds]
     return {
