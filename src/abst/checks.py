@@ -248,7 +248,11 @@ class RunLedger:
     `BoundViolationError` at the first step after which the drift invariant
     fails, testing every key on its first step and after a rebuild, and the
     requested key otherwise: between rebuilds a request only lowers the other
-    keys' frequencies. A state edited between steps needs a fresh ledger."""
+    keys' frequencies. That rule trusts `rec.rebuilt`, so the ledger also
+    raises if the tree weights are no longer the tuple it saw at the
+    previous step and the record flags no rebuild: the simulator replaces
+    that tuple only when it rebuilds. A state edited between steps needs a
+    fresh ledger."""
 
     def __init__(self, state: SimulationState):
         self.state = state
@@ -258,6 +262,7 @@ class RunLedger:
         self.deep: list[str] = []
         self._counts_at_rebuild = [0] * state.n
         self._scan = True  # the guard tests every key on the first step
+        self._tree_weights = state.tree_weights
 
     def __call__(self, rec: StepRecord) -> None:
         i = rec.key - 1
@@ -269,6 +274,9 @@ class RunLedger:
             self._counts_at_rebuild = list(self.counts)
         self.qlog[i] += math.log2(rec.t / rec.count)
         state = self.state
+        if not (rec.rebuilt or self._scan or state.tree_weights is self._tree_weights):
+            raise BoundViolationError(f"tree weights changed without a rebuild at t={rec.t}")
+        self._tree_weights = state.tree_weights
         self.deep += check_served_depth(rec, state.n, state.smoothing)
         if not guarded_invariant_holds(state, None if self._scan or rec.rebuilt else (rec.key,)):
             raise BoundViolationError(f"tree probability fell below half frequency after t={rec.t}")

@@ -13,13 +13,21 @@ and a request whose observed weight is below its key's cached floor needs
 no other test. Only a request that reaches it recomputes the floor at the
 current total, and rebuilds if it reaches that one too.
 
-A request only ever reads its key's depth, so the simulator's state is the
-depth vector of the current tree, and a rebuild recomputes that vector
-(`trees.coded_depths`) without building a node. `state.tree` builds the
-tree from the depths when it is read. `run` and `step` serve requests
-through one loop, `_serve_all`. This module holds no checker code: the
-drift-invariant guard and the cost-accounting checks' bookkeeping read the
-`StepRecord` stream through `checks.RunLedger`.
+A request only ever reads its key's depth, so the simulator's state holds
+the depths of the current tree and builds no node. A rebuild computes the
+observed weights and their CDF midpoints and starts an empty depth cache
+(`trees.LazyCodedDepths`); a key's depth is computed at its first request
+after the rebuild, by a walk from the root that memoizes the root of each
+range it passes. That request always takes the drift test, because the
+rebuild also reset the key's cached floor to 0, and the test computes the
+depth; a request below its key's cached floor reads the depth and nothing
+else. While a raw-mode tree weight is zero, the rebuild computes every depth
+at once, since a grafted chain needs its neighbours'.
+`state.depths` and `state.tree` fill in the depths no request has computed
+when they are read. `run` and `step` serve requests through one loop,
+`_serve_all`. This module holds no checker code: the drift-invariant guard
+and the cost-accounting checks' bookkeeping read the `StepRecord` stream
+through `checks.RunLedger`.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidRequestError
 from .sfe import ProbabilityDistribution, common_weights, entropy_of_weights
-from .trees import SearchTree, build_balanced, coded_depths, tree_from_depths
+from .trees import LazyCodedDepths, SearchTree, build_balanced, coded_depths, tree_from_depths
 
 SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
@@ -150,16 +158,28 @@ class SimulationState:
     counters: CounterState
     tree_weights: tuple[int, ...]  # the tree's distribution: weight / tree_total
     tree_total: int
-    depths: list[int]  # depth of key k in the current tree is depths[k - 1]
+    # depth of key k in the current tree is known_depths[k - 1], or 0 until
+    # depth_of(k - 1) computes it, as it has once floors[k - 1] is set;
+    # depth_of is None for a tree whose depths are all known
+    known_depths: list[int] = field(compare=False, repr=False)
     search_cost: int = 0
     rebuilds: int = 0
     # key k cannot drift while its observed weight is below floors[k - 1], a
     # drift floor of the current tree at some earlier total; 0 means unknown
     floors: list[int] = field(default_factory=list, compare=False, repr=False)
+    depth_of: Callable[[int], int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def adjust_cost(self) -> Fraction:
         return self.alpha * self.rebuilds
+
+    @property
+    def depths(self) -> list[int]:
+        """Depth of key k in the current tree is depths[k - 1]; a read
+        computes every depth no request has, by `trees.coded_depths`."""
+        if 0 in self.known_depths:
+            self.known_depths[:] = coded_depths(self.tree_weights, self.tree_total)
+        return self.known_depths
 
     @property
     def tree(self) -> SearchTree:
@@ -192,7 +212,7 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
         counters=CounterState.zeros(n),
         tree_weights=(1,) * n,
         tree_total=n,
-        depths=list(build_balanced(n).depths),
+        known_depths=list(build_balanced(n).depths),
         floors=[0] * n,
     )
 
@@ -222,15 +242,18 @@ def _serve_all(
     Order matters: counters update first, the drift test compares the
     updated observed weight against the key's cached floor and then, if it
     reaches it, against the floor at the updated total, and the request is
-    served on the post-rebuild tree. The state's hot fields live in locals;
-    `t` and the search cost are written back to the state before any
+    served on the post-rebuild tree. A key's cached floor is 0 until its
+    first request after a rebuild, so that request always takes the drift
+    test, which computes the key's depth if no walk has; a request below its
+    key's cached floor finds the depth known. The state's hot fields live in
+    locals; `t` and the search cost are written back to the state before any
     exception leaves and before `on_step` receives a step's record.
     """
     n = state.n
     c = state.counters
     counts = c.counts
     delta = _delta(state.smoothing)
-    depths = state.depths
+    depths, depth_of = state.known_depths, state.depth_of
     tree_weights, tree_total = state.tree_weights, state.tree_total
     floors = state.floors
     pseudo_total = delta * n
@@ -251,13 +274,16 @@ def _serve_all(
                     floors[i] = floor
                 else:
                     rebuilt = True
-                    depth_pre = depths[i]
+                    depth_pre = depths[i] or depth_of(i)
                     tree_weights, tree_total = _observed_weights(counts, t, delta)
-                    depths = coded_depths(tree_weights, tree_total)
+                    coded = LazyCodedDepths(tree_weights, tree_total)
+                    depths, depth_of = coded.depths, coded.depth
                     state.tree_weights, state.tree_total = tree_weights, tree_total
-                    state.depths = depths
+                    state.known_depths, state.depth_of = depths, depth_of
                     floors = state.floors = [0] * n
                     state.rebuilds += 1
+                if not depths[i]:
+                    depth_of(i)
             depth = depths[i]
             search += depth
             if per_step:

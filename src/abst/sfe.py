@@ -87,17 +87,22 @@ def sfe_code(weights: Sequence[int], total: int) -> tuple[list[int], list[int]]:
     (Cover and Thomas, Elements of Information Theory, section 5.9).
     """
     lengths, words = [], []
-    bits, total2 = total.bit_length(), 2 * total
+    total2 = 2 * total
     cum = 0
     for w in weights:
-        # ceil(log2(S/w)), the smallest k >= 0 with w << k >= S, is the
-        # bit-length difference or one more; dyadic ratios land on the former
-        k = bits - w.bit_length()
-        length = k + 1 if w << k >= total else k + 2
+        length = code_length(w, total)
         lengths.append(length)
         words.append(((2 * cum + w) << length) // total2)
         cum += w
     return lengths, words
+
+
+def code_length(weight: int, total: int) -> int:
+    """Codeword length ceil(log2(S/w)) + 1 of a key of weight w over total S."""
+    # ceil(log2(S/w)), the smallest k >= 0 with w << k >= S, is the
+    # bit-length difference or one more; dyadic ratios land on the former
+    k = total.bit_length() - weight.bit_length()
+    return k + 1 if weight << k >= total else k + 2
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,29 @@
 """Biased binary search trees from order-preserving prefix codes.
 
-A coded tree is computed as a depth vector, with no trie and no node objects.
-Key ranges lo..hi whose codewords share their first d bits are walked from an
-explicit stack. Because the code is prefix-free and order-preserving, bit d
-splits such a range into a run of 0s and a run of 1s. The range's root is the
-shorter-coded of the two keys flanking that split (ties go left, and a range
-with only one side takes that side's flank) and sits at depth d+1; both
-remaining halves go back on the stack with d+1 shared bits. This is the
-tree the code trie would give by promoting flanking leaves: keys stay in
-symmetric order and no key ends up deeper than its trie leaf (codeword
-length + 1).
+A coded tree is computed as a depth vector, with no trie, no codeword and no
+node objects. Take a range lo..hi of keys whose codewords share their first
+d bits, p. Because the code is prefix-free and order-preserving, bit d splits
+such a range into a run of 0s and a run of 1s. The range's root is the
+shorter-coded of the two keys flanking that split (ties go left); when one
+run is empty the root is the flank on that side, lo if every bit d is 1 and
+hi if every one is 0. The root sits at depth d+1, the keys below it share
+the d+1 bits 2p and those above it 2p+1. This is the tree the code trie
+would give by promoting flanking leaves: keys stay in symmetric order and no
+key ends up deeper than its trie leaf (codeword length + 1).
 
-The split is found in O(1), so a rebuild is linear. Let lcp[i] be the number
-of leading bits codewords i and i+1 share. A range's codewords share exactly
-its smallest lcp, so the range is mixed at bit d iff that minimum is d, and
-it then splits at the one pair holding it. The walk carries, with each range,
-a node of the min-rooted Cartesian tree of lcp (Vuillemin 1980) whose subtree
-covers the range's pairs, and descends from it to the range minimum. The
-subtrees handed to disjoint ranges are disjoint, so the descents are O(n) in
-all (compare the LCP intervals of Kasai et al. 2001).
+No codeword is needed to find the split. A key's codeword is the first bits
+of its CDF midpoint M_i / 2S, with M_i = C_{i-1} + C_i for the prefix sums C
+of the weights, and every key of a range of two or more has a code longer
+than d bits. So bit d is 1 exactly when M_i >= ceil((2p+1) S / 2^d), and as
+the midpoints rise with rank the split is one `bisect_left` over M
+(`_split`). Only the two flanking keys' code lengths are computed. Mehlhorn's
+nearly optimal trees (Acta Informatica 5, 1975) split by bisecting
+cumulative weights in the same way.
+
+`coded_depths` walks every range from an explicit stack. `LazyCodedDepths`
+walks only from the root down to a key whose depth is asked for, memoizing
+each range's root, so that the keys asked for share the top of the tree:
+the simulator uses it, as a request reads only its own key's depth.
 
 A BST is fixed by its in-order keys and their depths, so a `SearchTree` is
 those two tuples and nothing else; `sfe_to_bst` pairs the keys with
@@ -29,10 +34,13 @@ depths, `_links`, which is also the check that the depths fit a BST.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, islice
+from operator import add
 from typing import Callable, Iterable, Sequence
 
-from .sfe import ProbabilityDistribution, common_weights, sfe_code
+from .sfe import ProbabilityDistribution, code_length, common_weights
 
 
 @dataclass(frozen=True)
@@ -51,61 +59,53 @@ class SearchTree:
         return self.keys[self.depths.index(1)] if self.keys else None
 
 
+def _midpoints(weights: Sequence[int]) -> list[int]:
+    """M_i = C_{i-1} + C_i for the prefix sums C: key i's CDF midpoint over
+    total S is M_i / 2S."""
+    cum = list(accumulate(weights, initial=0))
+    return list(map(add, cum, islice(cum, 1, None)))
+
+
+def _split(
+    mids: list[int], weights: Sequence[int], total: int, lo: int, hi: int, d: int, p: int
+) -> int:
+    """The root of keys lo..hi of positive weight, whose codewords share the
+    d-bit prefix p."""
+    if lo == hi:
+        return lo
+    s = bisect_left(mids, -(-(2 * p + 1) * total >> d), lo, hi + 1)  # first bit d of 1
+    if s == lo:
+        return lo
+    if s > hi:
+        return hi
+    # the shorter-coded flank, ties left; a code never lengthens as its weight grows
+    a, b = weights[s - 1], weights[s]
+    return s - 1 if a >= b or code_length(a, total) == code_length(b, total) else s
+
+
 def coded_depths(weights: Sequence[int], total: int) -> list[int]:
     """Depth in the coded tree of each key, for integer weights over `total`.
 
-    Keys of positive weight are placed by their Shannon-Fano-Elias codewords;
+    Keys of positive weight are placed by their Shannon-Fano-Elias codes;
     a key of zero weight cannot get a codeword, and each run of them hangs as
     a chain one below the deeper of its coded neighbours, as leaf insertion
     in increasing order would put it. `tree_from_depths` gives the tree
     these depths fix.
     """
     coded = [i for i, w in enumerate(weights) if w]
-    lengths, words = sfe_code([weights[i] for i in coded], total)
-    n = len(coded)
-    # codewords padded to one length, so that a pair's xor has its top bit
-    # where the two first differ
-    top = max(lengths, default=0)
-    aligned = [word << (top - length) for word, length in zip(words, lengths)]
-    lcp = [top - (a ^ b).bit_length() for a, b in zip(aligned, aligned[1:])]
-    left, right = [-1] * (n - 1), [-1] * (n - 1)  # Cartesian tree of lcp
-    spine: list[int] = []
-    for i, v in enumerate(lcp):
-        last = -1
-        while spine and lcp[spine[-1]] > v:
-            last = spine.pop()
-        left[i] = last
-        if spine:
-            right[spine[-1]] = i
-        spine.append(i)
-    by_rank = [0] * n
-    # (lo, hi, d, m): ranks lo..hi share d code bits, their root goes at
-    # depth d+1, and the subtree of Cartesian node m covers pairs lo..hi-1
-    stack = [(0, n - 1, 0, spine[0] if spine else -1)] if n else []
+    positive = weights if len(coded) == len(weights) else [weights[i] for i in coded]
+    mids = _midpoints(positive)
+    by_rank = [0] * len(coded)
+    # (lo, hi, d, p): ranks lo..hi share the d-bit code prefix p
+    stack = [(0, len(coded) - 1, 0, 0)] if coded else []
     while stack:
-        lo, hi, d, m = stack.pop()
-        while lo < hi:
-            while not lo <= m < hi:  # descend past pairs that left the range
-                m = left[m] if m >= hi else right[m]
-            if lcp[m] == d:  # bit d is 0 up to rank m and 1 from m+1
-                r = m if lengths[m] <= lengths[m + 1] else m + 1
-                by_rank[r] = d + 1
-                if lo < r:
-                    stack.append((lo, r - 1, d + 1, left[m]))
-                if r < hi:
-                    stack.append((r + 1, hi, d + 1, right[m]))
-                break
-            # bit d is the same on the whole range: peel the flank on the
-            # side of the empty run, all-1s at lo, all-0s at hi
-            if aligned[hi] >> (top - 1 - d) & 1:
-                by_rank[lo] = d + 1
-                lo += 1
-            else:
-                by_rank[hi] = d + 1
-                hi -= 1
-            d += 1
-        else:
-            by_rank[lo] = d + 1
+        lo, hi, d, p = stack.pop()
+        r = _split(mids, positive, total, lo, hi, d, p)
+        by_rank[r] = d + 1
+        if lo < r:
+            stack.append((lo, r - 1, d + 1, 2 * p))
+        if r < hi:
+            stack.append((r + 1, hi, d + 1, 2 * p + 1))
     if len(coded) == len(weights):
         return by_rank
     depths = [0] * len(weights)
@@ -123,6 +123,46 @@ def coded_depths(weights: Sequence[int], total: int) -> list[int]:
         chain += 1
         depths[i] = chain
     return depths
+
+
+class LazyCodedDepths:
+    """The depths of `coded_depths(weights, total)`, each computed when it is
+    first asked for.
+
+    `depths` holds every depth computed so far and 0 for the rest; `depth(i)`
+    walks the split rule from the root down to key i and records the depth
+    of each key on the way. `roots` memoizes each range's root by (lo, hi),
+    so it never holds more than one range per key. While some weight is
+    zero, `depths` is the whole of `coded_depths` from the start: a grafted
+    chain's depth needs its coded neighbours'.
+    """
+
+    def __init__(self, weights: Sequence[int], total: int):
+        self.weights, self.total = weights, total
+        self.roots: dict[tuple[int, int], int] = {}
+        if 0 in weights:
+            self.depths = coded_depths(weights, total)
+        else:
+            self.mids = _midpoints(weights)
+            self.depths = [0] * len(weights)
+
+    def depth(self, i: int) -> int:
+        """Depth of key i (0-based)."""
+        mids, weights, total = self.mids, self.weights, self.total
+        depths, roots = self.depths, self.roots
+        lo, hi, d, p = 0, len(weights) - 1, 0, 0
+        while True:
+            r = roots.get((lo, hi))
+            if r is None:
+                r = roots[lo, hi] = _split(mids, weights, total, lo, hi, d, p)
+                depths[r] = d + 1
+            if r == i:
+                return d + 1
+            d, p = d + 1, 2 * p
+            if i < r:
+                hi = r - 1
+            else:
+                lo, p = r + 1, p + 1
 
 
 def _links(depths: Sequence[int]) -> tuple[int, list[int], list[int]]:

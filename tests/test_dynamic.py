@@ -360,7 +360,7 @@ def serve_oracle(state, key: int) -> StepRecord:
     if fired:
         weights = tuple(count + delta for count in c.counts)
         _, depth_by_key = trie_oracle.coded_tree(weights, total, range(1, state.n + 1))
-        state.depths = [depth_by_key[k] for k in range(1, state.n + 1)]
+        state.known_depths = [depth_by_key[k] for k in range(1, state.n + 1)]
         state.tree_weights, state.tree_total = weights, total
         state.rebuilds += 1
     depth = state.depths[key - 1]
@@ -390,10 +390,10 @@ def test_streamed_records_match_step_oracle(smoothing, n, workload, m):
 
     report = run(state, iter(trace), on_step=sink)
     assert streamed == oracle
-    assert state == oracle_state
+    assert state == oracle_state and state.depths == oracle_state.depths
     stepped_state = init(n, 4, smoothing)
     assert [step(stepped_state, key) for key in trace] == oracle
-    assert stepped_state == oracle_state
+    assert stepped_state == oracle_state and stepped_state.depths == oracle_state.depths
     assert report.search_cost == sum(rec.depth for rec in oracle)
     assert report.rebuilds == sum(rec.rebuilt for rec in oracle) == len(ledger.rebuilds)
     if report.rebuilds:
@@ -471,7 +471,7 @@ def test_drift_gate_fires_exactly_at_the_cached_floor(smoothing, counts):
     assert at.rebuilt and at.count + delta == floor
     oracle_state = state_at_counts()
     assert [serve_oracle(oracle_state, 1) for _ in range(2)] == [below, at]
-    assert state == oracle_state
+    assert state == oracle_state and state.depths == oracle_state.depths
 
 
 @pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
@@ -494,7 +494,7 @@ def test_cached_floors_match_the_oracle_across_chunked_runs_and_steps(monkeypatc
         run(state, block[:-3], on_step=records.append)
         records += [step(state, key) for key in block[-3:]]
     assert records == oracle
-    assert state == oracle_state
+    assert state == oracle_state and state.depths == oracle_state.depths
     assert len(computed) - state.rebuilds > 500
     assert len(computed) < len(trace) // 4
 
@@ -511,7 +511,7 @@ def test_floors_are_reset_at_each_rebuild(smoothing):
     records = []
     run(state, trace, on_step=records.append)
     assert records == oracle
-    assert state == oracle_state
+    assert state == oracle_state and state.depths == oracle_state.depths
     delta = dynamic._delta(smoothing)
     cached = dynamic._drift_floor(1, 4, 62 + 4 * delta)
     surge = next(rec for rec in records if rec.rebuilt and rec.key == 1 and rec.t > 62)
@@ -606,3 +606,75 @@ def test_fractional_alpha_accounting():
     report = run(state, WORKED_TRACE)
     assert report.adjust_cost == Fraction(5, 2) * report.rebuilds
     assert report.total == report.search_cost + report.adjust_cost
+
+
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+def test_depth_pre_of_a_key_whose_depth_no_request_computed(smoothing):
+    # A key of positive tree weight never drifts at its first request after
+    # a rebuild, so no run reaches this: counts edited by hand make a key
+    # drift whose depth in the current tree no walk has computed yet. Its
+    # depth_pre must still be that depth, read before the swap.
+    trace = generate(parse_workload("zipf:1.0", n=64, m=3000, seed=8))
+    records = []
+    run(init(64, 4, smoothing), trace, on_step=records.append)
+    trace = trace[:[rec.t for rec in records if rec.rebuilt][-1]]  # ends with a rebuild
+    state, oracle_state = init(64, 4, smoothing), init(64, 4, smoothing)
+    run(state, trace)
+    for key in trace:
+        serve_oracle(oracle_state, key)
+    cold = state.known_depths.index(0) + 1
+    old_depth = trees.coded_depths(state.tree_weights, state.tree_total)[cold - 1]
+    for s in (state, oracle_state):
+        counts = list(s.counters.counts)
+        counts[cold - 1] += len(trace)
+        s.counters = CounterState(counts, 2 * len(trace))
+    rec = step(state, cold)
+    assert rec.rebuilt and rec.depth_pre == old_depth
+    assert rec == serve_oracle(oracle_state, cold)
+    assert state == oracle_state and state.depths == oracle_state.depths
+
+
+def test_raw_mode_depth_pre_of_an_unseen_key_on_a_grafted_chain():
+    # the first request rebuilds over key 1 alone and grafts 2..6 as a right
+    # chain; unseen key 5 then fires at once, from depth 5 on that chain
+    state, oracle_state = init(6, 2, SMOOTHING_NONE), init(6, 2, SMOOTHING_NONE)
+    records = [step(state, 1), step(state, 5)]
+    assert records == [serve_oracle(oracle_state, key) for key in (1, 5)]
+    assert records[1].rebuilt and records[1].depth_pre == 5
+    assert state.depths == oracle_state.depths
+
+
+def test_chunked_runs_and_steps_across_the_switch_to_on_demand_depths():
+    # raw mode computes every depth at a rebuild while some key is unseen,
+    # and each depth at its first request once all are seen
+    n = 24
+    trace = generate(parse_workload("uniform", n=n, m=1200, seed=3))
+    oracle_state = init(n, 2, SMOOTHING_NONE)
+    oracle = [serve_oracle(oracle_state, key) for key in trace]
+    state = init(n, 2, SMOOTHING_NONE)
+    records, phases = [], set()
+    for start in range(0, len(trace), 40):
+        block = trace[start:start + 40]
+        records += [step(state, key) for key in block[:2]]
+        run(state, block[2:], on_step=records.append)
+        phases.add((0 in state.tree_weights, 0 in state.known_depths))
+    assert records == oracle
+    assert state == oracle_state and state.depths == oracle_state.depths
+    assert {(True, False), (False, True)} <= phases
+
+
+def test_ledger_flags_tree_weights_swapped_without_a_rebuild(monkeypatch):
+    # a simulator whose records never flag a rebuild: the guard tests only
+    # the requested key, which the new tree serves correctly, so only the
+    # ledger's check that the tree weights stayed put sees the swap
+    trace = generate(parse_workload("zipf:1.0", n=8, m=300, seed=5))
+    clean = []
+    run(init(8, 2), trace, on_step=clean.append)
+    first = next(rec for rec in clean if rec.rebuilt)
+    assert first.t > 1
+    record = dynamic.StepRecord
+    monkeypatch.setattr(dynamic, "StepRecord", lambda *fields: record(*fields[:5], False))
+    state = init(8, 2)
+    with pytest.raises(BoundViolationError, match=f"without a rebuild at t={first.t}$"):
+        run(state, trace, on_step=RunLedger(state))
+    assert state.rebuilds == 1

@@ -19,6 +19,7 @@ from abst.sfe import (
     parse_distribution,
 )
 from abst.trees import (
+    LazyCodedDepths,
     SearchTree,
     build_balanced,
     coded_depths,
@@ -233,6 +234,8 @@ def test_range_walk_matches_trie_oracle():
         labels = keys or range(1, len(weights) + 1)
         depths = coded_depths(weights, total)
         assert depths == trie_oracle.coded_depths(weights, total)
+        assert depths == trie_oracle.lcp_coded_depths(weights, total)
+        assert requested_in_random_order(weights, total, random.Random(total)) == depths
         assert format_tree(tree_from_depths(labels, depths)) == case["tree"]
     assert grafted == 24
 
@@ -252,7 +255,9 @@ def test_lcp_walk_matches_bisect_walk_zipf_16384():
     n = 16384
     weights = [10**7 // r for r in range(1, n + 1)]  # Zipf exponent 1.0
     total = sum(weights)
-    assert coded_depths(weights, total) == trie_oracle.coded_depths(weights, total)
+    depths = coded_depths(weights, total)
+    assert depths == trie_oracle.coded_depths(weights, total)
+    assert depths == trie_oracle.lcp_coded_depths(weights, total)
 
 
 def test_lcp_walk_matches_bisect_walk_random():
@@ -272,8 +277,68 @@ def test_lcp_walk_matches_bisect_walk_random():
         weights[rng.randrange(n)] = rng.randint(1, 9)
         zeros += 0 in weights
         total = sum(weights)
-        assert coded_depths(weights, total) == trie_oracle.coded_depths(weights, total), weights
+        depths = coded_depths(weights, total)
+        assert depths == trie_oracle.coded_depths(weights, total), weights
+        assert depths == trie_oracle.lcp_coded_depths(weights, total), weights
     assert zeros >= 900
+
+
+def requested_in_random_order(weights, total, rng) -> list[int]:
+    """Every key's depth from `LazyCodedDepths`, asked for in a random order
+    as the simulator asks: a key's walk runs unless an earlier walk passed
+    it. Checks that the memo holds no more ranges than there are keys."""
+    lazy = LazyCodedDepths(weights, total)
+    order = list(range(len(weights)))
+    rng.shuffle(order)
+    got = [0] * len(weights)
+    for i in order:
+        got[i] = lazy.depths[i] or lazy.depth(i)
+    assert lazy.depths == got
+    assert len(lazy.roots) <= len(weights)
+    return got
+
+
+@pytest.mark.parametrize("name, weights", [
+    ("geometric", [2 ** (2000 - i) for i in range(2000)]),  # one key per level
+    ("alternating", [2**30 if i % 2 else 1 for i in range(4096)]),
+    ("all-equal", [1] * 16384),  # all codes equally long: the tie rule decides
+    ("zero-heavy", [random.Random(4096).choice((0, 0, 0, 0, 1, 2, 9)) for _ in range(4096)]),
+])
+def test_walk_matches_both_oracles_on_adversarial_vectors(name, weights):
+    total = sum(weights)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        depths = coded_depths(weights, total)
+        on_demand = requested_in_random_order(weights, total, random.Random(len(weights)))
+        bisected = trie_oracle.coded_depths(weights, total)
+        lcp = trie_oracle.lcp_coded_depths(weights, total)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert depths == on_demand == bisected == lcp
+    if name == "geometric":
+        assert depths == list(range(1, 2001))
+    tree_from_depths(range(1, len(weights) + 1), depths)
+
+
+def test_on_demand_depths_match_the_full_walk_random():
+    rng = random.Random(1975)
+    palettes = [
+        tuple(range(1, 1000)),
+        (1, 2, 4, 8, 16),
+        (1, 1, 1, 2),
+        (1, 2**20),
+        (2**40 - 1, 2**40, 2**40 + 1, 3 * 2**39),  # long codes and big totals
+    ]
+    for case in range(3000):
+        n = rng.randint(1, 90)
+        if case % 6 == 5:  # a power-of-two total: a midpoint can equal a threshold
+            weights = [2 ** rng.randrange(0, 4) for _ in range(n - 1)]
+            weights.append((1 << sum(weights).bit_length()) - sum(weights))
+        else:
+            weights = [rng.choice(palettes[case % 6]) for _ in range(n)]
+        total = sum(weights)
+        assert requested_in_random_order(weights, total, rng) == coded_depths(weights, total)
 
 
 def test_depth_vector_matches_node_oracle_random():

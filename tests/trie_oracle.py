@@ -6,8 +6,11 @@ grafted zero-weight keys one root-to-leaf walk at a time; with the linked
 `coded_depths` is the range walk `abst.trees` used before it found each
 split from the codewords' LCP array: a mixed range is split by a binary
 search over bit d. It is kept as written (only its `sfe_code` call reads the
-new `(lengths, words)` result) so the tests can require the two walks to give
-identical depths.
+new `(lengths, words)` result) so the tests can require the walks to give
+identical depths. `lcp_coded_depths` is that LCP walk, kept as written: it
+found each range's split as the range minimum of the LCP array of adjacent
+codewords, read from the array's Cartesian tree, until `abst.trees` came to
+bisect the CDF midpoints and compute no codeword at all.
 
 `coded_tree` is the range walk `abst.trees` used before the tree became a
 function of the depth vector: it links a `Node` per key as it walks, where
@@ -129,6 +132,80 @@ def coded_depths(weights: Sequence[int], total: int) -> list[int]:
             stack.append((lo, r - 1, d + 1, depth + 1))
         if r < hi:
             stack.append((r + 1, hi, d + 1, depth + 1))
+    if len(coded) == len(weights):
+        return by_rank
+    depths = [0] * len(weights)
+    for i, depth in zip(coded, by_rank):
+        depths[i] = depth
+    rank, chain = 0, 0  # coded keys so far; depth of the last key of a zero run
+    for i, w in enumerate(weights):
+        if w:
+            rank, chain = rank + 1, 0
+            continue
+        if not chain:
+            a = by_rank[rank - 1] if rank else 0
+            b = by_rank[rank] if rank < len(coded) else 0
+            chain = max(a, b)
+        chain += 1
+        depths[i] = chain
+    return depths
+
+
+def lcp_coded_depths(weights: Sequence[int], total: int) -> list[int]:
+    """Depth in the coded tree of each key, for integer weights over `total`.
+
+    Keys of positive weight are placed by their Shannon-Fano-Elias codewords;
+    a key of zero weight cannot get a codeword, and each run of them hangs as
+    a chain one below the deeper of its coded neighbours, as leaf insertion
+    in increasing order would put it. `tree_from_depths` gives the tree
+    these depths fix.
+    """
+    coded = [i for i, w in enumerate(weights) if w]
+    lengths, words = sfe_code([weights[i] for i in coded], total)
+    n = len(coded)
+    # codewords padded to one length, so that a pair's xor has its top bit
+    # where the two first differ
+    top = max(lengths, default=0)
+    aligned = [word << (top - length) for word, length in zip(words, lengths)]
+    lcp = [top - (a ^ b).bit_length() for a, b in zip(aligned, aligned[1:])]
+    left, right = [-1] * (n - 1), [-1] * (n - 1)  # Cartesian tree of lcp
+    spine: list[int] = []
+    for i, v in enumerate(lcp):
+        last = -1
+        while spine and lcp[spine[-1]] > v:
+            last = spine.pop()
+        left[i] = last
+        if spine:
+            right[spine[-1]] = i
+        spine.append(i)
+    by_rank = [0] * n
+    # (lo, hi, d, m): ranks lo..hi share d code bits, their root goes at
+    # depth d+1, and the subtree of Cartesian node m covers pairs lo..hi-1
+    stack = [(0, n - 1, 0, spine[0] if spine else -1)] if n else []
+    while stack:
+        lo, hi, d, m = stack.pop()
+        while lo < hi:
+            while not lo <= m < hi:  # descend past pairs that left the range
+                m = left[m] if m >= hi else right[m]
+            if lcp[m] == d:  # bit d is 0 up to rank m and 1 from m+1
+                r = m if lengths[m] <= lengths[m + 1] else m + 1
+                by_rank[r] = d + 1
+                if lo < r:
+                    stack.append((lo, r - 1, d + 1, left[m]))
+                if r < hi:
+                    stack.append((r + 1, hi, d + 1, right[m]))
+                break
+            # bit d is the same on the whole range: peel the flank on the
+            # side of the empty run, all-1s at lo, all-0s at hi
+            if aligned[hi] >> (top - 1 - d) & 1:
+                by_rank[lo] = d + 1
+                lo += 1
+            else:
+                by_rank[hi] = d + 1
+                hi -= 1
+            d += 1
+        else:
+            by_rank[lo] = d + 1
     if len(coded) == len(weights):
         return by_rank
     depths = [0] * len(weights)
