@@ -61,9 +61,6 @@ def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
     for i, wi in enumerate(w):
         prefix[i + 1] = prefix[i] + wi
 
-    def wsum(i: int, j: int) -> int:
-        return prefix[j] - prefix[i - 1]
-
     # cost[i][j] for 1 <= i <= j <= n; empty intervals cost 0
     cost = [[0] * (n + 2) for _ in range(n + 2)]
     root = [[0] * (n + 2) for _ in range(n + 2)]
@@ -73,13 +70,15 @@ def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
     for length in range(2, n + 1):
         for i in range(1, n - length + 2):
             j = i + length - 1
-            best, best_r = None, None
-            for r in range(root[i][j - 1], root[i + 1][j] + 1):
-                c = cost[i][r - 1] + cost[r + 1][j]
-                if best is None or c < best:
+            cost_i, root_i = cost[i], root[i]
+            lo, hi = root_i[j - 1], root[i + 1][j]
+            best, best_r = cost_i[lo - 1] + cost[lo + 1][j], lo
+            for r in range(lo + 1, hi + 1):
+                c = cost_i[r - 1] + cost[r + 1][j]
+                if c < best:
                     best, best_r = c, r
-            cost[i][j] = best + wsum(i, j)
-            root[i][j] = best_r
+            cost_i[j] = best + prefix[j] - prefix[i - 1]
+            root_i[j] = best_r
 
     return cost[1][n], build_from_roots(n, lambda i, j: root[i][j])
 

@@ -30,6 +30,7 @@ from .dynamic import (
     StepRecord,
     _delta,
     _drift_floor,
+    _observed_weights,
     init,
     run,
     step,
@@ -248,11 +249,12 @@ class RunLedger:
     `BoundViolationError` at the first step after which the drift invariant
     fails, testing every key on its first step and after a rebuild, and the
     requested key otherwise: between rebuilds a request only lowers the other
-    keys' frequencies. That rule trusts `rec.rebuilt`, so the ledger also
-    raises if the tree weights are no longer the tuple it saw at the
-    previous step and the record flags no rebuild: the simulator replaces
-    that tuple only when it rebuilds. A state edited between steps needs a
-    fresh ledger."""
+    keys' frequencies. The scan skips a tree whose weights and total are the
+    observed ones: every key has W/S = x/T there, so none drifts. That rule
+    trusts `rec.rebuilt`, so the ledger also raises if the tree weights are
+    no longer the tuple it saw at the previous step and the record flags no
+    rebuild: the simulator replaces that tuple only when it rebuilds. A
+    state edited between steps needs a fresh ledger."""
 
     def __init__(self, state: SimulationState):
         self.state = state
@@ -278,7 +280,12 @@ class RunLedger:
             raise BoundViolationError(f"tree weights changed without a rebuild at t={rec.t}")
         self._tree_weights = state.tree_weights
         self.deep += check_served_depth(rec, state.n, state.smoothing)
-        if not guarded_invariant_holds(state, None if self._scan or rec.rebuilt else (rec.key,)):
+        keys: tuple[int, ...] | None = (rec.key,)
+        if self._scan or rec.rebuilt:
+            c = state.counters
+            observed = _observed_weights(c.counts, c.t, _delta(state.smoothing))
+            keys = () if (state.tree_weights, state.tree_total) == observed else None
+        if not guarded_invariant_holds(state, keys):
             raise BoundViolationError(f"tree probability fell below half frequency after t={rec.t}")
         self._scan = False
 

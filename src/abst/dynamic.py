@@ -21,13 +21,13 @@ after the rebuild, by a walk from the root that memoizes the root of each
 range it passes. That request always takes the drift test, because the
 rebuild also reset the key's cached floor to 0, and the test computes the
 depth; a request below its key's cached floor reads the depth and nothing
-else. While a raw-mode tree weight is zero, the rebuild computes every depth
-at once, since a grafted chain needs its neighbours'.
-`state.depths` and `state.tree` fill in the depths no request has computed
-when they are read. `run` and `step` serve requests through one loop,
-`_serve_all`. This module holds no checker code: the drift-invariant guard
-and the cost-accounting checks' bookkeeping read the `StepRecord` stream
-through `checks.RunLedger`.
+else. In raw mode the depth of a key of zero tree weight is computed the
+same way, from the walks to its two coded neighbours. `state.depths` and
+`state.tree` fill in the depths no request has computed when they are read.
+`run` and `step` serve requests through one loop, `_serve_all`. This
+module holds no checker code: the drift-invariant guard and the
+cost-accounting checks' bookkeeping read the `StepRecord` stream through
+`checks.RunLedger`.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def _delta(smoothing: str) -> int:
 
 def _observed_weights(counts: Sequence[int], t: int, delta: int) -> tuple[tuple[int, ...], int]:
     """Observed weights of keys 1..n and their total."""
-    return tuple(map(delta.__add__, counts)), t + delta * len(counts)
+    weights = tuple(map(delta.__add__, counts)) if delta else tuple(counts)
+    return weights, t + delta * len(counts)
 
 
 def _drift_floor(tree_weight: int, tree_total: int, total: int) -> int:

@@ -22,8 +22,9 @@ cumulative weights in the same way.
 
 `coded_depths` walks every range from an explicit stack. `LazyCodedDepths`
 walks only from the root down to a key whose depth is asked for, memoizing
-each range's root, so that the keys asked for share the top of the tree:
-the simulator uses it, as a request reads only its own key's depth.
+each range's root, so that the keys asked for share the top of the tree;
+a key of zero weight needs only the walks to its two coded neighbours. The
+simulator uses it, as a request reads only its own key's depth.
 
 A BST is fixed by its in-order keys and their depths, so a `SearchTree` is
 those two tuples and nothing else; `sfe_to_bst` pairs the keys with
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from operator import add
 from typing import Callable, Iterable, Sequence
 
@@ -129,27 +130,39 @@ class LazyCodedDepths:
     """The depths of `coded_depths(weights, total)`, each computed when it is
     first asked for.
 
-    `depths` holds every depth computed so far and 0 for the rest; `depth(i)`
-    walks the split rule from the root down to key i and records the depth
-    of each key on the way. `roots` memoizes each range's root by (lo, hi),
-    so it never holds more than one range per key. While some weight is
-    zero, `depths` is the whole of `coded_depths` from the start: a grafted
-    chain's depth needs its coded neighbours'.
+    `depths` holds every depth computed so far and 0 for the rest, and
+    `depth(i)` computes key i's. The split rule runs over the ranks of the
+    keys of positive weight: a walk goes from the root down to rank r and
+    records in `rank_depths` the depth of each rank on the way, and `roots`
+    memoizes each range's root by (lo, hi), so it never holds more than one
+    range per key. With no zero weight a rank is a key's position and
+    `rank_depths` is `depths`. A key of zero weight takes the depth
+    `coded_depths` grafts it at, from the walks to its two coded neighbours
+    only.
     """
 
     def __init__(self, weights: Sequence[int], total: int):
-        self.weights, self.total = weights, total
+        self.total = total
         self.roots: dict[tuple[int, int], int] = {}
+        self.depths = [0] * len(weights)
         if 0 in weights:
-            self.depths = coded_depths(weights, total)
+            self.coded: list[int] | None = list(compress(range(len(weights)), weights))
+            self.weights: Sequence[int] = list(filter(None, weights))
+            self.rank_depths = [0] * len(self.coded)
         else:
-            self.mids = _midpoints(weights)
-            self.depths = [0] * len(weights)
+            self.coded, self.weights, self.rank_depths = None, weights, self.depths
+        self.mids = _midpoints(self.weights)
 
-    def depth(self, i: int) -> int:
-        """Depth of key i (0-based)."""
+    @property
+    def depth(self) -> Callable[[int], int]:
+        """`depth(i)` is the depth of key i (0-based). With no zero weight it
+        is the walk itself, so a caller that holds it pays no rank lookup."""
+        return self._walk if self.coded is None else self._grafted_depth
+
+    def _walk(self, i: int) -> int:
+        """Depth of the key of positive weight of rank i (0-based)."""
         mids, weights, total = self.mids, self.weights, self.total
-        depths, roots = self.depths, self.roots
+        depths, roots = self.rank_depths, self.roots
         lo, hi, d, p = 0, len(weights) - 1, 0, 0
         while True:
             r = roots.get((lo, hi))
@@ -163,6 +176,22 @@ class LazyCodedDepths:
                 hi = r - 1
             else:
                 lo, p = r + 1, p + 1
+
+    def _grafted_depth(self, i: int) -> int:
+        """Depth of key i of a weight vector with a zero: a coded key's
+        walk, or the chain rule of `coded_depths` for a zero-weight key, one
+        below the deeper coded neighbour per step from the coded key
+        before it."""
+        coded, by_rank = self.coded, self.rank_depths
+        r = bisect_left(coded, i)  # the coded keys before i
+        if r < len(coded) and coded[r] == i:
+            depth = by_rank[r] or self._walk(r)
+        else:
+            before = (by_rank[r - 1] or self._walk(r - 1)) if r else 0
+            after = (by_rank[r] or self._walk(r)) if r < len(coded) else 0
+            depth = max(before, after) + i - (coded[r - 1] if r else -1)
+        self.depths[i] = depth
+        return depth
 
 
 def _links(depths: Sequence[int]) -> tuple[int, list[int], list[int]]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import trie_oracle
-from abst import dynamic, trees
+from abst import checks, dynamic, trees
 from abst.checks import (
     RebuildRecord,
     RunLedger,
@@ -184,6 +184,24 @@ def test_guard_scans_every_key_after_a_rebuild(monkeypatch):
         for key in [1] * 20:
             ledger(step(state, key))
     assert state.rebuilds == 1
+
+
+@pytest.mark.parametrize("smoothing, scans", [(SMOOTHING_LAPLACE, 1), (SMOOTHING_NONE, 0)])
+def test_guard_skips_the_scan_after_an_exact_rebuild(monkeypatch, smoothing, scans):
+    # every rebuild sets the tree to the observed weights, so only the
+    # ledger's first step, on the balanced start tree, needs a scan; in raw
+    # mode that step rebuilds too
+    holds, full = checks.guarded_invariant_holds, []
+
+    def counting(state, keys=None):
+        full.append(keys is None)
+        return holds(state, keys)
+
+    monkeypatch.setattr(checks, "guarded_invariant_holds", counting)
+    state = init(16, 2, smoothing)
+    run(state, generate(parse_workload("zipf:1.0", n=16, m=600, seed=2)), on_step=RunLedger(state))
+    assert state.rebuilds > 5
+    assert len(full) == 600 and sum(full) == scans
 
 
 def test_guard_scans_every_key_on_a_ledgers_first_step():
@@ -645,8 +663,9 @@ def test_raw_mode_depth_pre_of_an_unseen_key_on_a_grafted_chain():
 
 
 def test_chunked_runs_and_steps_across_the_switch_to_on_demand_depths():
-    # raw mode computes every depth at a rebuild while some key is unseen,
-    # and each depth at its first request once all are seen
+    # raw mode computes each depth at its first request after a rebuild,
+    # both while some key is unseen (its tree weight is zero) and once all
+    # are seen
     n = 24
     trace = generate(parse_workload("uniform", n=n, m=1200, seed=3))
     oracle_state = init(n, 2, SMOOTHING_NONE)
@@ -660,7 +679,29 @@ def test_chunked_runs_and_steps_across_the_switch_to_on_demand_depths():
         phases.add((0 in state.tree_weights, 0 in state.known_depths))
     assert records == oracle
     assert state == oracle_state and state.depths == oracle_state.depths
-    assert {(True, False), (False, True)} <= phases
+    assert {(True, True), (False, True)} <= phases
+
+
+def test_raw_rebuilds_with_unseen_keys_take_no_full_walk(monkeypatch):
+    # each unseen key's first request rebuilds over a tree with zero
+    # weights, and every depth the run reads comes from walks to single keys
+    n = 300
+    trace = generate(parse_workload("uniform", n=n, m=1500, seed=4))
+    oracle_state = init(n, 2, SMOOTHING_NONE)
+    oracle = [serve_oracle(oracle_state, key) for key in trace]
+
+    def full_walk(weights, total):
+        raise AssertionError("a rebuild computed every depth")
+
+    monkeypatch.setattr(trees, "coded_depths", full_walk)
+    monkeypatch.setattr(dynamic, "coded_depths", full_walk)
+    state = init(n, 2, SMOOTHING_NONE)
+    records = []
+    run(state, trace, on_step=records.append)
+    assert records == oracle
+    assert state.rebuilds > 250 and 0 in state.tree_weights
+    monkeypatch.undo()
+    assert state == oracle_state and state.depths == oracle_state.depths
 
 
 def test_ledger_flags_tree_weights_swapped_without_a_rebuild(monkeypatch):

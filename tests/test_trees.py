@@ -303,6 +303,7 @@ def requested_in_random_order(weights, total, rng) -> list[int]:
     ("alternating", [2**30 if i % 2 else 1 for i in range(4096)]),
     ("all-equal", [1] * 16384),  # all codes equally long: the tie rule decides
     ("zero-heavy", [random.Random(4096).choice((0, 0, 0, 0, 1, 2, 9)) for _ in range(4096)]),
+    ("one-coded", [0] * 1500 + [7] + [0] * 2595),  # grafted chains of 1500 and 2595 keys
 ])
 def test_walk_matches_both_oracles_on_adversarial_vectors(name, weights):
     total = sum(weights)
@@ -337,6 +338,25 @@ def test_on_demand_depths_match_the_full_walk_random():
             weights.append((1 << sum(weights).bit_length()) - sum(weights))
         else:
             weights = [rng.choice(palettes[case % 6]) for _ in range(n)]
+        total = sum(weights)
+        assert requested_in_random_order(weights, total, rng) == coded_depths(weights, total)
+
+
+def test_on_demand_grafted_depths_match_the_full_walk_random():
+    rng = random.Random(1976)
+    for case in range(3000):
+        n = rng.randint(1, 90)
+        weights = [rng.choice((0, 0, 0, 0, 1, 2, 9, 2**40)) for _ in range(n)]
+        shape = case % 4
+        if shape == 1:  # zero runs at both ends
+            weights[0] = weights[-1] = 0
+        elif shape == 2:  # a single coded key
+            weights = [0] * n
+        elif shape == 3:  # a single zero
+            weights = [rng.randint(1, 9) for _ in range(n)]
+            weights[rng.randrange(n)] = 0
+        if not any(weights):
+            weights[rng.randrange(n)] = rng.randint(1, 9)
         total = sum(weights)
         assert requested_in_random_order(weights, total, rng) == coded_depths(weights, total)
 
