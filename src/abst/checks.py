@@ -5,6 +5,8 @@ Every suite takes an explicit seed, returns a list of violation strings
 test is rational; floats only enter through entropy terms, compared at 1e-9.
 The drift-invariant guard and the cost-accounting checks read a run through
 its step stream (`RunLedger`), so the simulator's serve loop holds no checks.
+Every run a suite checks goes through one ledger run (`_ledger_run`); the
+trigger-locality suite also sends each rebuilt tree through its matchings.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ from .dynamic import (
     _observed_weights,
     init,
     run,
-    step,
     theorem_threshold,
-    tree_for_probs,
 )
 from .errors import BoundViolationError
 from .matching import bst_to_matchings, matchings_to_bst, route
@@ -47,7 +47,7 @@ from .sfe import (
     entropy,
     is_prefix_free,
 )
-from .trees import depth_map, in_order, sfe_to_bst
+from .trees import coded_depths, depth_map, in_order, sfe_to_bst, tree_from_depths
 from .workload import DEFAULT_SEED, generate, parse_workload
 
 ENTROPY_TOL = 1e-9
@@ -203,8 +203,7 @@ def suite_baseline_properties(cases: int, n_hi: int, seed: int) -> list[str]:
             violations.append(f"case {case}: argmin tree violates symmetric order")
         if cost > balanced_static_cost(weights):
             violations.append(f"case {case}: optimal exceeds the balanced tree")
-        m = weights.total
-        coded = tree_for_probs(tuple(Fraction(w, m) for w in weights.weights))
+        coded = tree_from_depths(range(1, n + 1), coded_depths(weights.weights, weights.total))
         if cost > tree_cost(coded, weights):
             violations.append(f"case {case}: optimal exceeds the coded tree")
     return violations
@@ -249,12 +248,14 @@ class RunLedger:
     `BoundViolationError` at the first step after which the drift invariant
     fails, testing every key on its first step and after a rebuild, and the
     requested key otherwise: between rebuilds a request only lowers the other
-    keys' frequencies. The scan skips a tree whose weights and total are the
-    observed ones: every key has W/S = x/T there, so none drifts. That rule
-    trusts `rec.rebuilt`, so the ledger also raises if the tree weights are
-    no longer the tuple it saw at the previous step and the record flags no
-    rebuild: the simulator replaces that tuple only when it rebuilds. A
-    state edited between steps needs a fresh ledger."""
+    keys' frequencies, so a key undrifted after a step stays so until its own
+    request or a rebuild, and the ledger sees any violation that a test of
+    every key at every step would see, no later. The scan skips a tree whose
+    weights and total are the observed ones: every key has W/S = x/T there, so
+    none drifts. That rule trusts `rec.rebuilt`, so the ledger also raises if
+    the tree weights are no longer the tuple it saw at the previous step and
+    the record flags no rebuild: the simulator replaces that tuple only when
+    it rebuilds. A state edited between steps needs a fresh ledger."""
 
     def __init__(self, state: SimulationState):
         self.state = state
@@ -290,16 +291,34 @@ class RunLedger:
         self._scan = False
 
 
+def _ledger_run(
+    n: int, alpha: int, trace: Sequence[int], smoothing: str, round_trip: bool = False
+) -> tuple[SimulationReport, RunLedger]:
+    """Run `trace` from a fresh state with a `RunLedger` as its sink, which
+    guards the drift invariant at each step; with `round_trip`, each rebuilt
+    tree must also come back unchanged from its matchings. Returns the
+    report and the ledger."""
+    state = init(n, alpha, smoothing)
+    ledger = RunLedger(state)
+
+    def round_tripped(rec: StepRecord) -> None:
+        ledger(rec)
+        if rec.rebuilt and matchings_to_bst(bst_to_matchings(state.tree)) != state.tree:
+            raise BoundViolationError(f"matchings round trip changed the tree rebuilt at t={rec.t}")
+
+    return run(state, trace, on_step=round_tripped if round_trip else ledger), ledger
+
+
+def _cell_trace(n: int, alpha: int, workload: str, seed: int) -> list[int]:
+    return generate(parse_workload(workload, n=n, m=grid_m(n, alpha), seed=seed))
+
+
 def run_cell(
     n: int, alpha: int, workload: str, smoothing: str, seed: int = DEFAULT_SEED
 ) -> tuple[SimulationReport, RunLedger]:
-    """Generate one grid cell's trace and run it with a `RunLedger` as its
-    sink, which guards the drift invariant at each step; returns the report
-    and the ledger."""
-    trace = generate(parse_workload(workload, n=n, m=grid_m(n, alpha), seed=seed))
-    state = init(n, alpha, smoothing)
-    ledger = RunLedger(state)
-    return run(state, trace, on_step=ledger), ledger
+    """Generate one grid cell's trace and run it through `_ledger_run`;
+    returns the report and the ledger."""
+    return _ledger_run(n, alpha, _cell_trace(n, alpha, workload, seed), smoothing)
 
 
 def check_report_bounds(report: SimulationReport, ledger: RunLedger) -> list[str]:
@@ -364,31 +383,6 @@ def check_served_depth(rec: StepRecord, n: int, smoothing: str) -> list[str]:
     return [f"t={rec.t}: key {rec.key} served at depth {rec.depth}, not below log2(1/q) + 4"]
 
 
-def check_trigger_locality(
-    n: int, alpha: int, trace: Sequence[int], smoothing: str
-) -> list[str]:
-    """A request may newly violate the drift test only for its own key, and
-    after its step that key has not drifted: the request either left its
-    tree probability at least half its frequency or rebuilt the tree."""
-    state = init(n, alpha, smoothing)
-    delta = _delta(smoothing)
-    v: list[str] = []
-    for key in trace:
-        tree_weights, s = state.tree_weights, state.tree_total
-        counts = state.counters.counts
-        t_next = state.counters.t + 1
-        total = t_next + delta * n
-        for j in range(1, n + 1):
-            w_next = counts[j - 1] + (1 if j == key else 0)
-            if w_next + delta >= _drift_floor(tree_weights[j - 1], s, total) and j != key:
-                v.append(f"t={t_next}: request for {key} fired the test for {j}")
-        step(state, key)
-        floor = _drift_floor(state.tree_weights[key - 1], state.tree_total, total)
-        if state.counters.counts[key - 1] + delta >= floor:
-            v.append(f"t={t_next}: key {key} still drifted after its own request")
-    return v
-
-
 def cold_surge_trace(n: int, seed: int) -> list[int]:
     """A trace on which a stale drift floor skips a rebuild (n >= 3): a key
     rests while 4n rounds of the others leave its tree weight high, so its
@@ -401,44 +395,23 @@ def cold_surge_trace(n: int, seed: int) -> list[int]:
     return [hot, *rounds, hot] + [rest[0]] * (16 * n) + [hot] * (8 * n)
 
 
-def check_rebuild_matchings(
-    n: int, alpha: int, trace: Sequence[int], smoothing: str
+def _suite_runs(
+    runs: Iterable[tuple[str, int, int, Sequence[int]]], round_trip: bool = False
 ) -> list[str]:
-    """Every swapped-in tree yields valid matchings that round-trip."""
-    state = init(n, alpha, smoothing)
-    v: list[str] = []
-    for key in trace:
-        rec = step(state, key)
-        if rec.rebuilt:
-            tree = state.tree
-            pair = bst_to_matchings(tree)
-            try:
-                back = matchings_to_bst(pair)
-            except Exception as exc:
-                v.append(f"t={rec.t}: rebuilt tree gives invalid matchings: {exc}")
-                continue
-            if back != tree:
-                v.append(f"t={rec.t}: matchings round trip changed the tree")
-    return v
-
-
-def suite_dynamic_properties(
-    cells: Sequence[tuple[int, int, str]], seed: int
-) -> list[str]:
-    """Run each (n, alpha, workload) cell in both smoothing modes with the
-    drift guard and the served-depth check on, then apply every
-    cost-accounting check."""
+    """Run each labelled (n, alpha, trace) in both smoothing modes through
+    `_ledger_run`, then apply every cost-accounting check. A run that raises,
+    as one does at the first step after which the drift invariant fails,
+    gives one violation."""
     violations: list[str] = []
-    for n, alpha, workload in cells:
+    for label, n, alpha, trace in runs:
         for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
-            label = f"n={n} alpha={alpha} {workload} {smoothing}"
+            where = f"{label} {smoothing}"
             try:
-                report, ledger = run_cell(n, alpha, workload, smoothing, seed=seed)
+                report, ledger = _ledger_run(n, alpha, trace, smoothing, round_trip)
             except Exception as exc:
-                violations.append(f"{label}: run failed: {exc}")
+                violations.append(f"{where}: run failed: {exc}")
                 continue
-            for msg in check_report_bounds(report, ledger):
-                violations.append(f"{label}: {msg}")
+            violations += [f"{where}: {msg}" for msg in check_report_bounds(report, ledger)]
     return violations
 
 
@@ -484,19 +457,18 @@ def run_verify(scale: str, seed: int = DEFAULT_SEED) -> dict[str, list[str]]:
         local = [(5, 2, "uniform", 200), (16, 4, "zipf:1.0", 400)]
     else:
         raise ValueError(f"unknown scale {scale!r}, use quick or full")
-    results = {
+    grid = ((f"n={n} alpha={a} {w}", n, a, _cell_trace(n, a, w, seed + 4)) for n, a, w in cells)
+    locality = [
+        (f"n={n} alpha={a} {w} m={m}", n, a, generate(parse_workload(w, n=n, m=m, seed=seed + 5)))
+        for n, a, w, m in local
+    ]
+    locality.append(("n=8 alpha=2 cold-surge", 8, 2, cold_surge_trace(8, seed + 5)))
+    return {
         "code-properties": suite_code_properties(code_cases, struct_hi, seed),
         "tree-properties": suite_tree_properties(code_cases, struct_hi, seed + 1),
         "matching-properties": suite_matching_properties(code_cases, struct_hi, seed + 2),
         "baseline-properties": suite_baseline_properties(baseline_cases, baseline_hi, seed + 3),
-        "dynamic-properties": suite_dynamic_properties(cells, seed + 4),
+        "dynamic-properties": _suite_runs(grid),
         "fault-injection": fault_injection_selftest(),
+        "trigger-locality": _suite_runs(locality, round_trip=True),
     }
-    locality = []
-    traces = [(n, a, generate(parse_workload(w, n=n, m=m, seed=seed + 5))) for n, a, w, m in local]
-    for n, alpha, trace in traces + [(8, 2, cold_surge_trace(8, seed + 5))]:
-        for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
-            locality += check_trigger_locality(n, alpha, trace, smoothing)
-            locality += check_rebuild_matchings(n, alpha, trace, smoothing)
-    results["trigger-locality"] = locality
-    return results

@@ -1,14 +1,20 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+import mutants
+from abst import checks
 from abst.checks import (
+    cold_surge_trace,
     depth_bound_ok,
     fault_injection_selftest,
     grid_m,
     run_verify,
     theorem_grid,
 )
+from abst.dynamic import SMOOTHING_LAPLACE
+from abst.workload import DEFAULT_SEED
 
 
 def test_depth_bound_exact_boundary():
@@ -44,6 +50,30 @@ def test_run_verify_quick_all_pass():
         "trigger-locality",
     }
     assert all(not v for v in results.values()), results
+
+
+def skip_a_cold_surge_rebuild(monkeypatch):
+    trace = cold_surge_trace(8, DEFAULT_SEED + 5)  # the quick scale's trace
+    mutants.skip_first_rebuild(monkeypatch, 8, trace, SMOOTHING_LAPLACE)
+
+
+@pytest.mark.parametrize(
+    "inject",
+    [mutants.quarter_trigger, mutants.zero_pseudo_count, skip_a_cold_surge_rebuild],
+    ids=["quarter-trigger", "zero-pseudo-count", "skipped-rebuild"],
+)
+def test_trigger_locality_suite_fails_on_a_faulty_drift_test(monkeypatch, inject):
+    inject(monkeypatch)
+    violations = run_verify("quick")["trigger-locality"]
+    assert violations
+    assert all("tree probability fell below half frequency" in v for v in violations), violations
+
+
+def test_trigger_locality_suite_round_trips_each_rebuilt_tree(monkeypatch):
+    monkeypatch.setattr(checks, "matchings_to_bst", lambda pair: None)
+    violations = run_verify("quick")["trigger-locality"]
+    assert len(violations) == 6
+    assert all("matchings round trip changed the tree rebuilt at t=" in v for v in violations)
 
 
 @given(

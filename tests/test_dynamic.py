@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import mutants
 import trie_oracle
 from abst import checks, dynamic, trees
 from abst.checks import (
     RebuildRecord,
     RunLedger,
     check_report_bounds,
-    check_trigger_locality,
     grid_m,
     guarded_invariant_holds,
 )
@@ -218,40 +218,28 @@ def test_guard_scans_every_key_on_a_ledgers_first_step():
     assert state.rebuilds == rebuilds
 
 
+def ledger_run(n: int, trace, smoothing: str) -> None:
+    """Run `trace` at alpha 2 with a `RunLedger` as its sink and the matchings
+    round trip at each rebuild, as `verify`'s trigger-locality suite does."""
+    checks._ledger_run(n, 2, trace, smoothing, round_trip=True)
+
+
 @pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
 def test_trigger_locality_flags_a_run_that_rebuilds_late(monkeypatch, smoothing):
-    # the simulator fires at a quarter of the observed frequency, not half;
-    # the check keeps the true drift test, so keys left drifted show up
-    monkeypatch.setattr(dynamic, "_drift_floor", lambda tw, s, total: 4 * tw * total // s + 1)
+    # the ledger keeps the true drift test, so the first key left drifted
+    # raises after its step
+    mutants.quarter_trigger(monkeypatch)
     trace = generate(parse_workload("zipf:1.0", n=8, m=200, seed=5))
-    assert check_trigger_locality(8, 2, trace, smoothing) != []
+    t = {SMOOTHING_LAPLACE: 9, SMOOTHING_NONE: 30}[smoothing]
+    with pytest.raises(BoundViolationError, match=f"after t={t}$"):
+        ledger_run(8, trace, smoothing)
 
 
 def test_trigger_locality_flags_a_run_with_the_wrong_pseudo_count(monkeypatch):
-    # add-one smoothing served with raw counts: the pseudo-count is off by one
-    monkeypatch.setattr(dynamic, "_delta", lambda smoothing: 0)
+    mutants.zero_pseudo_count(monkeypatch)
     trace = generate(parse_workload("zipf:1.0", n=8, m=200, seed=5))
-    assert check_trigger_locality(8, 2, trace, SMOOTHING_LAPLACE) != []
-
-
-def skip_first_rebuild(monkeypatch, n: int, trace, smoothing: str) -> StepRecord:
-    """Patch the simulator's drift floor so that a run of `trace` skips its
-    first rebuild, and tests that key exactly again at its next request, as a
-    drift test that swallowed its first firing would. Returns the record of
-    the request that fires in a clean run."""
-    clean = []
-    run(init(n, 2, smoothing), trace, on_step=clean.append)
-    first = next(rec for rec in clean if rec.rebuilt)
-    delta = dynamic._delta(smoothing)
-    true_floor = dynamic._drift_floor
-
-    def floor(tree_weight, tree_total, total):
-        if total == first.t + delta * n:
-            return first.count + delta + 1
-        return true_floor(tree_weight, tree_total, total)
-
-    monkeypatch.setattr(dynamic, "_drift_floor", floor)
-    return first
+    with pytest.raises(BoundViolationError, match="after t=1$"):
+        ledger_run(8, trace, SMOOTHING_LAPLACE)
 
 
 @pytest.mark.parametrize("n, workload, seed, smoothing", [
@@ -268,20 +256,19 @@ def test_trigger_locality_flags_a_run_that_skips_one_rebuild(
     # skipped key's own next request rebuilds, or its drift clears first.
     # Only the test of the requested key after its step sees the fault.
     trace = generate(parse_workload(workload, n=n, m=300, seed=seed))
-    assert check_trigger_locality(n, 2, trace, smoothing) == []
-    first = skip_first_rebuild(monkeypatch, n, trace, smoothing)
+    ledger_run(n, trace, smoothing)
+    first = mutants.skip_first_rebuild(monkeypatch, n, trace, smoothing)
     records = []
     run(init(n, 2, smoothing), trace, on_step=records.append)
     assert not records[first.t - 1].rebuilt
-    assert check_trigger_locality(n, 2, trace, smoothing) == [
-        f"t={first.t}: key {first.key} still drifted after its own request"
-    ]
+    with pytest.raises(BoundViolationError, match=f"after t={first.t}$"):
+        ledger_run(n, trace, smoothing)
 
 
 def test_trigger_only_fires_for_requested_key():
     trace = generate(parse_workload("zipf:1.0", n=8, m=200, seed=5))
     for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
-        assert check_trigger_locality(8, 2, trace, smoothing) == []
+        ledger_run(8, trace, smoothing)
 
 
 def test_rebuild_count_doubling():
@@ -534,7 +521,7 @@ def test_floors_are_reset_at_each_rebuild(smoothing):
     cached = dynamic._drift_floor(1, 4, 62 + 4 * delta)
     surge = next(rec for rec in records if rec.rebuilt and rec.key == 1 and rec.t > 62)
     assert surge.count + delta < cached
-    assert check_trigger_locality(4, 2, trace, smoothing) == []
+    ledger_run(4, trace, smoothing)
 
 
 def test_run_writes_its_counters_back_before_errors_and_sinks():
