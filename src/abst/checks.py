@@ -7,6 +7,8 @@ The drift-invariant guard and the cost-accounting checks read a run through
 its step stream (`RunLedger`), so the simulator's serve loop holds no checks.
 Every run a suite checks goes through one ledger run (`_ledger_run`); the
 trigger-locality suite also sends each rebuilt tree through its matchings.
+Each such trace is run once more with no sink, which takes the simulator's
+bulk path, and must end where the ledger run did.
 """
 
 from __future__ import annotations
@@ -401,17 +403,24 @@ def _suite_runs(
     """Run each labelled (n, alpha, trace) in both smoothing modes through
     `_ledger_run`, then apply every cost-accounting check. A run that raises,
     as one does at the first step after which the drift invariant fails,
-    gives one violation."""
+    gives one violation. The trace is then run once more with no sink, which
+    serves in bulk wherever no request can drift: a report or counts that
+    differ from the ledger run's give one violation."""
     violations: list[str] = []
     for label, n, alpha, trace in runs:
         for smoothing in (SMOOTHING_LAPLACE, SMOOTHING_NONE):
             where = f"{label} {smoothing}"
             try:
                 report, ledger = _ledger_run(n, alpha, trace, smoothing, round_trip)
+                bulk = run(init(n, alpha, smoothing), trace)
             except Exception as exc:
                 violations.append(f"{where}: run failed: {exc}")
                 continue
             violations += [f"{where}: {msg}" for msg in check_report_bounds(report, ledger)]
+            if (bulk.to_dict(), bulk.weights) != (report.to_dict(), report.weights):
+                violations.append(f"{where}: the run with no sink reports {bulk.to_dict()} "
+                                  f"and counts {list(bulk.weights)}, the ledger run "
+                                  f"{report.to_dict()} and {list(report.weights)}")
     return violations
 
 

@@ -24,19 +24,30 @@ depth; a request below its key's cached floor reads the depth and nothing
 else. In raw mode the depth of a key of zero tree weight is computed the
 same way, from the walks to its two coded neighbours. `state.depths` and
 `state.tree` fill in the depths no request has computed when they are read.
-`run` and `step` serve requests through one loop, `_serve_all`. This
-module holds no checker code: the drift-invariant guard and the
-cost-accounting checks' bookkeeping read the `StepRecord` stream through
-`checks.RunLedger`.
+
+`run` and `step` serve requests through `_serve_all`. With a sink for the
+step records, every request goes through the exact loop, one at a time.
+Without one, the trace is taken in blocks, and most requests cannot drift:
+a key whose observed weight after all its requests in a block stays below
+its floor at the block's first request is safe for the whole block. So
+each block is counted at C speed (`collections.Counter`), the prefix before
+the first request that could reach its key's floor is served per key, and
+the exact loop serves the rest of the block, rebuilding where it would one
+request at a time. This module holds no checker code: the drift-invariant
+guard and the cost-accounting checks' bookkeeping read the `StepRecord`
+stream through `checks.RunLedger`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
+from operator import index
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidRequestError
@@ -46,6 +57,13 @@ from .trees import LazyCodedDepths, SearchTree, build_balanced, coded_depths, tr
 SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
 SMOOTHING_MODES = (SMOOTHING_LAPLACE, SMOOTHING_NONE)
+
+# Requests per block of a run without a sink (`_serve_all`). Below the
+# minimum, counting a block costs more than serving it one request at a time;
+# the cap bounds the block a run holds, so that its peak memory does not grow
+# with the trace.
+_BLOCK_MIN = 256
+_BLOCK_MAX = 1024
 
 
 @dataclass
@@ -237,8 +255,103 @@ def _serve_all(
     on_step: Callable[[StepRecord], object] | None,
 ) -> None:
     """Serve each request of `trace`: count it, rebuild if the key drifted,
-    search, and hand its record to `on_step`. The one step core of `run`
-    and `step`.
+    and search. The one step core of `run` and `step`.
+
+    A run with a sink takes every request through the exact loop,
+    `_serve_each`, which hands each request's record to `on_step`. A run
+    without one takes the trace in blocks: `_serve_safe_prefix` serves in
+    bulk each block's prefix in which no request can drift, and the exact
+    loop serves the rest of the block, so a rebuild happens at the request
+    where it would happen one request at a time. A block starts at
+    `_BLOCK_MIN` requests and doubles after each block served whole, up to
+    `_BLOCK_MAX`. After a block that was not, the exact loop also serves the
+    next `_BLOCK_MIN` requests, twice as many after each such block in a
+    row, up to `_BLOCK_MAX`, and the next block starts at `_BLOCK_MIN`
+    again: where rebuilds come every few requests, as in raw mode while
+    keys are unseen, counting blocks only costs time.
+    """
+    if on_step is not None:
+        _serve_each(state, trace, on_step)
+        return
+    requests = iter(trace)
+    size, skip = _BLOCK_MIN, 0
+    while block := list(islice(requests, size)):
+        served = _serve_safe_prefix(state, block)
+        if served == len(block):
+            size, skip = min(2 * size, _BLOCK_MAX), 0
+        else:
+            size, skip = _BLOCK_MIN, min(2 * skip or _BLOCK_MIN, _BLOCK_MAX)
+            _serve_each(state, islice(block, served, None), None)
+            _serve_each(state, islice(requests, skip), None)
+
+
+def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
+    """Serve in bulk the longest prefix of `block` in which no request can
+    reach its key's drift floor, and return its length.
+
+    Let T0 be the observed total at the block's first request. A key whose
+    observed weight after all its requests in the block stays below its
+    cached floor, or below its floor at T0, cannot drift in the block: the
+    total only grows, so its floor does too, and the prefix holds no
+    rebuild that could lower it. Any other key may drift no earlier than at
+    its occurrence that reaches the T0 floor, and the prefix ends before the
+    first such occurrence. The prefix is served per key, from its count in the prefix:
+    counts, `t` and the search cost grow, and a key whose floor was computed
+    at T0 caches that floor and gets its depth computed if no walk has. A
+    key that only occurs after the prefix is left alone. A block with a key
+    outside 1..n, or with one that `operator.index` rejects, is not served
+    at all, so that the exact loop raises at that key as it would one
+    request at a time. (The count merges equal keys: an integral float after
+    an equal integer key in its block is served as that key.)
+    """
+    counts = state.counters.counts
+    delta = _delta(state.smoothing)
+    floors, depths, depth_of = state.floors, state.known_depths, state.depth_of
+    tree_weights, tree_total = state.tree_weights, state.tree_total
+    total = state.counters.t + 1 + delta * state.n
+    stop = len(block)
+    try:
+        tally = prefix = Counter(block)
+        if min(map(index, tally)) < 1 or max(tally) > state.n:
+            return 0
+    except TypeError:  # a key that is not an integer
+        return 0
+    for key in tally:
+        c = prefix.get(key)
+        if c is None:  # keys come in order of first occurrence: the rest lie past the prefix
+            break
+        i = key - 1
+        if counts[i] + c + delta < floors[i]:
+            continue
+        floor = _drift_floor(tree_weights[i], tree_total, total)
+        need = floor - delta - counts[i]  # the key's requests until it reaches `floor`
+        if c >= need:
+            stop = block.index(key)
+            for _ in range(need - 1):
+                stop = block.index(key, stop + 1)
+            prefix = Counter(islice(block, stop))
+            if need < 2:  # the key's first request ends the prefix
+                continue
+        floors[i] = floor
+        if not depths[i]:
+            depth_of(i)
+    cost = 0
+    for key, c in prefix.items():
+        i = key - 1
+        counts[i] += c
+        cost += c * depths[i]
+    state.counters.t += stop
+    state.search_cost += cost
+    return stop
+
+
+def _serve_each(
+    state: SimulationState,
+    trace: Iterable[int],
+    on_step: Callable[[StepRecord], object] | None,
+) -> None:
+    """Serve the requests of `trace` one at a time, handing each request's
+    record to `on_step` if one is given.
 
     Order matters: counters update first, the drift test compares the
     updated observed weight against the key's cached floor and then, if it
@@ -333,6 +446,8 @@ def run(
     The run keeps O(n) state whatever the trace length: no per-step log. A
     caller that wants each step's record, such as a `checks.RunLedger`,
     passes `on_step`, which receives each request's `StepRecord` as served.
+    Without one, requests that cannot drift are served in bulk (see
+    `_serve_all`), to the same state and report.
     """
     c = state.counters
     t_start = c.t

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mutants
-from abst import checks
+from abst import checks, dynamic
 from abst.checks import (
     cold_surge_trace,
     depth_bound_ok,
@@ -74,6 +74,23 @@ def test_trigger_locality_suite_round_trips_each_rebuilt_tree(monkeypatch):
     violations = run_verify("quick")["trigger-locality"]
     assert len(violations) == 6
     assert all("matchings round trip changed the tree rebuilt at t=" in v for v in violations)
+
+
+def test_run_suites_flag_a_run_with_no_sink_that_differs(monkeypatch):
+    # a fault in the bulk path alone, which no ledger sees: each prefix
+    # served in bulk costs one more than its keys' depths
+    serve_prefix = dynamic._serve_safe_prefix
+
+    def overcharged(state, block):
+        served = serve_prefix(state, block)
+        state.search_cost += served > 0
+        return served
+
+    monkeypatch.setattr(dynamic, "_serve_safe_prefix", overcharged)
+    results = run_verify("quick")
+    for suite in ("dynamic-properties", "trigger-locality"):
+        assert results[suite], suite
+        assert all("the run with no sink reports" in v for v in results[suite]), results[suite]
 
 
 @given(

@@ -541,6 +541,131 @@ def test_run_writes_its_counters_back_before_errors_and_sinks():
     assert run(state, [1]).m == 4
 
 
+# A run with no sink serves its trace in blocks, and `dynamic._BLOCK_MIN`
+# requests or more go to each. Short traces reach the bulk path's outcomes
+# (blocks served whole, prefixes, backed-off stretches) only with small
+# blocks, so the oracle tests run both at the module's sizes and at these.
+SMALL_BLOCKS = [None, (4, 16)]
+
+
+@pytest.fixture
+def bulk_served(monkeypatch, request):
+    """Set the block sizes to `request.param` (None keeps the module's) and
+    return the list of prefix lengths `_serve_safe_prefix` serves. After each
+    prefix, every key with a cached floor must have a known depth."""
+    if request.param is not None:
+        monkeypatch.setattr(dynamic, "_BLOCK_MIN", request.param[0])
+        monkeypatch.setattr(dynamic, "_BLOCK_MAX", request.param[1])
+    served = []
+    serve_prefix = dynamic._serve_safe_prefix
+
+    def recorded(state, block):
+        served.append(serve_prefix(state, block))
+        assert all(d for f, d in zip(state.floors, state.known_depths) if f)
+        return served[-1]
+
+    monkeypatch.setattr(dynamic, "_serve_safe_prefix", recorded)
+    return served
+
+
+def assert_bulk_runs_match_the_oracle(n: int, trace, smoothing: str, alpha=4) -> None:
+    """Runs with no sink, over the whole trace, in chunks of odd sizes and
+    from a generator, all end in `serve_oracle`'s state."""
+    oracle_state = init(n, alpha, smoothing)
+    oracle = [serve_oracle(oracle_state, key) for key in trace]
+    runs = [[trace]] + [[trace[i:i + k] for i in range(0, len(trace), k)] for k in (7, 97, 301)]
+    runs.append([(key for key in trace)])
+    for chunks in runs:
+        state = init(n, alpha, smoothing)
+        for chunk in chunks:
+            report = run(state, chunk)
+        assert state == oracle_state and state.depths == oracle_state.depths
+        assert report.m == len(trace) and report.search_cost == sum(rec.depth for rec in oracle)
+        assert report.rebuilds == sum(rec.rebuilt for rec in oracle)
+
+
+@pytest.mark.parametrize("bulk_served", SMALL_BLOCKS, indirect=True)
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+@pytest.mark.parametrize("n, workload, m", [
+    (1, "uniform", 30),
+    (5, "zipf:1.5", 300),
+    (16, "uniform", 800),
+    (64, "zipf:1.0", 2000),
+    (300, "zipf:1.0", 1500),
+])
+def test_bulk_runs_match_the_step_oracle(bulk_served, smoothing, n, workload, m):
+    trace = generate(parse_workload(workload, n=n, m=m, seed=n))
+    assert_bulk_runs_match_the_oracle(n, trace, smoothing)
+    if n == 64:  # few rebuilds: the bulk path serves much of the five runs' 5 m requests
+        assert sum(bulk_served) > 2 * m
+
+
+@pytest.mark.parametrize("bulk_served", SMALL_BLOCKS, indirect=True)
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+def test_bulk_runs_match_the_oracle_on_surges(bulk_served, smoothing):
+    assert_bulk_runs_match_the_oracle(8, checks.cold_surge_trace(8, 5), smoothing, alpha=2)
+    floors_reset = [1] + [2, 3, 4] * 20 + [1] + [2] * 80 + [1] * 40
+    assert_bulk_runs_match_the_oracle(4, floors_reset, smoothing, alpha=2)
+    assert bulk_served
+
+
+# Laplace counts on hand-set tree weights of total 100; raw mode takes each
+# count plus one, which gives the same observed weights and totals. Key 1
+# (and in the last case key 2) has tree weight 1, so its drift floor is 3
+# at every observed total from 101 to 149: the block below starts at 101,
+# and the request that takes the key's observed weight to 3 rebuilds.
+@pytest.mark.parametrize("bulk_served", [(8, 8)], indirect=True)
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+@pytest.mark.parametrize("tree_weights, counts, block, stop", [
+    ((1, 49, 50), (1, 48, 48), [1, 3, 3, 3, 3, 3, 3, 3], 0),  # key 1 at its first request
+    ((1, 49, 50), (0, 48, 49), [1, 3, 3, 1, 3, 3, 3, 3], 3),  # key 1 mid-block
+    ((1, 49, 50), (0, 48, 49), [1, 3, 3, 3, 3, 3, 3, 1], 7),  # key 1 last in the block
+    ((1, 1, 98), (0, 1, 96), [1, 3, 3, 2, 3, 3, 1, 3], 3),    # key 2, before key 1 at 6
+])
+def test_bulk_prefix_ends_where_a_key_reaches_its_floor(
+    bulk_served, smoothing, tree_weights, counts, block, stop
+):
+    delta = dynamic._delta(smoothing)
+
+    def hand_made_state():
+        state = init(3, 2, smoothing)
+        state.tree_weights, state.tree_total = tree_weights, 100
+        raw = [c + 1 - delta for c in counts]
+        state.counters = CounterState(raw, sum(raw))
+        return state
+
+    state, oracle_state = hand_made_state(), hand_made_state()
+    start = state.counters.t
+    trace = block + [3] * 8
+    oracle = [serve_oracle(oracle_state, key) for key in trace]
+    assert next(rec.t for rec in oracle if rec.rebuilt) == start + stop + 1
+    run(state, trace)
+    assert bulk_served[0] == stop
+    assert state == oracle_state and state.depths == oracle_state.depths
+
+
+@pytest.mark.parametrize("bulk_served", SMALL_BLOCKS, indirect=True)
+@pytest.mark.parametrize("bad_at", [3, 300])
+def test_bulk_run_writes_its_counters_back_before_errors(bulk_served, bad_at):
+    # a bad key in the first block, and one past the first blocks: the run
+    # with no sink raises the same error and leaves the same state as a run
+    # that serves one request at a time
+    trace = generate(parse_workload("zipf:1.0", n=5, m=400, seed=2))
+    trace[bad_at] = 9
+    errors, states = [], []
+    for on_step in (lambda rec: None, None):
+        state = init(5, 2, SMOOTHING_NONE)
+        with pytest.raises(InvalidRequestError) as caught:
+            run(state, trace, on_step=on_step)
+        errors.append(str(caught.value))
+        states.append(state)
+    assert errors == ["key 9 outside 1..5"] * 2
+    sink_run, bulk_run = states
+    assert bulk_run.counters.t == bad_at and bulk_run == sink_run
+    assert bulk_run.depths == sink_run.depths
+    assert run(bulk_run, [1]).m == bad_at + 1
+
+
 def test_run_builds_no_tree(monkeypatch):
     # a rebuild recomputes the depth vector only; the parent pass that makes
     # a tree of it runs once per `state.tree` read and never inside `run`
