@@ -17,13 +17,14 @@ A request only ever reads its key's depth, so the simulator's state holds
 the depths of the current tree and builds no node. A rebuild computes the
 observed weights and their CDF midpoints and starts an empty depth cache
 (`trees.LazyCodedDepths`); a key's depth is computed at its first request
-after the rebuild, by a walk from the root that memoizes the root of each
-range it passes. That request always takes the drift test, because the
-rebuild also reset the key's cached floor to 0, and the test computes the
-depth; a request below its key's cached floor reads the depth and nothing
-else. In raw mode the depth of a key of zero tree weight is computed the
-same way, from the walks to its two coded neighbours. `state.depths` and
-`state.tree` fill in the depths no request has computed when they are read.
+after the rebuild, by a walk from the root that follows the child links
+earlier walks placed and splits the ranges below them. That request always
+takes the drift test, because the rebuild also reset the key's cached floor
+to 0, and the test computes the depth; a request below its key's cached
+floor reads the depth and nothing else. In raw mode the depth of a key of
+zero tree weight is computed the same way, from the walks to its two coded
+neighbours. `state.depths` and `state.tree` fill in the depths no request
+has computed when they are read.
 
 `run` and `step` serve requests through `_serve_all`. With a sink for the
 step records, every request goes through the exact loop, one at a time.
@@ -46,6 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from operator import index
 from typing import Callable, Iterable, Sequence
@@ -100,7 +102,7 @@ def _delta(smoothing: str) -> int:
 
 def _observed_weights(counts: Sequence[int], t: int, delta: int) -> tuple[tuple[int, ...], int]:
     """Observed weights of keys 1..n and their total."""
-    weights = tuple(map(delta.__add__, counts)) if delta else tuple(counts)
+    weights = tuple([c + delta for c in counts]) if delta else tuple(counts)
     return weights, t + delta * len(counts)
 
 
@@ -127,6 +129,10 @@ class StepRecord:
 
 @dataclass
 class SimulationReport:
+    """A run's costs and counts. The entropy of the observed frequencies
+    (`weights`, the request counts) and the theorem's bound are computed
+    when first read, so a run that never reports them pays no O(n) pass."""
+
     n: int
     m: int
     alpha: Fraction
@@ -135,12 +141,18 @@ class SimulationReport:
     adjust_cost: Fraction
     rebuilds: int
     total: Fraction
-    entropy_empirical: float
-    theorem_bound: float
     theorem_applicable: bool
     weights: tuple[int, ...]
     stat_cost: int | None = None
     rho: float | None = None
+
+    @cached_property
+    def entropy_empirical(self) -> float:
+        return entropy_of_weights(self.weights)
+
+    @property
+    def theorem_bound(self) -> float:
+        return self.m * (8.0 + self.entropy_empirical)
 
     def to_dict(self) -> dict:
         out = {
@@ -455,7 +467,6 @@ def run(
     if c.t == t_start:
         raise ValueError("empty trace")
     m = c.t
-    h = entropy_of_weights(c.counts)
     applicable = state.alpha >= 2 and m + 1e-9 >= theorem_threshold(state.n, state.alpha)
     return SimulationReport(
         n=state.n,
@@ -466,8 +477,6 @@ def run(
         adjust_cost=state.adjust_cost,
         rebuilds=state.rebuilds,
         total=state.search_cost + state.adjust_cost,
-        entropy_empirical=h,
-        theorem_bound=m * (8.0 + h),
         theorem_applicable=applicable,
         weights=tuple(c.counts),
     )

@@ -21,10 +21,13 @@ nearly optimal trees (Acta Informatica 5, 1975) split by bisecting
 cumulative weights in the same way.
 
 `coded_depths` walks every range from an explicit stack. `LazyCodedDepths`
-walks only from the root down to a key whose depth is asked for, memoizing
-each range's root, so that the keys asked for share the top of the tree;
-a key of zero weight needs only the walks to its two coded neighbours. The
-simulator uses it, as a request reads only its own key's depth.
+walks only from the root down to a key whose depth is asked for. It keeps
+the part of the tree walked so far as child links by rank, and each placed
+rank's range and code prefix, so a walk follows the links and splits only
+below the last placed rank on its path: the keys asked for share the top of
+the tree, and `_split` runs once per rank placed. A key of zero weight needs
+only the walks to its two coded neighbours. The simulator uses it, as a request
+reads only its own key's depth.
 
 A BST is fixed by its in-order keys and their depths, so a `SearchTree` is
 those two tuples and nothing else; `sfe_to_bst` pairs the keys with
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import accumulate, chain, compress
 from operator import add
 from typing import Callable, Iterable, Sequence
 
@@ -63,8 +66,8 @@ class SearchTree:
 def _midpoints(weights: Sequence[int]) -> list[int]:
     """M_i = C_{i-1} + C_i for the prefix sums C: key i's CDF midpoint over
     total S is M_i / 2S."""
-    cum = list(accumulate(weights, initial=0))
-    return list(map(add, cum, islice(cum, 1, None)))
+    # M_i - M_{i-1} = w_{i-1} + w_i, so one running sum builds them
+    return list(accumulate(map(add, weights, chain((0,), weights))))
 
 
 def _split(
@@ -79,9 +82,10 @@ def _split(
         return lo
     if s > hi:
         return hi
-    # the shorter-coded flank, ties left; a code never lengthens as its weight grows
+    # the shorter-coded flank, ties left; a code never lengthens as its weight
+    # grows, and for a < b the codes tie iff a reaches S within b's code length
     a, b = weights[s - 1], weights[s]
-    return s - 1 if a >= b or code_length(a, total) == code_length(b, total) else s
+    return s - 1 if a >= b or a << code_length(b, total) - 1 >= total else s
 
 
 def coded_depths(weights: Sequence[int], total: int) -> list[int]:
@@ -132,10 +136,13 @@ class LazyCodedDepths:
 
     `depths` holds every depth computed so far and 0 for the rest, and
     `depth(i)` computes key i's. The split rule runs over the ranks of the
-    keys of positive weight: a walk goes from the root down to rank r and
-    records in `rank_depths` the depth of each rank on the way, and `roots`
-    memoizes each range's root by (lo, hi), so it never holds more than one
-    range per key. With no zero weight a rank is a key's position and
+    keys of positive weight, and the tree is kept as child links by rank,
+    -1 until a walk needs the child. A walk goes from the root down the
+    links to rank r; at a missing link it splits the child's range, read
+    from the parent's range `lo..hi` and code prefix `p` (kept per placed
+    rank in `ranges`), and records the child's depth in `rank_depths`. So
+    `_split` runs once per placed rank, and a level already walked costs
+    one list read. With no zero weight a rank is a key's position and
     `rank_depths` is `depths`. A key of zero weight takes the depth
     `coded_depths` grafts it at, from the walks to its two coded neighbours
     only.
@@ -143,7 +150,6 @@ class LazyCodedDepths:
 
     def __init__(self, weights: Sequence[int], total: int):
         self.total = total
-        self.roots: dict[tuple[int, int], int] = {}
         self.depths = [0] * len(weights)
         if 0 in weights:
             self.coded: list[int] | None = list(compress(range(len(weights)), weights))
@@ -152,6 +158,16 @@ class LazyCodedDepths:
         else:
             self.coded, self.weights, self.rank_depths = None, weights, self.depths
         self.mids = _midpoints(self.weights)
+        k = len(self.weights)
+        self.left, self.right = [-1] * k, [-1] * k
+        # (lo, hi, p) of each placed rank: it is the root of ranks lo..hi,
+        # whose codewords share the prefix p of its depth less one bits
+        self.ranges: dict[int, tuple[int, int, int]] = {}
+        self.root = -1
+        if k:
+            self.root = _split(self.mids, self.weights, total, 0, k - 1, 0, 0)
+            self.rank_depths[self.root] = 1
+            self.ranges[self.root] = (0, k - 1, 0)
 
     @property
     def depth(self) -> Callable[[int], int]:
@@ -161,21 +177,27 @@ class LazyCodedDepths:
 
     def _walk(self, i: int) -> int:
         """Depth of the key of positive weight of rank i (0-based)."""
-        mids, weights, total = self.mids, self.weights, self.total
-        depths, roots = self.rank_depths, self.roots
-        lo, hi, d, p = 0, len(weights) - 1, 0, 0
+        depths = self.rank_depths
+        if depths[i]:
+            return depths[i]
+        left, right = self.left, self.right
+        r = self.root
+        while (c := left[r] if i < r else right[r]) >= 0:  # i is not placed: no c is i
+            r = c
+        mids, weights, total, ranges = self.mids, self.weights, self.total, self.ranges
+        lo, hi, p = ranges[r]
+        d = depths[r]  # the bits r's children share
         while True:
-            r = roots.get((lo, hi))
-            if r is None:
-                r = roots[lo, hi] = _split(mids, weights, total, lo, hi, d, p)
-                depths[r] = d + 1
-            if r == i:
-                return d + 1
-            d, p = d + 1, 2 * p
             if i < r:
-                hi = r - 1
+                links, hi, p = left, r - 1, 2 * p
             else:
-                lo, p = r + 1, p + 1
+                links, lo, p = right, r + 1, 2 * p + 1
+            c = links[r] = _split(mids, weights, total, lo, hi, d, p)
+            r, d = c, d + 1
+            depths[r] = d
+            ranges[r] = (lo, hi, p)
+            if r == i:
+                return d
 
     def _grafted_depth(self, i: int) -> int:
         """Depth of key i of a weight vector with a zero: a coded key's

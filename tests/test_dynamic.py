@@ -731,6 +731,37 @@ def test_report_dict_schema():
     assert "stat_cost" in report.to_dict() and "rho" in report.to_dict()
 
 
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+def test_report_entropy_read_on_demand_equals_the_eager_formula(smoothing):
+    trace = generate(parse_workload("zipf:1.0", n=64, m=6000, seed=99))
+    report = run(init(64, 4, smoothing), trace)
+    counts = [0] * 64
+    for key in trace:
+        counts[key - 1] += 1
+    m = sum(counts)
+    h = sum((w / m) * math.log2(m / w) for w in counts if w > 0)  # as `run` once computed it
+    data = report.to_dict()
+    assert data["entropy_empirical"].hex() == h.hex()
+    assert data["theorem_bound"].hex() == (m * (8.0 + h)).hex()
+    assert report.theorem_bound == report.m * (8.0 + report.entropy_empirical)
+
+
+def test_chunked_run_computes_the_entropy_only_when_read(monkeypatch):
+    calls = []
+    entropy = dynamic.entropy_of_weights
+    monkeypatch.setattr(dynamic, "entropy_of_weights", lambda w: calls.append(w) or entropy(w))
+    trace = generate(parse_workload("zipf:1.5", n=128, m=8000, seed=7))
+    state = init(128, 8)
+    for a in range(0, len(trace), 1000):
+        report = run(state, trace[a:a + 1000])
+    assert calls == []
+    bound = report.theorem_bound
+    data = report.to_dict()
+    assert len(calls) == 1 and calls[0] == report.weights
+    assert data["theorem_bound"] == bound == report.m * (8.0 + report.entropy_empirical)
+    assert len(calls) == 1  # read three times, computed once
+
+
 def test_fractional_alpha_accounting():
     state = init(5, Fraction(5, 2), SMOOTHING_NONE)
     report = run(state, WORKED_TRACE)

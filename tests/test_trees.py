@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trie_oracle
+from abst import trees
 from abst.dynamic import init, run, tree_for_probs
 from abst.matching import bst_to_matchings, matchings_to_bst
 from abst.sfe import (
     CodeTable,
     ProbabilityDistribution,
     build_sfe_code,
+    code_length,
     is_prefix_free,
     parse_distribution,
 )
@@ -286,15 +289,34 @@ def test_lcp_walk_matches_bisect_walk_random():
 def requested_in_random_order(weights, total, rng) -> list[int]:
     """Every key's depth from `LazyCodedDepths`, asked for in a random order
     as the simulator asks: a key's walk runs unless an earlier walk passed
-    it. Checks that the memo holds no more ranges than there are keys."""
-    lazy = LazyCodedDepths(weights, total)
+    it. The dict-memo walk it replaced, asked in the same order, must give
+    the same depths at every step. Checks that `_split` runs exactly once per
+    placed rank, halfway through and at the end, as the oracle's dict holds
+    one range per placed rank; asking for a known depth again splits
+    nothing."""
+    calls = 0
+    split = trees._split
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return split(*args)
+
     order = list(range(len(weights)))
     rng.shuffle(order)
     got = [0] * len(weights)
-    for i in order:
-        got[i] = lazy.depths[i] or lazy.depth(i)
-    assert lazy.depths == got
-    assert len(lazy.roots) <= len(weights)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trees, "_split", counted)
+        lazy = LazyCodedDepths(weights, total)
+        oracle = trie_oracle.RangeMemoDepths(weights, total)
+        for step, i in enumerate(order, 1):
+            got[i] = lazy.depths[i] or lazy.depth(i)
+            assert got[i] == (oracle.depths[i] or oracle.depth(i)), (weights, i)
+            if step == len(order) // 2:
+                assert calls == sum(map(bool, lazy.rank_depths)) == len(oracle.roots)
+        assert lazy.depths == got == oracle.depths
+        assert [lazy.depth(i) for i in range(len(weights))] == got  # asked again: no split
+    assert calls == sum(map(bool, lazy.rank_depths)) == len(oracle.roots)
     return got
 
 
@@ -359,6 +381,54 @@ def test_on_demand_grafted_depths_match_the_full_walk_random():
             weights[rng.randrange(n)] = rng.randint(1, 9)
         total = sum(weights)
         assert requested_in_random_order(weights, total, rng) == coded_depths(weights, total)
+
+
+def test_one_call_tie_rule_matches_two_code_lengths():
+    """For a < b the codes tie iff a << (code_length(b) - 1) >= S: checked on
+    weight pairs at dyadic and near-dyadic ratios and at 2^40 scale, then on
+    every range `coded_depths` splits, against the two-length `_split`."""
+    rng = random.Random(2040)
+    outcomes = []
+    for case in range(6000):
+        total = rng.randint(1, 2**20) << rng.randrange(45)
+        if case % 3 == 2:
+            total = rng.randint(2**40, 2**42)
+        a = total >> rng.randrange(1, 44)  # a dyadic ratio, when the shift is exact
+        if case % 3 == 1:
+            a += rng.choice((-1, 1))
+        elif case % 3 == 2:
+            a = rng.randint(2**38, 2**40)
+        if a < 1:
+            continue
+        # b just above a, up to twice a, exactly twice, just past it, or far past
+        b = a + rng.choice((1, rng.randint(1, a), a, a + 1, rng.randint(1, 4 * a)))
+        if b > total:
+            continue
+        tied = code_length(a, total) == code_length(b, total)
+        assert (a << code_length(b, total) - 1 >= total) == tied, (a, b, total)
+        outcomes.append(tied)
+    assert outcomes.count(True) > 1000 and outcomes.count(False) > 1000
+
+    split = trees._split
+    flanks = []  # for each split where the lighter flank is left: whether it won
+
+    def both(mids, weights, total, lo, hi, d, p):
+        r = split(mids, weights, total, lo, hi, d, p)
+        assert r == trie_oracle.split_two_lengths(mids, weights, total, lo, hi, d, p)
+        s = bisect_left(mids, -(-(2 * p + 1) * total >> d), lo, hi + 1)
+        if lo < s <= hi and weights[s - 1] < weights[s]:
+            flanks.append(r == s - 1)
+        return r
+
+    palettes = [(1, 2, 4, 8, 16), (3, 5, 7, 9, 15, 17, 31, 33), (2**40 - 1, 2**40, 2**40 + 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trees, "_split", both)
+        for case in range(900):
+            weights = [rng.choice(palettes[case % 3]) for _ in range(rng.randint(2, 60))]
+            if case % 6 == 0:  # a power-of-two total
+                weights.append((1 << sum(weights).bit_length()) - sum(weights))
+            coded_depths(weights, sum(weights))
+    assert flanks.count(True) > 1000 and flanks.count(False) > 1000
 
 
 def test_depth_vector_matches_node_oracle_random():

@@ -19,6 +19,13 @@ can require the two to give identical trees and depth maps. The code trie it
 replaced was retired once it had been frozen as golden trees and code tables
 (`tests/golden/trie_trees.json`).
 
+`RangeMemoDepths` is the on-demand walk `abst.trees.LazyCodedDepths` ran
+before it kept the tree as child links by rank: each walk level builds a
+`(lo, hi)` key and looks the range's root up in a dict. It is kept as
+written, and splits with the library's `_split`, so the tests can require
+both walks to memoize the same tree. `split_two_lengths` is `_split` as
+it was before its tie test computed one code length, not two.
+
 `abst.trees.SearchTree` is a BST's in-order keys and depths, with no nodes.
 The oracles here build a `LinkedTree` of `Node`s, as the library once did,
 and only what they return is converted, by `LinkedTree.search_tree`.
@@ -30,10 +37,11 @@ its nodes. Only tests import this module.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
+from itertools import compress
+from typing import Callable, Sequence
 
-from abst.sfe import sfe_code
-from abst.trees import SearchTree
+from abst.sfe import code_length, sfe_code
+from abst.trees import SearchTree, _midpoints, _split
 
 
 class Node:
@@ -318,3 +326,88 @@ def insert_key(tree: LinkedTree, key: int) -> int:
                 return depth
             node = node.right
         depth += 1
+
+
+class RangeMemoDepths:
+    """The depths of `coded_depths(weights, total)`, each computed when it is
+    first asked for.
+
+    `depths` holds every depth computed so far and 0 for the rest, and
+    `depth(i)` computes key i's. The split rule runs over the ranks of the
+    keys of positive weight: a walk goes from the root down to rank r and
+    records in `rank_depths` the depth of each rank on the way, and `roots`
+    memoizes each range's root by (lo, hi), so it never holds more than one
+    range per key. With no zero weight a rank is a key's position and
+    `rank_depths` is `depths`. A key of zero weight takes the depth
+    `coded_depths` grafts it at, from the walks to its two coded neighbours
+    only.
+    """
+
+    def __init__(self, weights: Sequence[int], total: int):
+        self.total = total
+        self.roots: dict[tuple[int, int], int] = {}
+        self.depths = [0] * len(weights)
+        if 0 in weights:
+            self.coded: list[int] | None = list(compress(range(len(weights)), weights))
+            self.weights: Sequence[int] = list(filter(None, weights))
+            self.rank_depths = [0] * len(self.coded)
+        else:
+            self.coded, self.weights, self.rank_depths = None, weights, self.depths
+        self.mids = _midpoints(self.weights)
+
+    @property
+    def depth(self) -> Callable[[int], int]:
+        """`depth(i)` is the depth of key i (0-based). With no zero weight it
+        is the walk itself, so a caller that holds it pays no rank lookup."""
+        return self._walk if self.coded is None else self._grafted_depth
+
+    def _walk(self, i: int) -> int:
+        """Depth of the key of positive weight of rank i (0-based)."""
+        mids, weights, total = self.mids, self.weights, self.total
+        depths, roots = self.rank_depths, self.roots
+        lo, hi, d, p = 0, len(weights) - 1, 0, 0
+        while True:
+            r = roots.get((lo, hi))
+            if r is None:
+                r = roots[lo, hi] = _split(mids, weights, total, lo, hi, d, p)
+                depths[r] = d + 1
+            if r == i:
+                return d + 1
+            d, p = d + 1, 2 * p
+            if i < r:
+                hi = r - 1
+            else:
+                lo, p = r + 1, p + 1
+
+    def _grafted_depth(self, i: int) -> int:
+        """Depth of key i of a weight vector with a zero: a coded key's
+        walk, or the chain rule of `coded_depths` for a zero-weight key, one
+        below the deeper coded neighbour per step from the coded key
+        before it."""
+        coded, by_rank = self.coded, self.rank_depths
+        r = bisect_left(coded, i)  # the coded keys before i
+        if r < len(coded) and coded[r] == i:
+            depth = by_rank[r] or self._walk(r)
+        else:
+            before = (by_rank[r - 1] or self._walk(r - 1)) if r else 0
+            after = (by_rank[r] or self._walk(r)) if r < len(coded) else 0
+            depth = max(before, after) + i - (coded[r - 1] if r else -1)
+        self.depths[i] = depth
+        return depth
+
+
+def split_two_lengths(
+    mids: list[int], weights: Sequence[int], total: int, lo: int, hi: int, d: int, p: int
+) -> int:
+    """The root of keys lo..hi of positive weight, whose codewords share the
+    d-bit prefix p."""
+    if lo == hi:
+        return lo
+    s = bisect_left(mids, -(-(2 * p + 1) * total >> d), lo, hi + 1)  # first bit d of 1
+    if s == lo:
+        return lo
+    if s > hi:
+        return hi
+    # the shorter-coded flank, ties left; a code never lengthens as its weight grows
+    a, b = weights[s - 1], weights[s]
+    return s - 1 if a >= b or code_length(a, total) == code_length(b, total) else s
