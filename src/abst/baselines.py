@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Iterator
 
 from .trees import SearchTree, build_balanced, build_from_roots, depth_map
@@ -49,38 +50,44 @@ def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
     plus the best split. Only successful searches carry weight, so there are
     no gap terms. Root ties break toward the smaller key.
 
-    The root scan of keys i..j is limited to root[i][j-1]..root[i+1][j],
+    The root scan of keys i..j is limited to root(i, j-1)..root(i+1, j),
     which makes the whole table O(n^2). Knuth (1971, "Optimum binary search
     trees", Acta Informatica 1) proved that bound, and Yao (1980, "Efficient
     dynamic programming using quadrangle inequalities") showed that it holds
     for the smallest optimal root, the one the tie rule picks.
+
+    Rows are filled i from n down to 1, j rising, so both bounds of a cell
+    are known: root(i, j-1) is the root just found, carried in `lo`, and
+    root(i+1, j) comes from the row below. The tables are triangular. Root r
+    of keys i..j costs `left[r] + cols[j][r]`: `left[r]` is the cost of keys
+    i..r-1, kept for the row being filled, and `cols[j][r]` that of keys
+    r+1..j, with column j filled bottom-up. `roots[i][j - i]` is the root
+    of keys i..j.
     """
     n = weights.n
     w = weights.weights
-    prefix = [0] * (n + 1)
-    for i, wi in enumerate(w):
-        prefix[i + 1] = prefix[i] + wi
+    prefix = [0, *accumulate(w)]
+    left = [0] * (n + 2)  # left[i] = 0 is the empty interval
+    cols = [[0] * (j + 1) for j in range(n + 1)]  # cols[j][j] = 0 likewise
+    roots = [[] for _ in range(n + 2)]
+    for i in range(n, 0, -1):
+        left[i + 1] = cols[i][i - 1] = w[i - 1]
+        lo = i
+        roots_i = roots[i] = [i]
+        below = prefix[i - 1]
+        # cell (i, j) for j rising, and j1 = j + 1
+        for j1, hi, col_j, prefix_j in zip(range(i + 2, n + 2), roots[i + 1],
+                                           islice(cols, i + 1, None), islice(prefix, i + 1, None)):
+            best = left[lo] + col_j[lo]
+            if hi > lo:  # most cells have one candidate root
+                for r in range(lo + 1, hi + 1):
+                    c = left[r] + col_j[r]
+                    if c < best:
+                        best, lo = c, r
+            left[j1] = col_j[i - 1] = best + prefix_j - below
+            roots_i.append(lo)
 
-    # cost[i][j] for 1 <= i <= j <= n; empty intervals cost 0
-    cost = [[0] * (n + 2) for _ in range(n + 2)]
-    root = [[0] * (n + 2) for _ in range(n + 2)]
-    for i in range(1, n + 1):
-        cost[i][i] = w[i - 1]
-        root[i][i] = i
-    for length in range(2, n + 1):
-        for i in range(1, n - length + 2):
-            j = i + length - 1
-            cost_i, root_i = cost[i], root[i]
-            lo, hi = root_i[j - 1], root[i + 1][j]
-            best, best_r = cost_i[lo - 1] + cost[lo + 1][j], lo
-            for r in range(lo + 1, hi + 1):
-                c = cost_i[r - 1] + cost[r + 1][j]
-                if c < best:
-                    best, best_r = c, r
-            cost_i[j] = best + prefix[j] - prefix[i - 1]
-            root_i[j] = best_r
-
-    return cost[1][n], build_from_roots(n, lambda i, j: root[i][j])
+    return cols[n][0], build_from_roots(n, lambda i, j: roots[i][j - i])
 
 
 def _all_shapes(lo: int, hi: int) -> Iterator:

@@ -371,7 +371,9 @@ def _serve_each(
     served on the post-rebuild tree. A key's cached floor is 0 until its
     first request after a rebuild, so that request always takes the drift
     test, which computes the key's depth if no walk has; a request below its
-    key's cached floor finds the depth known. The state's hot fields live in
+    key's cached floor finds the depth known. A key outside 1..n, or one that
+    is not an integer, raises `InvalidRequestError` naming it, with the state
+    as it was after the previous request. The state's hot fields live in
     locals; `t` and the search cost are written back to the state before any
     exception leaves and before `on_step` receives a step's record.
     """
@@ -387,10 +389,13 @@ def _serve_each(
     t, search = c.t, state.search_cost
     try:
         for key in trace:
-            if not 1 <= key <= n:
-                raise InvalidRequestError(f"key {key} outside 1..{n}")
-            i = key - 1
-            w = counts[i] + 1
+            try:  # free on Python 3.11+, and it cannot catch a sink's TypeError
+                if not 1 <= key <= n:
+                    raise InvalidRequestError(f"key {key} outside 1..{n}")
+                i = key - 1
+                w = counts[i] + 1
+            except TypeError:
+                raise InvalidRequestError(f"key {key!r} is not an integer") from None
             counts[i] = w
             t += 1
             rebuilt = False

@@ -22,7 +22,8 @@ class InvalidMatchingError(AbstError, ValueError):
 
 
 class InvalidRequestError(AbstError, ValueError):
-    """A simulated request names a key outside the fixed key set."""
+    """A simulated request names a key outside the fixed key set, or one
+    that is not an integer."""
 
 
 class TraceParseError(AbstError, ValueError):

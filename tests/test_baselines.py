@@ -10,7 +10,8 @@ from abst.baselines import (
     optimal_static_cost,
     tree_cost,
 )
-from abst.trees import SearchTree, depth_map, format_tree, in_order
+from abst.trees import SearchTree, build_from_roots, depth_map, format_tree, in_order
+from abst.workload import generate, parse_workload
 from trie_oracle import LinkedTree, Node
 
 
@@ -53,6 +54,47 @@ def cubic_optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
         stack.append((i, node.key - 1, node, True))
         stack.append((node.key + 1, j, node, False))
     return cost[1][n], tree.search_tree()
+
+
+def square_knuth_optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
+    """Knuth's O(n^2) DP filled by interval length over two (n+2)^2 tables,
+    as `optimal_static_cost` was before it filled triangular tables row by
+    row. Test oracle."""
+    n = weights.n
+    w = weights.weights
+    prefix = [0] * (n + 1)
+    for i, wi in enumerate(w):
+        prefix[i + 1] = prefix[i] + wi
+
+    # cost[i][j] for 1 <= i <= j <= n; empty intervals cost 0
+    cost = [[0] * (n + 2) for _ in range(n + 2)]
+    root = [[0] * (n + 2) for _ in range(n + 2)]
+    for i in range(1, n + 1):
+        cost[i][i] = w[i - 1]
+        root[i][i] = i
+    for length in range(2, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            cost_i, root_i = cost[i], root[i]
+            lo, hi = root_i[j - 1], root[i + 1][j]
+            best, best_r = cost_i[lo - 1] + cost[lo + 1][j], lo
+            for r in range(lo + 1, hi + 1):
+                c = cost_i[r - 1] + cost[r + 1][j]
+                if c < best:
+                    best, best_r = c, r
+            cost_i[j] = best + prefix[j] - prefix[i - 1]
+            root_i[j] = best_r
+
+    return cost[1][n], build_from_roots(n, lambda i, j: root[i][j])
+
+
+def assert_matches_oracles(weights: WeightVector) -> None:
+    """The DP's cost and tree equal both oracles'."""
+    cost, tree = optimal_static_cost(weights)
+    for oracle in (cubic_optimal_static_cost, square_knuth_optimal_static_cost):
+        want_cost, want_tree = oracle(weights)
+        assert cost == want_cost, oracle.__name__
+        assert format_tree(tree) == format_tree(want_tree), oracle.__name__
 
 
 def test_weight_vector_validation():
@@ -117,11 +159,19 @@ def test_knuth_dp_matches_cubic_dp_random():
         weights = [rng.choice(palette) for _ in range(n)]
         if not any(weights):
             weights[rng.randrange(n)] = 1
-        weights = WeightVector(tuple(weights))
-        cost, tree = optimal_static_cost(weights)
-        want_cost, want_tree = cubic_optimal_static_cost(weights)
-        assert cost == want_cost
-        assert format_tree(tree) == format_tree(want_tree)
+        assert_matches_oracles(WeightVector(tuple(weights)))
+
+
+@pytest.mark.parametrize("workload", ["uniform", "zipf:1.0", "zipf:1.5"])
+def test_knuth_dp_matches_oracles_on_generated_counts(workload):
+    # raw counts, as `compare --smoothing none` passes them; traces of m <= n
+    # leave many keys at zero
+    for n, ms in ((128, (16, 128, 2560)), (300, (300,))):
+        for m in ms:
+            counts = [0] * n
+            for key in generate(parse_workload(workload, n=n, m=m, seed=n + m)):
+                counts[key - 1] += 1
+            assert_matches_oracles(WeightVector(tuple(counts)))
 
 
 def test_zero_weight_keys_stay_in_tree():

@@ -666,6 +666,33 @@ def test_bulk_run_writes_its_counters_back_before_errors(bulk_served, bad_at):
     assert run(bulk_run, [1]).m == bad_at + 1
 
 
+@pytest.mark.parametrize("bad_key", [1.5, 2.0, "3", None])
+@pytest.mark.parametrize("how", ["sink", "no sink", "step"])
+def test_a_key_that_is_not_an_integer_is_a_typed_error(bad_key, how):
+    # the bad key's block holds no equal integer key, so the bulk path
+    # cannot count it as one
+    state = init(3, 2)
+    run(state, [1, 2, 3] * 50)
+    with pytest.raises(InvalidRequestError) as caught:
+        if how == "step":
+            step(state, 1)
+            step(state, bad_key)
+        else:
+            run(state, [1, bad_key], on_step=(lambda rec: None) if how == "sink" else None)
+    assert str(caught.value) == f"key {bad_key!r} is not an integer"
+    assert state.counters.t == 151 and state.counters.counts == [51, 50, 50]
+    assert run(state, [2]).m == 152
+
+
+def test_a_sinks_own_type_error_escapes_as_is():
+    def sink(rec):
+        raise TypeError("raised by the sink")
+
+    state = init(3, 2)
+    with pytest.raises(TypeError, match="raised by the sink"):
+        run(state, [1, 2], on_step=sink)
+    assert state.counters.t == 1
+
 def test_run_builds_no_tree(monkeypatch):
     # a rebuild recomputes the depth vector only; the parent pass that makes
     # a tree of it runs once per `state.tree` read and never inside `run`
