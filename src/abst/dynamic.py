@@ -28,15 +28,16 @@ has computed when they are read.
 
 `run` and `step` serve requests through `_serve_all`. With a sink for the
 step records, every request goes through the exact loop, one at a time.
-Without one, the trace is taken in blocks, and most requests cannot drift:
-a key whose observed weight after all its requests in a block stays below
-its floor at the block's first request is safe for the whole block. So
-each block is counted at C speed (`collections.Counter`), the prefix before
-the first request that could reach its key's floor is served per key, and
-the exact loop serves the rest of the block, rebuilding where it would one
-request at a time. This module holds no checker code: the drift-invariant
-guard and the cost-accounting checks' bookkeeping read the `StepRecord`
-stream through `checks.RunLedger`.
+Without one, the trace is taken in blocks of 256 to 8192 requests, and most
+requests cannot drift: a key whose observed weight after all its requests
+in a block stays below its floor at the block's first request is safe for
+the whole block. So each block is counted at C speed (`collections.Counter`)
+and served in one pass over that count while no key can drift. Where a
+request could reach its key's floor, the prefix before it is served per
+key, and the exact loop serves the rest of the block, rebuilding where it
+would one request at a time. This module holds no checker code: the
+drift-invariant guard and the cost-accounting checks' bookkeeping read the
+`StepRecord` stream through `checks.RunLedger`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from operator import index
 from typing import Callable, Iterable, Sequence
 
@@ -60,12 +61,14 @@ SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
 SMOOTHING_MODES = (SMOOTHING_LAPLACE, SMOOTHING_NONE)
 
-# Requests per block of a run without a sink (`_serve_all`). Below the
-# minimum, counting a block costs more than serving it one request at a time;
+# Requests per block of a run without a sink (`_serve_all`), 256 to 8192.
+# Below the minimum, counting a block costs more than serving it one request
+# at a time. A block in which no key can drift is served in one pass over its
+# count, so a larger block spreads that pass's fixed cost over more requests;
 # the cap bounds the block a run holds, so that its peak memory does not grow
 # with the trace.
 _BLOCK_MIN = 256
-_BLOCK_MAX = 1024
+_BLOCK_MAX = 8192
 
 
 @dataclass
@@ -271,16 +274,18 @@ def _serve_all(
 
     A run with a sink takes every request through the exact loop,
     `_serve_each`, which hands each request's record to `on_step`. A run
-    without one takes the trace in blocks: `_serve_safe_prefix` serves in
-    bulk each block's prefix in which no request can drift, and the exact
-    loop serves the rest of the block, so a rebuild happens at the request
-    where it would happen one request at a time. A block starts at
-    `_BLOCK_MIN` requests and doubles after each block served whole, up to
-    `_BLOCK_MAX`. After a block that was not, the exact loop also serves the
-    next `_BLOCK_MIN` requests, twice as many after each such block in a
-    row, up to `_BLOCK_MAX`, and the next block starts at `_BLOCK_MIN`
-    again: where rebuilds come every few requests, as in raw mode while
-    keys are unseen, counting blocks only costs time.
+    without one takes the trace in blocks of 256 to 8192 requests.
+    `_serve_safe_prefix` serves a block in one pass while no key can drift;
+    otherwise it serves in bulk the block's prefix in which no request can
+    drift, and the exact loop serves the rest of the block, so a rebuild
+    happens at the request where it would happen one request at a time. A
+    block starts at `_BLOCK_MIN` requests and doubles after each block
+    served whole, up to `_BLOCK_MAX`. After a block that was not, the exact
+    loop also serves the next `_BLOCK_MIN` requests, twice as many after
+    each such block in a row, up to `_BLOCK_MAX`, and the next block starts
+    at `_BLOCK_MIN` again: where rebuilds come every few requests, as in raw
+    mode while keys are unseen, counting blocks only costs time. Each block
+    is dropped before the next is read, so a run holds one block at a time.
     """
     if on_step is not None:
         _serve_each(state, trace, on_step)
@@ -295,6 +300,7 @@ def _serve_all(
             size, skip = _BLOCK_MIN, min(2 * skip or _BLOCK_MIN, _BLOCK_MAX)
             _serve_each(state, islice(block, served, None), None)
             _serve_each(state, islice(requests, skip), None)
+        del block  # before the next block is read
 
 
 def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
@@ -307,10 +313,16 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
     total only grows, so its floor does too, and the prefix holds no
     rebuild that could lower it. Any other key may drift no earlier than at
     its occurrence that reaches the T0 floor, and the prefix ends before the
-    first such occurrence. The prefix is served per key, from its count in the prefix:
-    counts, `t` and the search cost grow, and a key whose floor was computed
-    at T0 caches that floor and gets its depth computed if no walk has. A
-    key that only occurs after the prefix is left alone. A block with a key
+    first such occurrence.
+
+    The block is served in one pass over its count while no key can drift:
+    each key in turn is tested, and its count and search cost are added at
+    once. A key whose floor was computed at T0 caches that floor and gets
+    its depth computed if no walk has. At the first key that may drift, the
+    counts already added are taken back and only the prefix is served: from
+    that key on, each key is tested with its count in the prefix, a key that
+    only occurs after the prefix is left alone, and then each key's count in
+    the prefix and its search cost are added. A block with a key
     outside 1..n, or with one that `operator.index` rejects, is not served
     at all, so that the exact loop raises at that key as it would one
     request at a time. (The count merges equal keys: an integral float after
@@ -321,14 +333,38 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
     floors, depths, depth_of = state.floors, state.known_depths, state.depth_of
     tree_weights, tree_total = state.tree_weights, state.tree_total
     total = state.counters.t + 1 + delta * state.n
-    stop = len(block)
     try:
-        tally = prefix = Counter(block)
+        tally = Counter(block)
         if min(map(index, tally)) < 1 or max(tally) > state.n:
             return 0
     except TypeError:  # a key that is not an integer
         return 0
-    for key in tally:
+    cost = 0
+    keys = iter(tally.items())
+    for key, c in keys:
+        i = key - 1
+        w = counts[i] + c
+        if w + delta >= floors[i]:
+            floor = _drift_floor(tree_weights[i], tree_total, total)
+            if w + delta >= floor:
+                break
+            floors[i] = floor
+            if not depths[i]:
+                depth_of(i)
+        counts[i] = w
+        cost += c * depths[i]
+    else:
+        state.counters.t += len(block)
+        state.search_cost += cost
+        return len(block)
+    # `key` may reach its floor in the block: take back the keys served
+    # before it, and end the prefix before the first request that can drift
+    for k, served in tally.items():
+        if k == key:
+            break
+        counts[k - 1] -= served
+    prefix, stop = tally, len(block)
+    for key, _ in chain([(key, c)], keys):
         c = prefix.get(key)
         if c is None:  # keys come in order of first occurrence: the rest lie past the prefix
             break
@@ -405,7 +441,8 @@ def _serve_each(
                     floors[i] = floor
                 else:
                     rebuilt = True
-                    depth_pre = depths[i] or depth_of(i)
+                    if per_step:  # only a record reads the old tree's depth
+                        depth_pre = depths[i] or depth_of(i)
                     tree_weights, tree_total = _observed_weights(counts, t, delta)
                     coded = LazyCodedDepths(tree_weights, tree_total)
                     depths, depth_of = coded.depths, coded.depth

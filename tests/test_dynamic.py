@@ -1,8 +1,13 @@
+import copy
 import gc
 import math
+import pickle
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
+from operator import index
 
 import pytest
 
@@ -548,11 +553,74 @@ def test_run_writes_its_counters_back_before_errors_and_sinks():
 SMALL_BLOCKS = [None, (4, 16)]
 
 
+def two_pass_safe_prefix(state, block: list[int]) -> int:
+    """`dynamic._serve_safe_prefix` as it was before it served a block in
+    one pass: the keys are visited to find the prefix, then the prefix is
+    served in a second loop. Test oracle."""
+    counts = state.counters.counts
+    delta = dynamic._delta(state.smoothing)
+    floors, depths, depth_of = state.floors, state.known_depths, state.depth_of
+    tree_weights, tree_total = state.tree_weights, state.tree_total
+    total = state.counters.t + 1 + delta * state.n
+    stop = len(block)
+    try:
+        tally = prefix = Counter(block)
+        if min(map(index, tally)) < 1 or max(tally) > state.n:
+            return 0
+    except TypeError:  # a key that is not an integer
+        return 0
+    for key in tally:
+        c = prefix.get(key)
+        if c is None:  # keys come in order of first occurrence: the rest lie past the prefix
+            break
+        i = key - 1
+        if counts[i] + c + delta < floors[i]:
+            continue
+        floor = dynamic._drift_floor(tree_weights[i], tree_total, total)
+        need = floor - delta - counts[i]  # the key's requests until it reaches `floor`
+        if c >= need:
+            stop = block.index(key)
+            for _ in range(need - 1):
+                stop = block.index(key, stop + 1)
+            prefix = Counter(islice(block, stop))
+            if need < 2:  # the key's first request ends the prefix
+                continue
+        floors[i] = floor
+        if not depths[i]:
+            depth_of(i)
+    cost = 0
+    for key, c in prefix.items():
+        i = key - 1
+        counts[i] += c
+        cost += c * depths[i]
+    state.counters.t += stop
+    state.search_cost += cost
+    return stop
+
+
+def copy_for_oracle(state):
+    """A copy of `state` that shares nothing `two_pass_safe_prefix` writes
+    with it. The fields it writes are pickled in one go, which keeps
+    `known_depths` the list that `depth_of`'s walk fills, as in `state`."""
+    copied = copy.copy(state)
+    fields = (state.counters, state.floors, state.known_depths, state.depth_of)
+    copied.counters, copied.floors, copied.known_depths, copied.depth_of = pickle.loads(
+        pickle.dumps(fields)
+    )
+    return copied
+
+
+def bulk_fields(state):
+    return (state.counters, state.search_cost, state.rebuilds, state.floors, state.known_depths)
+
+
 @pytest.fixture
 def bulk_served(monkeypatch, request):
     """Set the block sizes to `request.param` (None keeps the module's) and
-    return the list of prefix lengths `_serve_safe_prefix` serves. After each
-    prefix, every key with a cached floor must have a known depth."""
+    return the list of prefix lengths `_serve_safe_prefix` serves. Each
+    prefix, and the state after it, floors and computed depths included,
+    must be `two_pass_safe_prefix`'s on a copy of the state, and every key
+    with a cached floor must have a known depth."""
     if request.param is not None:
         monkeypatch.setattr(dynamic, "_BLOCK_MIN", request.param[0])
         monkeypatch.setattr(dynamic, "_BLOCK_MAX", request.param[1])
@@ -560,7 +628,10 @@ def bulk_served(monkeypatch, request):
     serve_prefix = dynamic._serve_safe_prefix
 
     def recorded(state, block):
+        oracle_state = copy_for_oracle(state)
         served.append(serve_prefix(state, block))
+        assert served[-1] == two_pass_safe_prefix(oracle_state, block)
+        assert bulk_fields(state) == bulk_fields(oracle_state)
         assert all(d for f, d in zip(state.floors, state.known_depths) if f)
         return served[-1]
 
@@ -592,12 +663,15 @@ def assert_bulk_runs_match_the_oracle(n: int, trace, smoothing: str, alpha=4) ->
     (16, "uniform", 800),
     (64, "zipf:1.0", 2000),
     (300, "zipf:1.0", 1500),
+    (8, "uniform", 30000),
 ])
 def test_bulk_runs_match_the_step_oracle(bulk_served, smoothing, n, workload, m):
     trace = generate(parse_workload(workload, n=n, m=m, seed=n))
     assert_bulk_runs_match_the_oracle(n, trace, smoothing)
     if n == 64:  # few rebuilds: the bulk path serves much of the five runs' 5 m requests
         assert sum(bulk_served) > 2 * m
+    if m == 30000:  # long enough for whole blocks at the cap
+        assert dynamic._BLOCK_MAX in bulk_served
 
 
 @pytest.mark.parametrize("bulk_served", SMALL_BLOCKS, indirect=True)
@@ -621,6 +695,7 @@ def test_bulk_runs_match_the_oracle_on_surges(bulk_served, smoothing):
     ((1, 49, 50), (0, 48, 49), [1, 3, 3, 1, 3, 3, 3, 3], 3),  # key 1 mid-block
     ((1, 49, 50), (0, 48, 49), [1, 3, 3, 3, 3, 3, 3, 1], 7),  # key 1 last in the block
     ((1, 1, 98), (0, 1, 96), [1, 3, 3, 2, 3, 3, 1, 3], 3),    # key 2, before key 1 at 6
+    ((1, 49, 50), (0, 48, 49), [2, 3, 3, 1, 2, 3, 1, 3], 6),  # keys 2 and 3 served, then taken back
 ])
 def test_bulk_prefix_ends_where_a_key_reaches_its_floor(
     bulk_served, smoothing, tree_weights, counts, block, stop
@@ -634,7 +709,7 @@ def test_bulk_prefix_ends_where_a_key_reaches_its_floor(
         state.counters = CounterState(raw, sum(raw))
         return state
 
-    state, oracle_state = hand_made_state(), hand_made_state()
+    state, oracle_state, exact_state = hand_made_state(), hand_made_state(), hand_made_state()
     start = state.counters.t
     trace = block + [3] * 8
     oracle = [serve_oracle(oracle_state, key) for key in trace]
@@ -642,6 +717,8 @@ def test_bulk_prefix_ends_where_a_key_reaches_its_floor(
     run(state, trace)
     assert bulk_served[0] == stop
     assert state == oracle_state and state.depths == oracle_state.depths
+    run(exact_state, trace, on_step=lambda rec: None)
+    assert state.floors == exact_state.floors  # `==` on states skips the floors
 
 
 @pytest.mark.parametrize("bulk_served", SMALL_BLOCKS, indirect=True)
@@ -723,8 +800,9 @@ def test_run_memory_does_not_grow_with_trace_length():
         finally:
             tracemalloc.stop()
 
-    short, long = peak_bytes(20_000), peak_bytes(80_000)
-    # an O(m) log would add at least a pointer per request: 480 kB here
+    # past the first blocks, which double up to the cap within 16,128 requests
+    short, long = peak_bytes(160_000), peak_bytes(640_000)
+    # an O(m) log would add at least a pointer per request: 3.8 MB here
     assert long - short < 8192, (short, long)
 
 
@@ -872,6 +950,23 @@ def test_raw_rebuilds_with_unseen_keys_take_no_full_walk(monkeypatch):
     assert state.rebuilds > 250 and 0 in state.tree_weights
     monkeypatch.undo()
     assert state == oracle_state and state.depths == oracle_state.depths
+
+
+def test_a_run_with_no_sink_takes_no_walk_for_the_dropped_trees_depth(monkeypatch):
+    # in raw mode an unseen key's first request always rebuilds, and only
+    # its step record reads the key's depth in the tree being dropped
+    trace = generate(parse_workload("zipf:1.0", n=128, m=20000, seed=99))
+    split = trees._split
+    splits = []
+    monkeypatch.setattr(trees, "_split", lambda *args: splits.append(None) or split(*args))
+    reports, calls = [], []
+    for on_step in (lambda rec: None, None):
+        splits.clear()
+        reports.append(run(init(128, 2, SMOOTHING_NONE), trace, on_step=on_step))
+        calls.append(len(splits))
+    with_sink, without = calls
+    assert reports[0] == reports[1]
+    assert without < with_sink, calls
 
 
 def test_ledger_flags_tree_weights_swapped_without_a_rebuild(monkeypatch):
