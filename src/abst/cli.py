@@ -15,9 +15,10 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from itertools import islice
 from typing import Callable
 
-from . import checks
+from . import checks, dynamic
 from .baselines import WeightVector, optimal_static_cost
 from .dynamic import SMOOTHING_LAPLACE, SMOOTHING_NONE, SimulationReport, StepRecord, init, run
 from .errors import AbstError, BoundViolationError, TraceParseError
@@ -76,10 +77,13 @@ def _emit(args, value, cols: list[str], rows: list[dict]) -> None:
         sys.stdout.write(text)
 
 
-def _add_stat(report: SimulationReport) -> None:
-    """Set the report's hindsight-optimal static cost and its ratio rho."""
-    stat, _ = optimal_static_cost(WeightVector(report.weights))
+def _add_stat(report: SimulationReport, stat: int | None = None) -> int:
+    """Set the report's hindsight-optimal static cost, computed unless
+    `stat` gives it, and its ratio rho; return the cost."""
+    if stat is None:
+        stat, _ = optimal_static_cost(WeightVector(report.weights))
     report.stat_cost, report.rho = stat, float(report.total) / stat
+    return stat
 
 
 @contextlib.contextmanager
@@ -161,8 +165,24 @@ def _split_list(text: str, flag: str) -> list[str]:
 
 
 def cmd_compare(args) -> int:
+    """Report each (alpha, workload) cell, alpha-major, with the hindsight
+    static optimum and rho.
+
+    Alpha prices a run but never enters serving (see `dynamic`), so each
+    workload's trace is served once for all its alphas. The state, trace and
+    static optimum a workload has served are kept. A cell whose spec is the
+    one served, as when `--m` is given, serves nothing. A cell whose trace
+    starts with the served trace, as a larger default m at the same seed
+    does, serves only the rest on the kept state. Any other cell, such as a
+    `freq:` trace or a smaller m after a larger one, runs on a fresh state,
+    which is kept instead. Each report is priced at its cell's own alpha.
+    `init` still runs for every cell, to check its alpha and warn below 2.
+    The cost is memory: one served trace is held per workload, where a run
+    per cell would hold one in total.
+    """
     alphas = _split_list(args.alphas, "--alphas")
     workloads = _split_list(args.workloads, "--workloads")
+    served: dict[str, tuple] = {}  # workload -> (spec, trace, state, stat_cost)
     rows = []
     for alpha_text in alphas:
         alpha = _parse_alpha(alpha_text)
@@ -170,10 +190,20 @@ def cmd_compare(args) -> int:
             for workload in workloads:
                 m = args.m if args.m is not None else checks.grid_m(args.n, alpha)
                 spec = parse_workload(workload, n=args.n, m=m, seed=args.seed)
-                trace = generate(spec)
+                kept_spec, kept_trace, kept_state, stat = served.get(workload, (None, [], None, None))
+                trace = kept_trace if spec == kept_spec else generate(spec)
                 state = init(args.n, alpha, args.smoothing)
-                report = run(state, trace)
-                _add_stat(report)
+                k = len(kept_trace)
+                if kept_state is not None and trace[:k] == kept_trace:
+                    if len(trace) > k:  # new counts, so a new static optimum
+                        dynamic.serve(kept_state, islice(trace, k, None))
+                        stat = None
+                    kept_state.alpha = state.alpha  # alpha only prices the report
+                    state = kept_state
+                    report = dynamic.report(state)
+                else:
+                    report, stat = run(state, trace), None
+                served[workload] = (spec, trace, state, _add_stat(report, stat))
                 row = report.to_dict()
                 row["workload"] = workload
                 rows.append(row)

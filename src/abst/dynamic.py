@@ -2,7 +2,11 @@
 below half its observed frequency.
 
 Costs follow the matching model: serving a request costs the served key's
-depth, every tree swap costs a flat `alpha`. Observed frequencies and the
+depth, every tree swap costs a flat `alpha`. Alpha prices a run but never
+enters serving: the drift test, the rebuilds and the depths read counts and
+weights only, and `report` is the one place that reads `state.alpha`. So a
+trace served once gives every alpha's report, and `cli.cmd_compare` serves
+each workload once for all its alphas. Observed frequencies and the
 tree's distribution are both integer weights over one total, so the drift
 test is exact integer arithmetic. A key of tree weight W (of S) drifts when
 2 W T < S x for its observed weight x of total T, that is when x reaches its
@@ -26,7 +30,7 @@ zero tree weight is computed the same way, from the walks to its two coded
 neighbours. `state.depths` and `state.tree` fill in the depths no request
 has computed when they are read.
 
-`run` and `step` serve requests through `_serve_all`. With a sink for the
+`run` and `step` serve requests through `serve`. With a sink for the
 step records, every request goes through the exact loop, one at a time.
 Without one, the trace is taken in blocks of 256 to 8192 requests, and most
 requests cannot drift: a key whose observed weight after all its requests
@@ -61,7 +65,7 @@ SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
 SMOOTHING_MODES = (SMOOTHING_LAPLACE, SMOOTHING_NONE)
 
-# Requests per block of a run without a sink (`_serve_all`), 256 to 8192.
+# Requests per block of a run without a sink (`serve`), 256 to 8192.
 # Below the minimum, counting a block costs more than serving it one request
 # at a time. A block in which no key can drift is served in one pass over its
 # count, so a larger block spreads that pass's fixed cost over more requests;
@@ -264,13 +268,14 @@ def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
     return tree_from_depths(range(1, len(probs) + 1), coded_depths(weights, total))
 
 
-def _serve_all(
+def serve(
     state: SimulationState,
     trace: Iterable[int],
-    on_step: Callable[[StepRecord], object] | None,
+    on_step: Callable[[StepRecord], object] | None = None,
 ) -> None:
     """Serve each request of `trace`: count it, rebuild if the key drifted,
-    and search. The one step core of `run` and `step`.
+    and search. The one step core of `run` and `step`; `report` prices
+    what it served.
 
     A run with a sink takes every request through the exact loop,
     `_serve_each`, which hands each request's record to `on_step`. A run
@@ -462,9 +467,9 @@ def _serve_each(
 
 
 def step(state: SimulationState, key: int) -> StepRecord:
-    """Serve one request (see `_serve_all`) and return its record."""
+    """Serve one request (see `serve`) and return its record."""
     records: list[StepRecord] = []
-    _serve_all(state, (key,), records.append)
+    serve(state, (key,), records.append)
     return records[0]
 
 
@@ -501,13 +506,19 @@ def run(
     caller that wants each step's record, such as a `checks.RunLedger`,
     passes `on_step`, which receives each request's `StepRecord` as served.
     Without one, requests that cannot drift are served in bulk (see
-    `_serve_all`), to the same state and report.
+    `serve`), to the same state and report.
     """
-    c = state.counters
-    t_start = c.t
-    _serve_all(state, trace, on_step)
-    if c.t == t_start:
+    t_start = state.counters.t
+    serve(state, trace, on_step)
+    if state.counters.t == t_start:
         raise ValueError("empty trace")
+    return report(state)
+
+
+def report(state: SimulationState) -> SimulationReport:
+    """The costs and counts of all `state` has served, priced at
+    `state.alpha`: serving never reads alpha, only this does."""
+    c = state.counters
     m = c.t
     applicable = state.alpha >= 2 and m + 1e-9 >= theorem_threshold(state.n, state.alpha)
     return SimulationReport(

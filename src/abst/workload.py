@@ -6,10 +6,11 @@ All randomness comes from `random.Random`, i.e. the Mersenne Twister
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Sequence
 
 from .errors import TraceParseError
@@ -88,8 +89,15 @@ def generate(spec: WorkloadSpec) -> list[int]:
     if spec.n < 1:
         raise ValueError("need at least one key")
     rng = random.Random(spec.seed)
+    # The m draws of the uniform and zipf traces, mapped to keys at C speed.
+    # Lazy: zipf's shuffle takes its draws first. random() < 1.0, so the
+    # sentinel never ends the stream early.
+    draws = islice(iter(rng.random, 1.0), spec.m)
     if spec.kind == "uniform":
-        return [min(spec.n, 1 + int(rng.random() * spec.n)) for _ in range(spec.m)]
+        # key 1 + int(n r), clamped to n where n r rounds up to n
+        keys = list(range(1, spec.n + 1))
+        keys.append(spec.n)
+        return list(map(keys.__getitem__, map(int, map(float(spec.n).__mul__, draws))))
     if spec.kind == "zipf":
         # CDF draw over ranks, then a seeded relabeling so the hot key is
         # not always key 1
@@ -108,7 +116,7 @@ def generate(spec: WorkloadSpec) -> list[int]:
             acc += x / total
             cdf.append(acc)
         cdf[-1] = 1.0
-        return [perm[bisect.bisect_right(cdf, rng.random())] for _ in range(spec.m)]
+        return list(map(perm.__getitem__, map(bisect_right, repeat(cdf), draws)))
     if spec.kind == "freq":
         counts = _apportion(spec.weights, spec.m)
         seq = [k for k, c in enumerate(counts, start=1) for _ in range(c)]

@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,6 +279,104 @@ def test_compare_json(capsys):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 1 and rows[0]["workload"] == "uniform"
+
+
+def compare_one_run_per_cell(args) -> int:
+    """`cli.cmd_compare` as it was before it served each workload once for
+    all its alphas: a fresh trace, state and run per cell, through the
+    same `cli` names. Test oracle."""
+    alphas = cli._split_list(args.alphas, "--alphas")
+    workloads = cli._split_list(args.workloads, "--workloads")
+    rows = []
+    for alpha_text in alphas:
+        alpha = cli._parse_alpha(alpha_text)
+        with cli._warnings_as_lines():  # once per alpha, not per workload
+            for workload in workloads:
+                m = args.m if args.m is not None else checks.grid_m(args.n, alpha)
+                spec = cli.parse_workload(workload, n=args.n, m=m, seed=args.seed)
+                trace = cli.generate(spec)
+                state = cli.init(args.n, alpha, args.smoothing)
+                report = cli.run(state, trace)
+                cli._add_stat(report)
+                row = report.to_dict()
+                row["workload"] = workload
+                rows.append(row)
+    cols = ["n", "alpha", "workload", "m", "smoothing", "search_cost", "adjust_cost",
+            "rebuilds", "total", "entropy_empirical", "theorem_bound",
+            "theorem_applicable", "stat_cost", "rho"]
+    cli._emit(args, rows, cols, rows)
+    return cli.EXIT_OK
+
+
+@pytest.fixture
+def compare_file_trace(tmp_path):
+    path = tmp_path / "trace.txt"
+    write_trace(path, generate(parse_workload("zipf:1.0", n=8, m=500, seed=3)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "16", "--alphas", "2,4,8"],
+    ["--n", "16", "--alphas", "8,4,2"],
+    ["--n", "16", "--alphas", "2,8,2,4,8,4"],
+    ["--n", "16", "--alphas", "2,8", "--smoothing", "none", "--seed", "7"],
+    ["--n", "16", "--alphas", "8,2,32", "--smoothing", "none", "--format", "json"],
+    ["--n", "12", "--m", "300", "--alphas", "2,8,32,4"],
+    ["--n", "12", "--m", "300", "--alphas", "2,8", "--format", "json"],
+    ["--n", "9", "--alphas", "1,2,1/2,3/2,4,1", "--workloads", "uniform,zipf:1.5"],
+    ["--n", "9", "--m", "150", "--alphas", "1,1", "--workloads", "zipf:0"],
+    ["--n", "1", "--alphas", "2,8,4", "--workloads", "freq:3,uniform,zipf:2"],
+    ["--n", "1", "--m", "40", "--alphas", "2,8", "--workloads", "freq:5"],
+    ["--n", "8", "--alphas", "2,4,2", "--workloads", "file:{trace},uniform"],
+    ["--n", "8", "--alphas", "2,8", "--workloads", "file:{trace}"],  # 384 of 500 at alpha 8
+    ["--n", "8", "--alphas", "2,8,16", "--workloads", "uniform,file:{trace}"],  # too short
+    ["--n", "8", "--m", "100", "--alphas", "2,8", "--workloads", "file:{trace}"],
+    ["--n", "8", "--alphas", "2,abc", "--workloads", "uniform"],
+    ["--n", "8", "--alphas", "1,0", "--workloads", "uniform"],
+    ["--n", "8", "--alphas", "2,1e-400", "--workloads", "uniform"],
+    ["--n", "8", "--alphas", "1,2", "--workloads", "uniform,bogus"],
+    ["--n", "8", "--alphas", "2,1", "--workloads", "zipf:1.0,zipf:-1"],
+    ["--n", "8", "--alphas", "1", "--workloads", "uniform,file:{trace}.missing"],
+])
+def test_compare_equals_one_run_per_cell(capsys, monkeypatch, compare_file_trace, argv):
+    argv = ["compare"] + [arg.format(trace=compare_file_trace) for arg in argv]
+    got = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "cmd_compare", compare_one_run_per_cell)
+    assert got == run_cli(capsys, *argv)
+
+
+def test_compare_runs_a_longer_trace_that_does_not_extend_the_served_one(capsys, monkeypatch):
+    # reversed traces: a larger m at the same seed no longer starts with the smaller m's trace
+    monkeypatch.setattr(cli, "generate", lambda spec: generate(spec)[::-1])
+    argv = ["compare", "--n", "16", "--alphas", "2,8,4", "--smoothing", "none"]
+    got = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "cmd_compare", compare_one_run_per_cell)
+    assert got == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv, runs, stats, traces", [
+    (["--n", "128", "--m", "20000", "--alphas", "2,4,8,16,32"], 3, 3, 3),
+    (["--n", "16", "--alphas", "2,8,32"], 3, 9, 9),  # the rest of each trace, on the kept state
+    (["--n", "16", "--alphas", "32,8,2"], 9, 9, 9),  # each trace shorter than the served one
+])
+def test_compare_runs_each_workload_once_unless_its_trace_shrinks(
+        capsys, monkeypatch, argv, runs, stats, traces):
+    argv = ["compare", *argv]
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("run", "optimal_static_cost", "generate"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    got = run_cli(capsys, *argv)
+    assert calls == {"run": runs, "optimal_static_cost": stats, "generate": traces}
+    assert got[0] == 0 and len(got[1].splitlines()) == 1 + 3 * (argv[-1].count(",") + 1)
+    monkeypatch.setattr(cli, "cmd_compare", compare_one_run_per_cell)
+    assert got == run_cli(capsys, *argv)
 
 
 @pytest.mark.parametrize(

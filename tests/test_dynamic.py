@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import math
@@ -342,6 +343,34 @@ def test_report_bounds_flag_a_ledger_that_missed_steps():
         f"ledger saw {len(trace) - half} requests and {report.rebuilds - first.rebuilds} "
         f"rebuilds of the report's {report.m} and {report.rebuilds}"
     ]
+
+
+@pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
+@pytest.mark.parametrize("with_sink", [False, True])
+@pytest.mark.parametrize("n, workload, m", [(32, "zipf:1.0", 6000), (128, "uniform", 3000)])
+def test_alpha_never_changes_what_a_run_serves(smoothing, with_sink, n, workload, m):
+    # `cli.cmd_compare` serves each workload once for all its alphas on this premise
+    trace = generate(parse_workload(workload, n=n, m=m, seed=11))
+    served = []
+    for alpha in (1, 2, 8, 32):
+        with pytest.warns(RuntimeWarning) if alpha < 2 else contextlib.nullcontext():
+            state = init(n, alpha, smoothing)
+        records = []
+        report = run(state, trace, on_step=records.append if with_sink else None)
+        assert report.alpha == alpha and report.adjust_cost == alpha * report.rebuilds
+        served.append((records, state.counters, state.rebuilds, state.search_cost,
+                       state.tree_weights, state.tree_total, report.weights))
+    assert served[0][2] > 0
+    assert all(other == served[0] for other in served[1:])
+
+
+def test_report_prices_a_served_state_at_its_alpha():
+    trace = generate(parse_workload("zipf:1.5", n=64, m=4000, seed=2))
+    state = init(64, 2, SMOOTHING_NONE)
+    dynamic.serve(state, trace[:1000])
+    dynamic.serve(state, iter(trace[1000:]))
+    state.alpha = Fraction(32)
+    assert dynamic.report(state) == run(init(64, 32, SMOOTHING_NONE), trace)
 
 
 def test_run_rejects_empty_trace():

@@ -1,3 +1,5 @@
+import bisect
+import random
 from collections import Counter
 
 import pytest
@@ -108,3 +110,61 @@ def test_parse_workload_rejects_bad_specs(text):
 def test_generated_workloads_need_m():
     with pytest.raises(ValueError):
         generate(WorkloadSpec(kind="uniform", n=5, m=None))
+
+
+def _oracle_trace(kind: str, n: int, m: int, seed: int, s: float = 1.0) -> list[int]:
+    """The uniform and zipf traces as one comprehension a draw, as
+    `generate` built them before it mapped the draws at C speed."""
+    rng = random.Random(seed)
+    if kind == "uniform":
+        return [min(n, 1 + int(rng.random() * n)) for _ in range(m)]
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    mass = [1.0 / (r ** s) for r in range(1, n + 1)]
+    total = sum(mass)
+    cdf = []
+    acc = 0.0
+    for x in mass:
+        acc += x / total
+        cdf.append(acc)
+    cdf[-1] = 1.0
+    return [perm[bisect.bisect_right(cdf, rng.random())] for _ in range(m)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 99, 12345])
+@pytest.mark.parametrize(
+    "kind, s, n, m",
+    [
+        ("uniform", None, 1, 50),
+        ("uniform", None, 3, 5_000),
+        ("uniform", None, 1000, 20_000),
+        ("uniform", None, 4096, 40_000),
+        ("zipf", 1.0, 1, 50),
+        ("zipf", 1.0, 100, 20_000),
+        ("zipf", 1.5, 1023, 20_000),
+        ("zipf", 0.0, 7, 5_000),
+    ],
+)
+def test_generated_trace_equals_the_per_draw_oracle(kind, s, n, m, seed):
+    text = kind if s is None else f"{kind}:{s}"
+    trace = generate(parse_workload(text, n=n, m=m, seed=seed))
+    assert trace == _oracle_trace(kind, n, m, seed, s)
+    assert all(type(key) is int for key in trace)
+
+
+@pytest.mark.parametrize("text", ["uniform", "zipf:1.0"])
+def test_long_generated_trace_equals_the_per_draw_oracle(text):
+    kind, _, s = text.partition(":")
+    trace = generate(parse_workload(text, n=64, m=300_000, seed=99))
+    assert trace == _oracle_trace(kind, 64, 300_000, 99, float(s or 0))
+
+
+def test_uniform_clamps_a_draw_that_rounds_up_to_n(monkeypatch):
+    # (1 - 2**-53) * 3 rounds to 3.0, so 1 + int(3 r) is 4, clamped to key 3
+    class TopDraw(random.Random):
+        def random(self):
+            return 1.0 - 2.0 ** -53
+
+    monkeypatch.setattr(random, "Random", TopDraw)
+    trace = generate(parse_workload("uniform", n=3, m=4, seed=0))
+    assert trace == _oracle_trace("uniform", 3, 4, 0) == [3, 3, 3, 3]
