@@ -164,6 +164,19 @@ def _split_list(text: str, flag: str) -> list[str]:
     return items
 
 
+def _split_workloads(text: str) -> list[str]:
+    """`--workloads` items, as `_split_list` gives them except that a bare
+    integer continues the `freq:` item before it, whose counts are
+    comma-separated too."""
+    items: list[str] = []
+    for item in _split_list(text, "--workloads"):
+        if item.isdigit() and items and items[-1].startswith("freq:"):
+            items[-1] += "," + item
+        else:
+            items.append(item)
+    return items
+
+
 def cmd_compare(args) -> int:
     """Report each (alpha, workload) cell, alpha-major, with the hindsight
     static optimum and rho.
@@ -181,7 +194,7 @@ def cmd_compare(args) -> int:
     per cell would hold one in total.
     """
     alphas = _split_list(args.alphas, "--alphas")
-    workloads = _split_list(args.workloads, "--workloads")
+    workloads = _split_workloads(args.workloads)
     served: dict[str, tuple] = {}  # workload -> (spec, trace, state, stat_cost)
     rows = []
     for alpha_text in alphas:

@@ -27,8 +27,8 @@ takes the drift test, because the rebuild also reset the key's cached floor
 to 0, and the test computes the depth; a request below its key's cached
 floor reads the depth and nothing else. In raw mode the depth of a key of
 zero tree weight is computed the same way, from the walks to its two coded
-neighbours. `state.depths` and `state.tree` fill in the depths no request
-has computed when they are read.
+neighbours. `state.depths` and `state.tree` finish that cache by its
+`fill`, which splits only the ranges no walk has reached, when read.
 
 `run` and `step` serve requests through `serve`. With a sink for the
 step records, every request goes through the exact loop, one at a time.
@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidRequestError
 from .sfe import ProbabilityDistribution, common_weights, entropy_of_weights
-from .trees import LazyCodedDepths, SearchTree, build_balanced, coded_depths, tree_from_depths
+from .trees import LazyCodedDepths, SearchTree, build_balanced, tree_from_depths
 
 SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
@@ -196,16 +196,16 @@ class SimulationState:
     counters: CounterState
     tree_weights: tuple[int, ...]  # the tree's distribution: weight / tree_total
     tree_total: int
-    # depth of key k in the current tree is known_depths[k - 1], or 0 until
-    # depth_of(k - 1) computes it, as it has once floors[k - 1] is set;
-    # depth_of is None for a tree whose depths are all known
+    # depth of key k in the current tree is known_depths[k - 1] (coded.depths),
+    # or 0 until coded.depth(k - 1) computes it, as it has once floors[k - 1]
+    # is set; coded is None for a tree whose depths are all known
     known_depths: list[int] = field(compare=False, repr=False)
     search_cost: int = 0
     rebuilds: int = 0
     # key k cannot drift while its observed weight is below floors[k - 1], a
     # drift floor of the current tree at some earlier total; 0 means unknown
     floors: list[int] = field(default_factory=list, compare=False, repr=False)
-    depth_of: Callable[[int], int] | None = field(default=None, compare=False, repr=False)
+    coded: LazyCodedDepths | None = field(default=None, compare=False, repr=False)
 
     @property
     def adjust_cost(self) -> Fraction:
@@ -214,9 +214,9 @@ class SimulationState:
     @property
     def depths(self) -> list[int]:
         """Depth of key k in the current tree is depths[k - 1]; a read
-        computes every depth no request has, by `trees.coded_depths`."""
+        computes every depth no request has, by `trees.LazyCodedDepths.fill`."""
         if 0 in self.known_depths:
-            self.known_depths[:] = coded_depths(self.tree_weights, self.tree_total)
+            self.coded.fill()
         return self.known_depths
 
     @property
@@ -260,12 +260,12 @@ def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
 
     The nonzero probabilities must form a distribution. Zero-probability keys
     (possible in raw-frequency mode before every key has been seen) are
-    grafted as leaves, see `coded_depths`.
+    grafted as leaves, see `trees.coded_depths`.
     """
     probs = [Fraction(p) for p in probs]
     ProbabilityDistribution(tuple(p for p in probs if p))
     weights, total = common_weights(probs)
-    return tree_from_depths(range(1, len(probs) + 1), coded_depths(weights, total))
+    return tree_from_depths(range(1, len(probs) + 1), LazyCodedDepths(weights, total).fill())
 
 
 def serve(
@@ -335,7 +335,7 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
     """
     counts = state.counters.counts
     delta = _delta(state.smoothing)
-    floors, depths, depth_of = state.floors, state.known_depths, state.depth_of
+    floors, depths, coded = state.floors, state.known_depths, state.coded
     tree_weights, tree_total = state.tree_weights, state.tree_total
     total = state.counters.t + 1 + delta * state.n
     try:
@@ -355,7 +355,7 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
                 break
             floors[i] = floor
             if not depths[i]:
-                depth_of(i)
+                coded.depth(i)
         counts[i] = w
         cost += c * depths[i]
     else:
@@ -387,7 +387,7 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
                 continue
         floors[i] = floor
         if not depths[i]:
-            depth_of(i)
+            coded.depth(i)
     cost = 0
     for key, c in prefix.items():
         i = key - 1
@@ -422,7 +422,7 @@ def _serve_each(
     c = state.counters
     counts = c.counts
     delta = _delta(state.smoothing)
-    depths, depth_of = state.known_depths, state.depth_of
+    depths, coded = state.known_depths, state.coded
     tree_weights, tree_total = state.tree_weights, state.tree_total
     floors = state.floors
     pseudo_total = delta * n
@@ -447,16 +447,15 @@ def _serve_each(
                 else:
                     rebuilt = True
                     if per_step:  # only a record reads the old tree's depth
-                        depth_pre = depths[i] or depth_of(i)
+                        depth_pre = depths[i] or coded.depth(i)
                     tree_weights, tree_total = _observed_weights(counts, t, delta)
-                    coded = LazyCodedDepths(tree_weights, tree_total)
-                    depths, depth_of = coded.depths, coded.depth
+                    coded = state.coded = LazyCodedDepths(tree_weights, tree_total)
+                    depths = state.known_depths = coded.depths
                     state.tree_weights, state.tree_total = tree_weights, tree_total
-                    state.known_depths, state.depth_of = depths, depth_of
                     floors = state.floors = [0] * n
                     state.rebuilds += 1
                 if not depths[i]:
-                    depth_of(i)
+                    coded.depth(i)
             depth = depths[i]
             search += depth
             if per_step:

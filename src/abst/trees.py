@@ -20,14 +20,16 @@ the midpoints rise with rank the split is one `bisect_left` over M
 nearly optimal trees (Acta Informatica 5, 1975) split by bisecting
 cumulative weights in the same way.
 
-`coded_depths` walks every range from an explicit stack. `LazyCodedDepths`
-walks only from the root down to a key whose depth is asked for. It keeps
-the part of the tree walked so far as child links by rank, and each placed
-rank's range and code prefix, so a walk follows the links and splits only
-below the last placed rank on its path: the keys asked for share the top of
-the tree, and `_split` runs once per rank placed. A key of zero weight needs
-only the walks to its two coded neighbours. The simulator uses it, as a request
-reads only its own key's depth.
+`LazyCodedDepths` walks only from the root down to a key whose depth is
+asked for. It keeps the part of the tree walked so far as child links by
+rank, and each placed rank's range and code prefix, so a walk follows the
+links and splits only below the last placed rank on its path: the keys
+asked for share the top of the tree, and `_split` runs once per rank
+placed. A key of zero weight needs only the walks to its two coded
+neighbours. The simulator uses it, as a request reads only its own key's
+depth. Its `fill` splits the ranges no walk has reached from one explicit
+stack, and `coded_depths` is `LazyCodedDepths(...).fill()`, so the split
+walk and the graft rule for zero weights are each written once.
 
 A BST is fixed by its in-order keys and their depths, so a `SearchTree` is
 those two tuples and nothing else; `sfe_to_bst` pairs the keys with
@@ -41,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
-from operator import add
+from operator import add, not_
 from typing import Callable, Iterable, Sequence
 
 from .sfe import ProbabilityDistribution, code_length, common_weights
@@ -89,50 +91,16 @@ def _split(
 
 
 def coded_depths(weights: Sequence[int], total: int) -> list[int]:
-    """Depth in the coded tree of each key, for integer weights over `total`.
-
-    Keys of positive weight are placed by their Shannon-Fano-Elias codes;
-    a key of zero weight cannot get a codeword, and each run of them hangs as
-    a chain one below the deeper of its coded neighbours, as leaf insertion
-    in increasing order would put it. `tree_from_depths` gives the tree
-    these depths fix.
-    """
-    coded = [i for i, w in enumerate(weights) if w]
-    positive = weights if len(coded) == len(weights) else [weights[i] for i in coded]
-    mids = _midpoints(positive)
-    by_rank = [0] * len(coded)
-    # (lo, hi, d, p): ranks lo..hi share the d-bit code prefix p
-    stack = [(0, len(coded) - 1, 0, 0)] if coded else []
-    while stack:
-        lo, hi, d, p = stack.pop()
-        r = _split(mids, positive, total, lo, hi, d, p)
-        by_rank[r] = d + 1
-        if lo < r:
-            stack.append((lo, r - 1, d + 1, 2 * p))
-        if r < hi:
-            stack.append((r + 1, hi, d + 1, 2 * p + 1))
-    if len(coded) == len(weights):
-        return by_rank
-    depths = [0] * len(weights)
-    for i, depth in zip(coded, by_rank):
-        depths[i] = depth
-    rank, chain = 0, 0  # coded keys so far; depth of the last key of a zero run
-    for i, w in enumerate(weights):
-        if w:
-            rank, chain = rank + 1, 0
-            continue
-        if not chain:
-            a = by_rank[rank - 1] if rank else 0
-            b = by_rank[rank] if rank < len(coded) else 0
-            chain = max(a, b)
-        chain += 1
-        depths[i] = chain
-    return depths
+    """Depth in the coded tree of each key, for integer weights over `total`;
+    `tree_from_depths` gives the tree these depths fix. Keys of positive
+    weight are placed by their Shannon-Fano-Elias codes, and keys of zero
+    weight, which get no codeword, are grafted (`LazyCodedDepths`)."""
+    return LazyCodedDepths(weights, total).fill()
 
 
 class LazyCodedDepths:
     """The depths of `coded_depths(weights, total)`, each computed when it is
-    first asked for.
+    first asked for, or all that are left at once by `fill`.
 
     `depths` holds every depth computed so far and 0 for the rest, and
     `depth(i)` computes key i's. The split rule runs over the ranks of the
@@ -143,9 +111,9 @@ class LazyCodedDepths:
     rank in `ranges`), and records the child's depth in `rank_depths`. So
     `_split` runs once per placed rank, and a level already walked costs
     one list read. With no zero weight a rank is a key's position and
-    `rank_depths` is `depths`. A key of zero weight takes the depth
-    `coded_depths` grafts it at, from the walks to its two coded neighbours
-    only.
+    `rank_depths` is `depths`. A key of zero weight is grafted below its
+    coded neighbours by `_grafted_depth`, the one place that rule is
+    written, from the walks to those two neighbours only.
     """
 
     def __init__(self, weights: Sequence[int], total: int):
@@ -172,7 +140,7 @@ class LazyCodedDepths:
     @property
     def depth(self) -> Callable[[int], int]:
         """`depth(i)` is the depth of key i (0-based). With no zero weight it
-        is the walk itself, so a caller that holds it pays no rank lookup."""
+        is the walk itself, which takes no rank lookup."""
         return self._walk if self.coded is None else self._grafted_depth
 
     def _walk(self, i: int) -> int:
@@ -201,9 +169,9 @@ class LazyCodedDepths:
 
     def _grafted_depth(self, i: int) -> int:
         """Depth of key i of a weight vector with a zero: a coded key's
-        walk, or the chain rule of `coded_depths` for a zero-weight key, one
-        below the deeper coded neighbour per step from the coded key
-        before it."""
+        walk, or for a zero-weight key the graft rule: each run of them
+        hangs as a chain one below the deeper of its coded neighbours, as
+        leaf insertion in increasing order would put it."""
         coded, by_rank = self.coded, self.rank_depths
         r = bisect_left(coded, i)  # the coded keys before i
         if r < len(coded) and coded[r] == i:
@@ -214,6 +182,36 @@ class LazyCodedDepths:
             depth = max(before, after) + i - (coded[r - 1] if r else -1)
         self.depths[i] = depth
         return depth
+
+    def fill(self) -> list[int]:
+        """Compute every depth no walk has and return `depths`: one explicit
+        stack splits the ranges below placed ranks that no walk has split, so
+        `_split` still runs once per rank. It records no link, as no rank is
+        left to walk to."""
+        mids, weights, total, by_rank = self.mids, self.weights, self.total, self.rank_depths
+        left, right = self.left, self.right
+        stack = []  # (lo, hi, d, p): ranks lo..hi share the d-bit code prefix p
+        for r, (lo, hi, p) in self.ranges.items():
+            if lo < r and left[r] < 0:
+                stack.append((lo, r - 1, by_rank[r], 2 * p))
+            if r < hi and right[r] < 0:
+                stack.append((r + 1, hi, by_rank[r], 2 * p + 1))
+        while stack:
+            lo, hi, d, p = stack.pop()
+            r = _split(mids, weights, total, lo, hi, d, p)
+            d += 1
+            by_rank[r] = d
+            if lo < r:
+                stack.append((lo, r - 1, d, 2 * p))
+            if r < hi:
+                stack.append((r + 1, hi, d, 2 * p + 1))
+        depths = self.depths
+        if self.coded is not None:
+            for i, depth in zip(self.coded, by_rank):
+                depths[i] = depth
+            for i in compress(range(len(depths)), map(not_, depths)):  # zero weights
+                self._grafted_depth(i)
+        return depths
 
 
 def _links(depths: Sequence[int]) -> tuple[int, list[int], list[int]]:

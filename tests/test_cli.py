@@ -281,12 +281,32 @@ def test_compare_json(capsys):
     assert len(rows) == 1 and rows[0]["workload"] == "uniform"
 
 
+def test_compare_takes_freq_counts_across_commas(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "compare", "--n", "5", "--m", "50", "--alphas", "2,8",
+        "--workloads", "freq:1,2,4,2,1,uniform", "--seed", "99",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [row["workload"] for row in rows] == ["freq:1,2,4,2,1", "uniform"] * 2
+
+
+@pytest.mark.parametrize("workloads", ["uniform,3", "4,freq:1,2,4,2,1", "zipf:1.0,1,2,4,2,1"])
+def test_compare_rejects_a_bare_number_after_no_freq(capsys, workloads):
+    code, out, err = run_cli(
+        capsys, "compare", "--n", "5", "--m", "50", "--alphas", "2", "--workloads", workloads,
+    )
+    assert code == cli.EXIT_CONFIG
+    assert out == "" and err.startswith("error: unknown workload kind")
+
+
 def compare_one_run_per_cell(args) -> int:
     """`cli.cmd_compare` as it was before it served each workload once for
     all its alphas: a fresh trace, state and run per cell, through the
     same `cli` names. Test oracle."""
     alphas = cli._split_list(args.alphas, "--alphas")
-    workloads = cli._split_list(args.workloads, "--workloads")
+    workloads = cli._split_workloads(args.workloads)
     rows = []
     for alpha_text in alphas:
         alpha = cli._parse_alpha(alpha_text)
@@ -327,6 +347,7 @@ def compare_file_trace(tmp_path):
     ["--n", "9", "--m", "150", "--alphas", "1,1", "--workloads", "zipf:0"],
     ["--n", "1", "--alphas", "2,8,4", "--workloads", "freq:3,uniform,zipf:2"],
     ["--n", "1", "--m", "40", "--alphas", "2,8", "--workloads", "freq:5"],
+    ["--n", "5", "--alphas", "2,8", "--workloads", "uniform,freq:1,2,4,2,1,zipf:1.0"],
     ["--n", "8", "--alphas", "2,4,2", "--workloads", "file:{trace},uniform"],
     ["--n", "8", "--alphas", "2,8", "--workloads", "file:{trace}"],  # 384 of 500 at alpha 8
     ["--n", "8", "--alphas", "2,8,16", "--workloads", "uniform,file:{trace}"],  # too short

@@ -588,7 +588,7 @@ def two_pass_safe_prefix(state, block: list[int]) -> int:
     served in a second loop. Test oracle."""
     counts = state.counters.counts
     delta = dynamic._delta(state.smoothing)
-    floors, depths, depth_of = state.floors, state.known_depths, state.depth_of
+    floors, depths, coded = state.floors, state.known_depths, state.coded
     tree_weights, tree_total = state.tree_weights, state.tree_total
     total = state.counters.t + 1 + delta * state.n
     stop = len(block)
@@ -616,7 +616,7 @@ def two_pass_safe_prefix(state, block: list[int]) -> int:
                 continue
         floors[i] = floor
         if not depths[i]:
-            depth_of(i)
+            coded.depth(i)
     cost = 0
     for key, c in prefix.items():
         i = key - 1
@@ -630,10 +630,10 @@ def two_pass_safe_prefix(state, block: list[int]) -> int:
 def copy_for_oracle(state):
     """A copy of `state` that shares nothing `two_pass_safe_prefix` writes
     with it. The fields it writes are pickled in one go, which keeps
-    `known_depths` the list that `depth_of`'s walk fills, as in `state`."""
+    `known_depths` the list that `coded`'s walks fill, as in `state`."""
     copied = copy.copy(state)
-    fields = (state.counters, state.floors, state.known_depths, state.depth_of)
-    copied.counters, copied.floors, copied.known_depths, copied.depth_of = pickle.loads(
+    fields = (state.counters, state.floors, state.known_depths, state.coded)
+    copied.counters, copied.floors, copied.known_depths, copied.coded = pickle.loads(
         pickle.dumps(fields)
     )
     return copied
@@ -967,11 +967,10 @@ def test_raw_rebuilds_with_unseen_keys_take_no_full_walk(monkeypatch):
     oracle_state = init(n, 2, SMOOTHING_NONE)
     oracle = [serve_oracle(oracle_state, key) for key in trace]
 
-    def full_walk(weights, total):
+    def full_walk(self):
         raise AssertionError("a rebuild computed every depth")
 
-    monkeypatch.setattr(trees, "coded_depths", full_walk)
-    monkeypatch.setattr(dynamic, "coded_depths", full_walk)
+    monkeypatch.setattr(trees.LazyCodedDepths, "fill", full_walk)
     state = init(n, 2, SMOOTHING_NONE)
     records = []
     run(state, trace, on_step=records.append)

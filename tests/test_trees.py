@@ -33,6 +33,7 @@ from abst.trees import (
     sfe_to_bst,
     tree_from_depths,
 )
+from abst.workload import generate, parse_workload
 from trie_oracle import LinkedTree, Node, insert_key
 
 EXAMPLE_A = parse_distribution("0.1,0.2,0.4,0.2,0.1")
@@ -286,6 +287,20 @@ def test_lcp_walk_matches_bisect_walk_random():
     assert zeros >= 900
 
 
+def split_counter(mp):
+    """Patch `trees._split` through `mp` to count its calls; returns the
+    one-item list that holds the count."""
+    calls = [0]
+    split = trees._split
+
+    def counted(*args):
+        calls[0] += 1
+        return split(*args)
+
+    mp.setattr(trees, "_split", counted)
+    return calls
+
+
 def requested_in_random_order(weights, total, rng) -> list[int]:
     """Every key's depth from `LazyCodedDepths`, asked for in a random order
     as the simulator asks: a key's walk runs unless an earlier walk passed
@@ -294,29 +309,21 @@ def requested_in_random_order(weights, total, rng) -> list[int]:
     placed rank, halfway through and at the end, as the oracle's dict holds
     one range per placed rank; asking for a known depth again splits
     nothing."""
-    calls = 0
-    split = trees._split
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return split(*args)
-
     order = list(range(len(weights)))
     rng.shuffle(order)
     got = [0] * len(weights)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trees, "_split", counted)
+        calls = split_counter(mp)
         lazy = LazyCodedDepths(weights, total)
         oracle = trie_oracle.RangeMemoDepths(weights, total)
         for step, i in enumerate(order, 1):
             got[i] = lazy.depths[i] or lazy.depth(i)
             assert got[i] == (oracle.depths[i] or oracle.depth(i)), (weights, i)
             if step == len(order) // 2:
-                assert calls == sum(map(bool, lazy.rank_depths)) == len(oracle.roots)
+                assert calls[0] == sum(map(bool, lazy.rank_depths)) == len(oracle.roots)
         assert lazy.depths == got == oracle.depths
         assert [lazy.depth(i) for i in range(len(weights))] == got  # asked again: no split
-    assert calls == sum(map(bool, lazy.rank_depths)) == len(oracle.roots)
+    assert calls[0] == sum(map(bool, lazy.rank_depths)) == len(oracle.roots)
     return got
 
 
@@ -344,31 +351,38 @@ def test_walk_matches_both_oracles_on_adversarial_vectors(name, weights):
     tree_from_depths(range(1, len(weights) + 1), depths)
 
 
+# weight palettes of the random on-demand tests: positive weights, and
+# weights of which half are zero
+POSITIVE_PALETTES = [
+    tuple(range(1, 1000)),
+    (1, 2, 4, 8, 16),
+    (1, 1, 1, 2),
+    (1, 2**20),
+    (2**40 - 1, 2**40, 2**40 + 1, 3 * 2**39),  # long codes and big totals
+]
+ZERO_PALETTE = (0, 0, 0, 0, 1, 2, 9, 2**40)
+
+
 def test_on_demand_depths_match_the_full_walk_random():
     rng = random.Random(1975)
-    palettes = [
-        tuple(range(1, 1000)),
-        (1, 2, 4, 8, 16),
-        (1, 1, 1, 2),
-        (1, 2**20),
-        (2**40 - 1, 2**40, 2**40 + 1, 3 * 2**39),  # long codes and big totals
-    ]
     for case in range(3000):
         n = rng.randint(1, 90)
         if case % 6 == 5:  # a power-of-two total: a midpoint can equal a threshold
             weights = [2 ** rng.randrange(0, 4) for _ in range(n - 1)]
             weights.append((1 << sum(weights).bit_length()) - sum(weights))
         else:
-            weights = [rng.choice(palettes[case % 6]) for _ in range(n)]
+            weights = [rng.choice(POSITIVE_PALETTES[case % 6]) for _ in range(n)]
         total = sum(weights)
-        assert requested_in_random_order(weights, total, rng) == coded_depths(weights, total)
+        assert requested_in_random_order(weights, total, rng) == trie_oracle.coded_depths(
+            weights, total
+        )
 
 
 def test_on_demand_grafted_depths_match_the_full_walk_random():
     rng = random.Random(1976)
     for case in range(3000):
         n = rng.randint(1, 90)
-        weights = [rng.choice((0, 0, 0, 0, 1, 2, 9, 2**40)) for _ in range(n)]
+        weights = [rng.choice(ZERO_PALETTE) for _ in range(n)]
         shape = case % 4
         if shape == 1:  # zero runs at both ends
             weights[0] = weights[-1] = 0
@@ -380,7 +394,45 @@ def test_on_demand_grafted_depths_match_the_full_walk_random():
         if not any(weights):
             weights[rng.randrange(n)] = rng.randint(1, 9)
         total = sum(weights)
-        assert requested_in_random_order(weights, total, rng) == coded_depths(weights, total)
+        assert requested_in_random_order(weights, total, rng) == trie_oracle.coded_depths(
+            weights, total
+        )
+
+
+def test_fill_after_partial_walks_splits_each_rank_once():
+    """`fill` after walks to a random subset of keys gives the bisecting
+    oracle's depths, and splits only the ranks the walks did not place: one
+    `_split` per key of positive weight over the walks and the fill."""
+    rng = random.Random(1977)
+    for case in range(2000):
+        n = rng.randint(1, 90)
+        palette = ZERO_PALETTE if case % 2 else POSITIVE_PALETTES[case // 2 % 5]
+        weights = [rng.choice(palette) for _ in range(n)]
+        if not any(weights):
+            weights[rng.randrange(n)] = rng.randint(1, 9)
+        total = sum(weights)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = split_counter(mp)
+            lazy = LazyCodedDepths(weights, total)
+            for i in rng.sample(range(n), rng.randint(0, n)):
+                lazy.depth(i)
+            assert lazy.fill() == trie_oracle.coded_depths(weights, total), weights
+            assert calls[0] == sum(map(bool, weights)), weights
+
+
+def test_reading_state_depths_splits_only_the_unplaced_ranks():
+    # after a run, the depths no request has asked for are split once each
+    # when `state.depths` is read, and the ones requests placed are kept
+    trace = generate(parse_workload("zipf:1.0", n=1024, m=20000, seed=7))
+    state = init(1024, 2)
+    run(state, trace)
+    unplaced = state.known_depths.count(0)  # Laplace weights: a rank is a key
+    assert state.rebuilds and 0 < unplaced < 1024
+    with pytest.MonkeyPatch.context() as mp:
+        calls = split_counter(mp)
+        depths = state.depths
+    assert calls[0] == unplaced
+    assert depths == trie_oracle.coded_depths(state.tree_weights, state.tree_total)
 
 
 def test_one_call_tie_rule_matches_two_code_lengths():
