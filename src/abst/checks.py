@@ -354,7 +354,7 @@ def check_report_bounds(report: SimulationReport, ledger: RunLedger) -> list[str
     agg_limit = m * report.entropy_empirical + 2 * m
     if total_qlog > agg_limit + tol:
         v.append(f"aggregate frequency-log sum {total_qlog:.6f} > {agg_limit:.6f}")
-    adjust_limit = 2 * report.n * float(report.alpha) * math.log2(float(report.alpha)) + m
+    adjust_limit = theorem_threshold(report.n, report.alpha) + m
     if report.alpha >= 2 and float(report.adjust_cost) > adjust_limit + tol:
         v.append(f"adjust cost {float(report.adjust_cost)} > {adjust_limit:.6f}")
     if report.theorem_applicable and float(report.total) > report.theorem_bound + tol:

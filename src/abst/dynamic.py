@@ -37,11 +37,12 @@ requests cannot drift: a key whose observed weight after all its requests
 in a block stays below its floor at the block's first request is safe for
 the whole block. So each block is counted at C speed (`collections.Counter`)
 and served in one pass over that count while no key can drift. Where a
-request could reach its key's floor, the prefix before it is served per
-key, and the exact loop serves the rest of the block, rebuilding where it
-would one request at a time. This module holds no checker code: the
-drift-invariant guard and the cost-accounting checks' bookkeeping read the
-`StepRecord` stream through `checks.RunLedger`.
+request could reach its key's floor, that pass is taken back and rerun
+over the count of the prefix before the request, until a pass finds no
+such request and serves its prefix; the exact loop serves the rest of the
+block, rebuilding where it would one request at a time. This module holds
+no checker code: the drift-invariant guard and the cost-accounting checks'
+bookkeeping read the `StepRecord` stream through `checks.RunLedger`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from operator import index
 from typing import Callable, Iterable, Sequence
 
@@ -281,16 +282,17 @@ def serve(
     `_serve_each`, which hands each request's record to `on_step`. A run
     without one takes the trace in blocks of 256 to 8192 requests.
     `_serve_safe_prefix` serves a block in one pass while no key can drift;
-    otherwise it serves in bulk the block's prefix in which no request can
-    drift, and the exact loop serves the rest of the block, so a rebuild
-    happens at the request where it would happen one request at a time. A
-    block starts at `_BLOCK_MIN` requests and doubles after each block
-    served whole, up to `_BLOCK_MAX`. After a block that was not, the exact
-    loop also serves the next `_BLOCK_MIN` requests, twice as many after
-    each such block in a row, up to `_BLOCK_MAX`, and the next block starts
-    at `_BLOCK_MIN` again: where rebuilds come every few requests, as in raw
-    mode while keys are unseen, counting blocks only costs time. Each block
-    is dropped before the next is read, so a run holds one block at a time.
+    otherwise it reruns that pass on ever shorter prefixes of the block and
+    serves the first one in which no request can drift, and the exact loop
+    serves the rest of the block, so a rebuild happens at the request where
+    it would happen one request at a time. A block starts at `_BLOCK_MIN`
+    requests and doubles after each block served whole, up to `_BLOCK_MAX`.
+    After a block that was not, the exact loop also serves the next
+    `_BLOCK_MIN` requests, twice as many after each such block in a row, up
+    to `_BLOCK_MAX`, and the next block starts at `_BLOCK_MIN` again: where
+    rebuilds come every few requests, as in raw mode while keys are unseen,
+    counting blocks only costs time. Each block is dropped before the next
+    is read, so a run holds one block at a time.
     """
     if on_step is not None:
         _serve_each(state, trace, on_step)
@@ -320,18 +322,26 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
     its occurrence that reaches the T0 floor, and the prefix ends before the
     first such occurrence.
 
-    The block is served in one pass over its count while no key can drift:
-    each key in turn is tested, and its count and search cost are added at
+    The prefix is found by trying ever shorter ones, the whole block first.
+    A try is one pass over the prefix's count: each key in turn is tested
+    with its count in the prefix, and its count and search cost are added at
     once. A key whose floor was computed at T0 caches that floor and gets
-    its depth computed if no walk has. At the first key that may drift, the
-    counts already added are taken back and only the prefix is served: from
-    that key on, each key is tested with its count in the prefix, a key that
-    only occurs after the prefix is left alone, and then each key's count in
-    the prefix and its search cost are added. A block with a key
-    outside 1..n, or with one that `operator.index` rejects, is not served
-    at all, so that the exact loop raises at that key as it would one
-    request at a time. (The count merges equal keys: an integral float after
-    an equal integer key in its block is served as that key.)
+    its depth computed if no walk has. If no key can reach its T0 floor, the
+    try serves the prefix. At the first key that can, the counts the try
+    added are taken back, and the next try's prefix ends before that key's
+    occurrence that reaches the floor, which lies inside this prefix, so the
+    tries end, at worst with an empty prefix. What a failed try leaves stays
+    valid: each cached floor is the floor at T0, a lower bound of the key's
+    floor at any later total in the block, and each computed depth is one of
+    the current tree, which stays until the exact loop rebuilds. Each key
+    the failed try tested first occurs before the key that stopped it, so
+    it lies in the next prefix, with no more requests there.
+
+    A block with a key outside 1..n, or with one that `operator.index`
+    rejects, is not served at all, so that the exact loop raises at that
+    key as it would one request at a time. (The count merges equal keys: an
+    integral float after an equal integer key in its block is served as
+    that key.)
     """
     counts = state.counters.counts
     delta = _delta(state.smoothing)
@@ -344,58 +354,36 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
             return 0
     except TypeError:  # a key that is not an integer
         return 0
-    cost = 0
-    keys = iter(tally.items())
-    for key, c in keys:
-        i = key - 1
-        w = counts[i] + c
-        if w + delta >= floors[i]:
-            floor = _drift_floor(tree_weights[i], tree_total, total)
-            if w + delta >= floor:
+    stop = len(block)
+    while True:
+        cost = 0
+        for key, c in tally.items():
+            i = key - 1
+            w = counts[i] + c
+            if w + delta >= floors[i]:
+                floor = _drift_floor(tree_weights[i], tree_total, total)
+                if w + delta >= floor:
+                    break
+                floors[i] = floor
+                if not depths[i]:
+                    coded.depth(i)
+            counts[i] = w
+            cost += c * depths[i]
+        else:
+            state.counters.t += stop
+            state.search_cost += cost
+            return stop
+        # `key` reaches its floor in this prefix: take back the keys served
+        # before it, and end the next prefix before the key's request that
+        # reaches the floor, its (floor - delta - counts[i])-th in the block
+        for k, served in tally.items():
+            if k == key:
                 break
-            floors[i] = floor
-            if not depths[i]:
-                coded.depth(i)
-        counts[i] = w
-        cost += c * depths[i]
-    else:
-        state.counters.t += len(block)
-        state.search_cost += cost
-        return len(block)
-    # `key` may reach its floor in the block: take back the keys served
-    # before it, and end the prefix before the first request that can drift
-    for k, served in tally.items():
-        if k == key:
-            break
-        counts[k - 1] -= served
-    prefix, stop = tally, len(block)
-    for key, _ in chain([(key, c)], keys):
-        c = prefix.get(key)
-        if c is None:  # keys come in order of first occurrence: the rest lie past the prefix
-            break
-        i = key - 1
-        if counts[i] + c + delta < floors[i]:
-            continue
-        floor = _drift_floor(tree_weights[i], tree_total, total)
-        need = floor - delta - counts[i]  # the key's requests until it reaches `floor`
-        if c >= need:
-            stop = block.index(key)
-            for _ in range(need - 1):
-                stop = block.index(key, stop + 1)
-            prefix = Counter(islice(block, stop))
-            if need < 2:  # the key's first request ends the prefix
-                continue
-        floors[i] = floor
-        if not depths[i]:
-            coded.depth(i)
-    cost = 0
-    for key, c in prefix.items():
-        i = key - 1
-        counts[i] += c
-        cost += c * depths[i]
-    state.counters.t += stop
-    state.search_cost += cost
-    return stop
+            counts[k - 1] -= served
+        stop = block.index(key)
+        for _ in range(floor - delta - counts[i] - 1):
+            stop = block.index(key, stop + 1)
+        tally = Counter(islice(block, stop))
 
 
 def _serve_each(

@@ -714,9 +714,10 @@ def test_bulk_runs_match_the_oracle_on_surges(bulk_served, smoothing):
 
 # Laplace counts on hand-set tree weights of total 100; raw mode takes each
 # count plus one, which gives the same observed weights and totals. Key 1
-# (and in the last case key 2) has tree weight 1, so its drift floor is 3
-# at every observed total from 101 to 149: the block below starts at 101,
-# and the request that takes the key's observed weight to 3 rebuilds.
+# (and key 2 in the (1, 1, 98) case, keys 2 and 3 in the last one) has tree
+# weight 1, so its drift floor is 3 at every observed total from 101 to 149:
+# the block below starts at 101, and the request that takes the key's
+# observed weight to 3 rebuilds.
 @pytest.mark.parametrize("bulk_served", [(8, 8)], indirect=True)
 @pytest.mark.parametrize("smoothing", [SMOOTHING_LAPLACE, SMOOTHING_NONE])
 @pytest.mark.parametrize("tree_weights, counts, block, stop", [
@@ -725,6 +726,7 @@ def test_bulk_runs_match_the_oracle_on_surges(bulk_served, smoothing):
     ((1, 49, 50), (0, 48, 49), [1, 3, 3, 3, 3, 3, 3, 1], 7),  # key 1 last in the block
     ((1, 1, 98), (0, 1, 96), [1, 3, 3, 2, 3, 3, 1, 3], 3),    # key 2, before key 1 at 6
     ((1, 49, 50), (0, 48, 49), [2, 3, 3, 1, 2, 3, 1, 3], 6),  # keys 2 and 3 served, then taken back
+    ((1, 1, 1, 97), (0, 0, 0, 96), [1, 2, 3, 3, 2, 1, 4, 4], 3),  # keys 1, 2, 3 each shrink it
 ])
 def test_bulk_prefix_ends_where_a_key_reaches_its_floor(
     bulk_served, smoothing, tree_weights, counts, block, stop
@@ -732,7 +734,7 @@ def test_bulk_prefix_ends_where_a_key_reaches_its_floor(
     delta = dynamic._delta(smoothing)
 
     def hand_made_state():
-        state = init(3, 2, smoothing)
+        state = init(len(tree_weights), 2, smoothing)
         state.tree_weights, state.tree_total = tree_weights, 100
         raw = [c + 1 - delta for c in counts]
         state.counters = CounterState(raw, sum(raw))
