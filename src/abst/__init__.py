@@ -13,7 +13,6 @@ from .checks import RebuildRecord, RunLedger, guarded_invariant_holds
 from .dynamic import (
     SMOOTHING_LAPLACE,
     SMOOTHING_NONE,
-    CounterState,
     SimulationReport,
     SimulationState,
     StepRecord,

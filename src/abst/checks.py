@@ -231,14 +231,13 @@ class RebuildRecord:
 def guarded_invariant_holds(state: SimulationState, keys: Iterable[int] | None = None) -> bool:
     """The tree probability of each of `keys` (default: every key) is at
     least half its current frequency."""
-    c = state.counters
-    delta = _delta(state.smoothing)
-    total = c.t + delta * state.n
+    counts, delta = state.counts, _delta(state.smoothing)
+    total = state.t + delta * state.n
     tree_weights, tree_total = state.tree_weights, state.tree_total
     if keys is None:
         keys = range(1, state.n + 1)
     return all(
-        c.counts[k - 1] + delta < _drift_floor(tree_weights[k - 1], tree_total, total) for k in keys
+        counts[k - 1] + delta < _drift_floor(tree_weights[k - 1], tree_total, total) for k in keys
     )
 
 
@@ -285,8 +284,7 @@ class RunLedger:
         self.deep += check_served_depth(rec, state.n, state.smoothing)
         keys: tuple[int, ...] | None = (rec.key,)
         if self._scan or rec.rebuilt:
-            c = state.counters
-            observed = _observed_weights(c.counts, c.t, _delta(state.smoothing))
+            observed = _observed_weights(state.counts, state.t, _delta(state.smoothing))
             keys = () if (state.tree_weights, state.tree_total) == observed else None
         if not guarded_invariant_holds(state, keys):
             raise BoundViolationError(f"tree probability fell below half frequency after t={rec.t}")

@@ -130,12 +130,12 @@ def cmd_simulate(args) -> int:
     with _warnings_as_lines():
         state = init(args.n, _parse_alpha(args.alpha), args.smoothing)
     sinks: list[Callable[[StepRecord], object]] = []
-    ledger = checks.RunLedger(state)
     with contextlib.ExitStack() as stack:
         if args.steps_csv:
             fh = stack.enter_context(open(args.steps_csv, "w", encoding="utf-8", newline=""))
             sinks.append(_steps_csv_sink(fh))
         if args.check_bounds:
+            ledger = checks.RunLedger(state)
             sinks.append(ledger)
 
         def on_step(rec: StepRecord) -> None:

@@ -17,9 +17,10 @@ and a request whose observed weight is below its key's cached floor needs
 no other test. Only a request that reaches it recomputes the floor at the
 current total, and rebuilds if it reaches that one too.
 
-A request only ever reads its key's depth, so the simulator's state holds
-the depths of the current tree and builds no node. A rebuild computes the
-observed weights and their CDF midpoints and starts an empty depth cache
+The state holds the request counts (`state.counts`, summing to `state.t`),
+the tree's weights and, since a request only ever reads its key's depth,
+the current tree's depths but no node. A rebuild computes the observed
+weights and their CDF midpoints and starts an empty depth cache
 (`trees.LazyCodedDepths`); a key's depth is computed at its first request
 after the rebuild, by a walk from the root that follows the child links
 earlier walks placed and splits the ranges below them. That request always
@@ -74,28 +75,6 @@ SMOOTHING_MODES = (SMOOTHING_LAPLACE, SMOOTHING_NONE)
 # with the trace.
 _BLOCK_MIN = 256
 _BLOCK_MAX = 8192
-
-
-@dataclass
-class CounterState:
-    """Per-key request counts; invariant: counts sum to t."""
-
-    counts: list[int]
-    t: int = 0
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
-        if sum(self.counts) != self.t:
-            raise ValueError(f"counts sum to {sum(self.counts)}, t is {self.t}")
-
-    @property
-    def n(self) -> int:
-        return len(self.counts)
-
-    @classmethod
-    def zeros(cls, n: int) -> "CounterState":
-        return cls(counts=[0] * n, t=0)
 
 
 def _delta(smoothing: str) -> int:
@@ -194,7 +173,7 @@ class SimulationState:
     n: int
     alpha: Fraction
     smoothing: str
-    counters: CounterState
+    counts: list[int]  # requests per key: key k has counts[k - 1]
     tree_weights: tuple[int, ...]  # the tree's distribution: weight / tree_total
     tree_total: int
     # depth of key k in the current tree is known_depths[k - 1] (coded.depths),
@@ -202,15 +181,12 @@ class SimulationState:
     # is set; coded is None for a tree whose depths are all known
     known_depths: list[int] = field(compare=False, repr=False)
     search_cost: int = 0
+    t: int = 0  # requests served, the sum of counts
     rebuilds: int = 0
     # key k cannot drift while its observed weight is below floors[k - 1], a
     # drift floor of the current tree at some earlier total; 0 means unknown
     floors: list[int] = field(default_factory=list, compare=False, repr=False)
     coded: LazyCodedDepths | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def adjust_cost(self) -> Fraction:
-        return self.alpha * self.rebuilds
 
     @property
     def depths(self) -> list[int]:
@@ -248,7 +224,7 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
         n=n,
         alpha=alpha,
         smoothing=smoothing,
-        counters=CounterState.zeros(n),
+        counts=[0] * n,
         tree_weights=(1,) * n,
         tree_total=n,
         known_depths=list(build_balanced(n).depths),
@@ -343,11 +319,11 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
     integral float after an equal integer key in its block is served as
     that key.)
     """
-    counts = state.counters.counts
+    counts = state.counts
     delta = _delta(state.smoothing)
     floors, depths, coded = state.floors, state.known_depths, state.coded
     tree_weights, tree_total = state.tree_weights, state.tree_total
-    total = state.counters.t + 1 + delta * state.n
+    total = state.t + 1 + delta * state.n
     try:
         tally = Counter(block)
         if min(map(index, tally)) < 1 or max(tally) > state.n:
@@ -370,7 +346,7 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
             counts[i] = w
             cost += c * depths[i]
         else:
-            state.counters.t += stop
+            state.t += stop
             state.search_cost += cost
             return stop
         # `key` reaches its floor in this prefix: take back the keys served
@@ -394,28 +370,28 @@ def _serve_each(
     """Serve the requests of `trace` one at a time, handing each request's
     record to `on_step` if one is given.
 
-    Order matters: counters update first, the drift test compares the
-    updated observed weight against the key's cached floor and then, if it
-    reaches it, against the floor at the updated total, and the request is
-    served on the post-rebuild tree. A key's cached floor is 0 until its
-    first request after a rebuild, so that request always takes the drift
-    test, which computes the key's depth if no walk has; a request below its
-    key's cached floor finds the depth known. A key outside 1..n, or one that
-    is not an integer, raises `InvalidRequestError` naming it, with the state
-    as it was after the previous request. The state's hot fields live in
-    locals; `t` and the search cost are written back to the state before any
-    exception leaves and before `on_step` receives a step's record.
+    Order matters: the key's count and `t` update first, the drift test
+    compares the updated observed weight against the key's cached floor and
+    then, if it reaches it, against the floor at the updated total, and the
+    request is served on the post-rebuild tree. A key's cached floor is 0
+    until its first request after a rebuild, so that request always takes
+    the drift test, which computes the key's depth if no walk has; a request
+    below its key's cached floor finds the depth known. A key outside 1..n,
+    or one that is not an integer, raises `InvalidRequestError` naming it,
+    with the state as it was after the previous request. The state's hot
+    fields live in locals; `t` and the search cost are written back to the
+    state before any exception leaves and before `on_step` receives a step's
+    record.
     """
     n = state.n
-    c = state.counters
-    counts = c.counts
+    counts = state.counts
     delta = _delta(state.smoothing)
     depths, coded = state.known_depths, state.coded
     tree_weights, tree_total = state.tree_weights, state.tree_total
     floors = state.floors
     pseudo_total = delta * n
     per_step = on_step is not None
-    t, search = c.t, state.search_cost
+    t, search = state.t, state.search_cost
     try:
         for key in trace:
             try:  # free on Python 3.11+, and it cannot catch a sink's TypeError
@@ -447,10 +423,10 @@ def _serve_each(
             depth = depths[i]
             search += depth
             if per_step:
-                c.t, state.search_cost = t, search
+                state.t, state.search_cost = t, search
                 on_step(StepRecord(t, key, w, depth, depth_pre if rebuilt else depth, rebuilt))
     finally:
-        c.t, state.search_cost = t, search
+        state.t, state.search_cost = t, search
 
 
 def step(state: SimulationState, key: int) -> StepRecord:
@@ -495,9 +471,9 @@ def run(
     Without one, requests that cannot drift are served in bulk (see
     `serve`), to the same state and report.
     """
-    t_start = state.counters.t
+    t_start = state.t
     serve(state, trace, on_step)
-    if state.counters.t == t_start:
+    if state.t == t_start:
         raise ValueError("empty trace")
     return report(state)
 
@@ -505,18 +481,18 @@ def run(
 def report(state: SimulationState) -> SimulationReport:
     """The costs and counts of all `state` has served, priced at
     `state.alpha`: serving never reads alpha, only this does."""
-    c = state.counters
-    m = c.t
+    m = state.t
     applicable = state.alpha >= 2 and m + 1e-9 >= theorem_threshold(state.n, state.alpha)
+    adjust = state.alpha * state.rebuilds
     return SimulationReport(
         n=state.n,
         m=m,
         alpha=state.alpha,
         smoothing=state.smoothing,
         search_cost=state.search_cost,
-        adjust_cost=state.adjust_cost,
+        adjust_cost=adjust,
         rebuilds=state.rebuilds,
-        total=state.search_cost + state.adjust_cost,
+        total=state.search_cost + adjust,
         theorem_applicable=applicable,
-        weights=tuple(c.counts),
+        weights=tuple(state.counts),
     )

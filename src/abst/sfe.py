@@ -54,10 +54,6 @@ class ProbabilityDistribution:
     def n(self) -> int:
         return len(self.probs)
 
-    def prob(self, rank: int) -> Fraction:
-        """Probability of the key with the given 1-based rank."""
-        return self.probs[rank - 1]
-
 
 def parse_distribution(text: str) -> ProbabilityDistribution:
     """Parse a comma-separated list of rationals ("1/10") or decimals ("0.1").
@@ -123,9 +119,6 @@ class CodeTable:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def entry(self, rank: int) -> CodeEntry:
-        return self.entries[rank - 1]
 
     def codewords(self) -> list[str]:
         return [e.codeword for e in self.entries]

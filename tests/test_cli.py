@@ -145,7 +145,7 @@ def test_simulate_check_bounds_catches_a_bad_streamed_record(capsys, monkeypatch
 
 def test_steps_csv_holds_the_steps_served_before_a_violation(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        checks, "guarded_invariant_holds", lambda state, keys=None: state.counters.t < 7
+        checks, "guarded_invariant_holds", lambda state, keys=None: state.t < 7
     )
     steps_path = tmp_path / "steps.csv"
     code, _, err = run_cli(

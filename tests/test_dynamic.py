@@ -25,7 +25,6 @@ from abst.checks import (
 from abst.dynamic import (
     SMOOTHING_LAPLACE,
     SMOOTHING_NONE,
-    CounterState,
     StepRecord,
     init,
     run,
@@ -42,14 +41,6 @@ TREE_B = "(3 (1 . (2 . .)) (4 . (5 . .)))"
 # raw-frequency trace whose warm-up ends with a rebuild at t=10 on the
 # frequencies (1,2,4,2,1)/10, followed by two more requests for key 1
 WORKED_TRACE = [3, 2, 3, 4, 3, 2, 4, 3, 5, 1, 1, 1]
-
-
-def test_counter_state_validation():
-    CounterState(counts=[3, 2, 4, 2, 1], t=12)
-    with pytest.raises(ValueError):
-        CounterState(counts=[1, 2], t=4)
-    with pytest.raises(ValueError):
-        CounterState(counts=[-1, 1], t=0)
 
 
 def test_empirical_q_raw():
@@ -105,11 +96,11 @@ def test_worked_trace_rebuild_schedule():
     # eleventh request: tree probability 1/10 is not below (2/11)/2
     assert records[10].rebuilt is False
     assert state.tree_weights == (1, 2, 4, 2, 1) and state.tree_total == 10
-    assert state.counters.counts[0] == 2 and state.counters.t == 11
+    assert state.counts[0] == 2 and state.t == 11
     # twelfth request: 1/10 < (3/12)/2 fires a rebuild
     records.append(step(state, WORKED_TRACE[11]))
     assert records[11].rebuilt
-    assert state.counters.counts[0] == 3 and state.counters.t == 12
+    assert state.counts[0] == 3 and state.t == 12
     assert [r.t for r in records if r.rebuilt] == [1, 2, 4, 9, 10, 12]
     assert state.tree_weights == (3, 2, 4, 2, 1) and state.tree_total == 12
     assert format_tree(state.tree) == TREE_B
@@ -358,9 +349,9 @@ def test_alpha_never_changes_what_a_run_serves(smoothing, with_sink, n, workload
         records = []
         report = run(state, trace, on_step=records.append if with_sink else None)
         assert report.alpha == alpha and report.adjust_cost == alpha * report.rebuilds
-        served.append((records, state.counters, state.rebuilds, state.search_cost,
+        served.append((records, state.counts, state.t, state.rebuilds, state.search_cost,
                        state.tree_weights, state.tree_total, report.weights))
-    assert served[0][2] > 0
+    assert served[0][3] > 0
     assert all(other == served[0] for other in served[1:])
 
 
@@ -387,17 +378,16 @@ def serve_oracle(state, key: int) -> StepRecord:
     oracle."""
     if not 1 <= key <= state.n:
         raise InvalidRequestError(f"key {key} outside 1..{state.n}")
-    c = state.counters
-    c.counts[key - 1] += 1
-    c.t += 1
-    t = c.t
-    w = c.counts[key - 1]
+    state.counts[key - 1] += 1
+    state.t += 1
+    t = state.t
+    w = state.counts[key - 1]
     delta = 1 if state.smoothing == SMOOTHING_LAPLACE else 0
     total = t + delta * state.n
     fired = 2 * state.tree_weights[key - 1] * total < state.tree_total * (w + delta)
     depth_pre = state.depths[key - 1]
     if fired:
-        weights = tuple(count + delta for count in c.counts)
+        weights = tuple(count + delta for count in state.counts)
         _, depth_by_key = trie_oracle.coded_tree(weights, total, range(1, state.n + 1))
         state.known_depths = [depth_by_key[k] for k in range(1, state.n + 1)]
         state.tree_weights, state.tree_total = weights, total
@@ -499,7 +489,7 @@ def test_drift_gate_fires_exactly_at_the_cached_floor(smoothing, counts):
     def state_at_counts():
         state = init(3, 2, smoothing)
         state.tree_weights, state.tree_total = (2, 3, 5), 10
-        state.counters = CounterState(list(counts), sum(counts))
+        state.counts, state.t = list(counts), sum(counts)
         return state
 
     state = state_at_counts()
@@ -564,13 +554,13 @@ def test_run_writes_its_counters_back_before_errors_and_sinks():
 
     def sink(rec):
         served.append(rec)
-        assert state.counters.t == rec.t
+        assert state.t == rec.t
         assert state.search_cost == sum(r.depth for r in served)
 
     with pytest.raises(InvalidRequestError):
         run(state, [3, 2, 3, 9, 1], on_step=sink)
     assert len(served) == 3
-    assert state.counters.t == 3 and sum(state.counters.counts) == 3
+    assert state.t == 3 and sum(state.counts) == 3
     assert state.search_cost == sum(rec.depth for rec in served)
     assert run(state, [1]).m == 4
 
@@ -586,11 +576,11 @@ def two_pass_safe_prefix(state, block: list[int]) -> int:
     """`dynamic._serve_safe_prefix` as it was before it served a block in
     one pass: the keys are visited to find the prefix, then the prefix is
     served in a second loop. Test oracle."""
-    counts = state.counters.counts
+    counts = state.counts
     delta = dynamic._delta(state.smoothing)
     floors, depths, coded = state.floors, state.known_depths, state.coded
     tree_weights, tree_total = state.tree_weights, state.tree_total
-    total = state.counters.t + 1 + delta * state.n
+    total = state.t + 1 + delta * state.n
     stop = len(block)
     try:
         tally = prefix = Counter(block)
@@ -622,7 +612,7 @@ def two_pass_safe_prefix(state, block: list[int]) -> int:
         i = key - 1
         counts[i] += c
         cost += c * depths[i]
-    state.counters.t += stop
+    state.t += stop
     state.search_cost += cost
     return stop
 
@@ -632,15 +622,16 @@ def copy_for_oracle(state):
     with it. The fields it writes are pickled in one go, which keeps
     `known_depths` the list that `coded`'s walks fill, as in `state`."""
     copied = copy.copy(state)
-    fields = (state.counters, state.floors, state.known_depths, state.coded)
-    copied.counters, copied.floors, copied.known_depths, copied.coded = pickle.loads(
+    fields = (state.counts, state.floors, state.known_depths, state.coded)
+    copied.counts, copied.floors, copied.known_depths, copied.coded = pickle.loads(
         pickle.dumps(fields)
     )
     return copied
 
 
 def bulk_fields(state):
-    return (state.counters, state.search_cost, state.rebuilds, state.floors, state.known_depths)
+    return (state.counts, state.t, state.search_cost, state.rebuilds, state.floors,
+            state.known_depths)
 
 
 @pytest.fixture
@@ -737,11 +728,11 @@ def test_bulk_prefix_ends_where_a_key_reaches_its_floor(
         state = init(len(tree_weights), 2, smoothing)
         state.tree_weights, state.tree_total = tree_weights, 100
         raw = [c + 1 - delta for c in counts]
-        state.counters = CounterState(raw, sum(raw))
+        state.counts, state.t = raw, sum(raw)
         return state
 
     state, oracle_state, exact_state = hand_made_state(), hand_made_state(), hand_made_state()
-    start = state.counters.t
+    start = state.t
     trace = block + [3] * 8
     oracle = [serve_oracle(oracle_state, key) for key in trace]
     assert next(rec.t for rec in oracle if rec.rebuilt) == start + stop + 1
@@ -769,7 +760,7 @@ def test_bulk_run_writes_its_counters_back_before_errors(bulk_served, bad_at):
         states.append(state)
     assert errors == ["key 9 outside 1..5"] * 2
     sink_run, bulk_run = states
-    assert bulk_run.counters.t == bad_at and bulk_run == sink_run
+    assert bulk_run.t == bad_at and bulk_run == sink_run
     assert bulk_run.depths == sink_run.depths
     assert run(bulk_run, [1]).m == bad_at + 1
 
@@ -788,7 +779,7 @@ def test_a_key_that_is_not_an_integer_is_a_typed_error(bad_key, how):
         else:
             run(state, [1, bad_key], on_step=(lambda rec: None) if how == "sink" else None)
     assert str(caught.value) == f"key {bad_key!r} is not an integer"
-    assert state.counters.t == 151 and state.counters.counts == [51, 50, 50]
+    assert state.t == 151 and state.counts == [51, 50, 50]
     assert run(state, [2]).m == 152
 
 
@@ -799,7 +790,7 @@ def test_a_sinks_own_type_error_escapes_as_is():
     state = init(3, 2)
     with pytest.raises(TypeError, match="raised by the sink"):
         run(state, [1, 2], on_step=sink)
-    assert state.counters.t == 1
+    assert state.t == 1
 
 def test_run_builds_no_tree(monkeypatch):
     # a rebuild recomputes the depth vector only; the parent pass that makes
@@ -922,9 +913,9 @@ def test_depth_pre_of_a_key_whose_depth_no_request_computed(smoothing):
     cold = state.known_depths.index(0) + 1
     old_depth = trees.coded_depths(state.tree_weights, state.tree_total)[cold - 1]
     for s in (state, oracle_state):
-        counts = list(s.counters.counts)
+        counts = list(s.counts)
         counts[cold - 1] += len(trace)
-        s.counters = CounterState(counts, 2 * len(trace))
+        s.counts, s.t = counts, 2 * len(trace)
     rec = step(state, cold)
     assert rec.rebuilt and rec.depth_pre == old_depth
     assert rec == serve_oracle(oracle_state, cold)

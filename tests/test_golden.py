@@ -7,13 +7,16 @@ and rebuild records, both kept by a `checks.RunLedger` fed the run's steps;
 and the CSV of the README `compare` grid. A speed-up must leave every byte of them as
 it was. To re-pin after a deliberate change of outputs, run
 `PYTHONPATH=src python tests/test_golden.py`, which rewrites the file from the
-code on the path.
+code on the path. The README's two tables of rho must be what the CLI prints:
+its `compare` table the pinned grid, its table over m fresh `simulate` runs.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +26,7 @@ import pytest
 from abst import RunLedger, cli, generate, init, parse_workload, run
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "cli.json"
+README_PATH = Path(__file__).parent.parent / "README.md"
 
 # Laplace and raw counts, n from 5 to 1024, guarded and unguarded runs; the
 # raw n=300 uniform run rebuilds while keys are still unseen, so it grafts.
@@ -41,6 +45,8 @@ SIMULATE = {
     "--smoothing none --seed 2 --with-stat --check-bounds",
 }
 COMPARE_README = "compare --n 16 --alphas 2,8,32 --workloads uniform,zipf:1.0,zipf:1.5 --seed 99"
+# the README's table of rho as m grows, without its --m
+README_RHO_BY_M = "simulate --n 16 --alpha 8 --workload zipf:1.0 --seed 99 --with-stat"
 
 
 def _main(argv: list[str]) -> None:
@@ -112,6 +118,45 @@ def test_simulate_outputs_match_golden(tmp_path, name):
 
 def test_readme_compare_grid_matches_golden(tmp_path):
     assert compare_output(tmp_path) == _golden()["compare_readme"]
+
+
+def readme_table(header: list[str]) -> list[list[str]]:
+    """The cells of each row of the README table whose header is `header`."""
+    lines = README_PATH.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        if _cells(line) == header:
+            rows = []
+            for row in lines[i + 2:]:  # past the header and its rule
+                if not row.startswith("|"):
+                    break
+                rows.append(_cells(row))
+            return rows
+    raise AssertionError(f"README has no table headed {header}")
+
+
+def _cells(line: str) -> list[str]:
+    return [cell.strip() for cell in line.strip("|").split("|")] if line.startswith("|") else []
+
+
+def test_readme_rho_by_m_table_is_what_simulate_prints(tmp_path):
+    rows = readme_table(["m", "total", "stat", "rho"])
+    assert len(rows) == 5
+    for m, *printed in rows:
+        out = tmp_path / "report.json"
+        _main(README_RHO_BY_M.split() + ["--m", m, "--out", str(out)])
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert printed == [str(report["total"]), str(report["stat_cost"]), f"{report['rho']:.3f}"]
+
+
+def test_readme_compare_table_is_the_pinned_grid():
+    pinned = csv.DictReader(io.StringIO(_golden()["compare_readme"]))
+    want = [
+        [row["alpha"], row["workload"], row["m"], row["total"], row["stat_cost"],
+         f"{float(row['rho']):.3f}"]
+        for row in pinned
+    ]
+    assert len(want) == 9
+    assert readme_table(["alpha", "workload", "m", "total", "stat", "rho"]) == want
 
 
 def capture() -> dict:

@@ -212,7 +212,7 @@ def test_conversion_invariants_random(weights):
     assert tree == trie_oracle.coded_tree(weights, total, range(1, n + 1))[0]
     for key, p in enumerate(dist.probs, start=1):
         # never deeper than its code trie leaf
-        assert depths[key] <= table.entry(key).length + 1
+        assert depths[key] <= table.entries[key - 1].length + 1
         # exact form of depth < log2(1/p) + 3
         e = depths[key] - 3
         if e >= 0:
