@@ -50,8 +50,6 @@ from .trees import (
     coded_depths,
     depth_map,
     format_tree,
-    in_order,
-    parse_tree,
     sfe_to_bst,
     tree_from_depths,
 )

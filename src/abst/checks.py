@@ -4,11 +4,8 @@ Every suite takes an explicit seed, returns a list of violation strings
 (empty means pass), and uses exact arithmetic wherever the quantity under
 test is rational; floats only enter through entropy terms, compared at 1e-9.
 The drift-invariant guard and the cost-accounting checks read a run through
-its step stream (`RunLedger`), so the simulator's serve loop holds no checks.
-Every run a suite checks goes through one ledger run (`_ledger_run`); the
-trigger-locality suite also sends each rebuilt tree through its matchings.
-Each such trace is run once more with no sink, which takes the simulator's
-bulk path, and must end where the ledger run did.
+its step stream (`RunLedger`), so the simulator's serve loop holds no checks;
+`_suite_runs` is how a suite checks a run.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from .sfe import (
     entropy,
     is_prefix_free,
 )
-from .trees import coded_depths, depth_map, in_order, sfe_to_bst, tree_from_depths
+from .trees import coded_depths, depth_map, sfe_to_bst, tree_from_depths
 from .workload import DEFAULT_SEED, generate, parse_workload
 
 ENTROPY_TOL = 1e-9
@@ -140,7 +137,7 @@ def suite_tree_properties(cases: int, n_hi: int, seed: int) -> list[str]:
         table = build_sfe_code(dist)
         tree = sfe_to_bst(dist)
         depths = depth_map(tree)
-        if in_order(tree) != list(range(1, dist.n + 1)):
+        if list(tree.keys) != list(range(1, dist.n + 1)):
             violations.append(f"case {case}: output violates symmetric order")
         for entry, p in zip(table.entries, dist.probs):
             key = entry.key
@@ -201,7 +198,7 @@ def suite_baseline_properties(cases: int, n_hi: int, seed: int) -> list[str]:
             )
         if tree_cost(tree, weights) != cost:
             violations.append(f"case {case}: argmin tree does not evaluate to its cost")
-        if in_order(tree) != list(range(1, n + 1)):
+        if list(tree.keys) != list(range(1, n + 1)):
             violations.append(f"case {case}: argmin tree violates symmetric order")
         if cost > balanced_static_cost(weights):
             violations.append(f"case {case}: optimal exceeds the balanced tree")
@@ -311,14 +308,6 @@ def _ledger_run(
 
 def _cell_trace(n: int, alpha: int, workload: str, seed: int) -> list[int]:
     return generate(parse_workload(workload, n=n, m=grid_m(n, alpha), seed=seed))
-
-
-def run_cell(
-    n: int, alpha: int, workload: str, smoothing: str, seed: int = DEFAULT_SEED
-) -> tuple[SimulationReport, RunLedger]:
-    """Generate one grid cell's trace and run it through `_ledger_run`;
-    returns the report and the ledger."""
-    return _ledger_run(n, alpha, _cell_trace(n, alpha, workload, seed), smoothing)
 
 
 def check_report_bounds(report: SimulationReport, ledger: RunLedger) -> list[str]:

@@ -1,49 +1,14 @@
 """The online arithmetic BST: rebuild when a key's tree probability drifts
 below half its observed frequency.
 
-Costs follow the matching model: serving a request costs the served key's
-depth, every tree swap costs a flat `alpha`. Alpha prices a run but never
-enters serving: the drift test, the rebuilds and the depths read counts and
-weights only, and `report` is the one place that reads `state.alpha`. So a
-trace served once gives every alpha's report, and `cli.cmd_compare` serves
-each workload once for all its alphas. Observed frequencies and the
-tree's distribution are both integer weights over one total, so the drift
-test is exact integer arithmetic. A key of tree weight W (of S) drifts when
-2 W T < S x for its observed weight x of total T, that is when x reaches its
-drift floor 2 W T // S + 1 (`_drift_floor`). Between rebuilds W and S are
-fixed and T only grows, so a key's floor never falls: the state caches the
-floor last computed for each key (`state.floors`, reset at each rebuild),
-and a request whose observed weight is below its key's cached floor needs
-no other test. Only a request that reaches it recomputes the floor at the
-current total, and rebuilds if it reaches that one too.
-
-The state holds the request counts (`state.counts`, summing to `state.t`),
-the tree's weights and, since a request only ever reads its key's depth,
-the current tree's depths but no node. A rebuild computes the observed
-weights and their CDF midpoints and starts an empty depth cache
-(`trees.LazyCodedDepths`); a key's depth is computed at its first request
-after the rebuild, by a walk from the root that follows the child links
-earlier walks placed and splits the ranges below them. That request always
-takes the drift test, because the rebuild also reset the key's cached floor
-to 0, and the test computes the depth; a request below its key's cached
-floor reads the depth and nothing else. In raw mode the depth of a key of
-zero tree weight is computed the same way, from the walks to its two coded
-neighbours. `state.depths` and `state.tree` finish that cache by its
-`fill`, which splits only the ranges no walk has reached, when read.
-
-`run` and `step` serve requests through `serve`. With a sink for the
-step records, every request goes through the exact loop, one at a time.
-Without one, the trace is taken in blocks of 256 to 8192 requests, and most
-requests cannot drift: a key whose observed weight after all its requests
-in a block stays below its floor at the block's first request is safe for
-the whole block. So each block is counted at C speed (`collections.Counter`)
-and served in one pass over that count while no key can drift. Where a
-request could reach its key's floor, that pass is taken back and rerun
-over the count of the prefix before the request, until a pass finds no
-such request and serves its prefix; the exact loop serves the rest of the
-block, rebuilding where it would one request at a time. This module holds
-no checker code: the drift-invariant guard and the cost-accounting checks'
-bookkeeping read the `StepRecord` stream through `checks.RunLedger`.
+Serving a request costs the served key's depth and every tree swap a flat
+`alpha`, which only `report` reads. Where each mechanism lives: the exact
+drift test, and why a key's floor can be cached, at `_drift_floor`; the
+exact loop, one request at a time, at `_serve_each`; the bulk serving of a
+run with no sink at `serve` and `_serve_safe_prefix`; the current tree's
+depths, computed when a request first reads them, at
+`trees.LazyCodedDepths`. The drift-invariant guard and the cost checks read
+the `StepRecord` stream through `checks.RunLedger`.
 """
 
 from __future__ import annotations
@@ -67,12 +32,9 @@ SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
 SMOOTHING_MODES = (SMOOTHING_LAPLACE, SMOOTHING_NONE)
 
-# Requests per block of a run without a sink (`serve`), 256 to 8192.
-# Below the minimum, counting a block costs more than serving it one request
-# at a time. A block in which no key can drift is served in one pass over its
-# count, so a larger block spreads that pass's fixed cost over more requests;
-# the cap bounds the block a run holds, so that its peak memory does not grow
-# with the trace.
+# Requests per block of a run without a sink (`serve`). Below the minimum,
+# counting a block costs more than serving it one request at a time; the cap
+# bounds the block a run holds, so its peak memory does not grow with m.
 _BLOCK_MIN = 256
 _BLOCK_MAX = 8192
 
@@ -96,7 +58,13 @@ def _observed_weights(counts: Sequence[int], t: int, delta: int) -> tuple[tuple[
 def _drift_floor(tree_weight: int, tree_total: int, total: int) -> int:
     """The smallest observed weight w at which a key of tree probability
     tree_weight/tree_total has drifted, i.e. is below half its observed
-    frequency w/total: 2 W_k total < S w holds iff w >= floor(2 W_k total / S) + 1."""
+    frequency w/total: 2 W_k total < S w holds iff w >= floor(2 W_k total / S) + 1.
+
+    Exact integer arithmetic, as observed and tree weights are integers over
+    their totals. Between rebuilds W_k and S are fixed and the total only
+    grows, so a key's floor never falls: a request below the floor last
+    computed for its key (`state.floors`) needs no other test.
+    """
     return 2 * tree_weight * total // tree_total + 1
 
 
@@ -256,19 +224,16 @@ def serve(
 
     A run with a sink takes every request through the exact loop,
     `_serve_each`, which hands each request's record to `on_step`. A run
-    without one takes the trace in blocks of 256 to 8192 requests.
-    `_serve_safe_prefix` serves a block in one pass while no key can drift;
-    otherwise it reruns that pass on ever shorter prefixes of the block and
-    serves the first one in which no request can drift, and the exact loop
-    serves the rest of the block, so a rebuild happens at the request where
-    it would happen one request at a time. A block starts at `_BLOCK_MIN`
-    requests and doubles after each block served whole, up to `_BLOCK_MAX`.
-    After a block that was not, the exact loop also serves the next
-    `_BLOCK_MIN` requests, twice as many after each such block in a row, up
-    to `_BLOCK_MAX`, and the next block starts at `_BLOCK_MIN` again: where
-    rebuilds come every few requests, as in raw mode while keys are unseen,
-    counting blocks only costs time. Each block is dropped before the next
-    is read, so a run holds one block at a time.
+    without one takes the trace in blocks: `_serve_safe_prefix` serves the
+    longest prefix of a block in which no request can drift, and the exact
+    loop the rest, so each rebuild happens where it would one request at a
+    time. A block starts at `_BLOCK_MIN` requests and doubles after each
+    block served whole, up to `_BLOCK_MAX`. After a block that was not, the
+    exact loop also serves the next `_BLOCK_MIN` requests, twice as many
+    after each such block in a row, up to `_BLOCK_MAX`, and the next block
+    starts at `_BLOCK_MIN` again: where rebuilds come every few requests,
+    as in raw mode while keys are unseen, counting blocks only costs time.
+    Each block is dropped before the next is read.
     """
     if on_step is not None:
         _serve_each(state, trace, on_step)

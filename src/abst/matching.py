@@ -32,14 +32,6 @@ class MatchingPair:
             "right": sorted([u, v] for u, v in self.right.items()),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MatchingPair":
-        return cls(
-            n=int(data["n"]),
-            left={int(u): int(v) for u, v in data["left"]},
-            right={int(u): int(v) for u, v in data["right"]},
-        )
-
 
 def bst_to_matchings(tree: SearchTree) -> MatchingPair:
     """Extract the two child matchings of a tree over ranks 1..n; ValueError

@@ -1,12 +1,10 @@
 """Shannon-Fano-Elias coding over ordered keys, in exact integer arithmetic.
 
-A distribution is coded as integer weights over one total S, so p_i = w_i/S.
-Key i gets length L_i = ceil(log2(S/w_i)) + 1 and, as its codeword, the first
-L_i bits of the CDF midpoint (2 C_{i-1} + w_i) / 2S, where C_i is the prefix
-sum of the weights. Code construction never touches floating point, so a
-flipped rounding bit can never break the prefix property; `Fraction` appears
-only at the parsing and printing boundary, and floats only in entropy
-reporting.
+A distribution is coded as integer weights over one total S, so p_i = w_i/S
+(`common_weights`), and `sfe_code` gives each key its length and codeword.
+Code construction never touches floating point, so a flipped rounding bit
+can never break the prefix property; `Fraction` appears only at the parsing
+and printing boundary, and floats only in entropy reporting.
 """
 
 from __future__ import annotations
@@ -14,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidDistributionError
@@ -78,9 +78,11 @@ def common_weights(probs: Sequence[Fraction]) -> tuple[list[int], int]:
 def sfe_code(weights: Sequence[int], total: int) -> tuple[list[int], list[int]]:
     """Lengths and codewords of the keys, for positive weights summing to `total`.
 
-    A codeword is an integer whose `length`-bit binary form, leading zeros
+    Key i gets length L_i = ceil(log2(S/w_i)) + 1 (`code_length`), and its
+    codeword is an integer whose L_i-bit binary form, leading zeros
     included, is the first bits of the CDF midpoint (2 C_{i-1} + w_i) / 2S
-    (Cover and Thomas, Elements of Information Theory, section 5.9).
+    for the prefix sums C of the weights (Cover and Thomas, Elements of
+    Information Theory, section 5.9).
     """
     lengths, words = [], []
     total2 = 2 * total
@@ -123,17 +125,13 @@ class CodeTable:
     def codewords(self) -> list[str]:
         return [e.codeword for e in self.entries]
 
-    def lengths(self) -> list[int]:
-        return [e.length for e in self.entries]
-
 
 def build_sfe_code(dist: ProbabilityDistribution | Iterable) -> CodeTable:
-    """Construct the Shannon-Fano-Elias code table for a distribution.
+    """The Shannon-Fano-Elias code table of a distribution (`sfe_code`).
 
-    Key i is assigned the first ceil(log2(1/p_i)) + 1 bits of the binary
-    expansion of the CDF midpoint F(i-1) + p_i/2. Midpoints are strictly
-    increasing and each codeword pins down an interval no wider than its
-    probability mass, which makes the code prefix-free and order-preserving.
+    Midpoints are strictly increasing and each codeword pins down an
+    interval no wider than its probability mass, which makes the code
+    prefix-free and order-preserving.
     """
     if not isinstance(dist, ProbabilityDistribution):
         dist = ProbabilityDistribution(tuple(dist))
@@ -161,15 +159,19 @@ def average_code_length(table: CodeTable, dist: ProbabilityDistribution) -> Frac
 
 def entropy(dist: ProbabilityDistribution) -> float:
     """Binary entropy in bits; float, compare at 1e-9 tolerance."""
-    return -sum(float(p) * math.log2(float(p)) for p in dist.probs)
+    return entropy_of_weights(common_weights(dist.probs)[0])
 
 
 def entropy_of_weights(weights: Sequence[int]) -> float:
-    """Binary entropy of a frequency vector, skipping zero counts."""
+    """Binary entropy of a frequency vector, skipping zero counts.
+
+    The terms are added left to right from 0.0, as `sum` added floats before
+    Python 3.12 made it compensated, so every version gives the same bits.
+    """
     m = sum(weights)
     if m <= 0:
         raise ValueError("weights must have positive total")
-    return sum((w / m) * math.log2(m / w) for w in weights if w > 0)
+    return reduce(add, [(w / m) * math.log2(m / w) for w in weights if w > 0], 0.0)
 
 
 def is_prefix_free(codewords: Iterable[str]) -> bool:

@@ -1,41 +1,11 @@
 """Biased binary search trees from order-preserving prefix codes.
 
-A coded tree is computed as a depth vector, with no trie, no codeword and no
-node objects. Take a range lo..hi of keys whose codewords share their first
-d bits, p. Because the code is prefix-free and order-preserving, bit d splits
-such a range into a run of 0s and a run of 1s. The range's root is the
-shorter-coded of the two keys flanking that split (ties go left); when one
-run is empty the root is the flank on that side, lo if every bit d is 1 and
-hi if every one is 0. The root sits at depth d+1, the keys below it share
-the d+1 bits 2p and those above it 2p+1. This is the tree the code trie
-would give by promoting flanking leaves: keys stay in symmetric order and no
-key ends up deeper than its trie leaf (codeword length + 1).
-
-No codeword is needed to find the split. A key's codeword is the first bits
-of its CDF midpoint M_i / 2S, with M_i = C_{i-1} + C_i for the prefix sums C
-of the weights, and every key of a range of two or more has a code longer
-than d bits. So bit d is 1 exactly when M_i >= ceil((2p+1) S / 2^d), and as
-the midpoints rise with rank the split is one `bisect_left` over M
-(`_split`). Only the two flanking keys' code lengths are computed. Mehlhorn's
-nearly optimal trees (Acta Informatica 5, 1975) split by bisecting
-cumulative weights in the same way.
-
-`LazyCodedDepths` walks only from the root down to a key whose depth is
-asked for. It keeps the part of the tree walked so far as child links by
-rank, and each placed rank's range and code prefix, so a walk follows the
-links and splits only below the last placed rank on its path: the keys
-asked for share the top of the tree, and `_split` runs once per rank
-placed. A key of zero weight needs only the walks to its two coded
-neighbours. The simulator uses it, as a request reads only its own key's
-depth. Its `fill` splits the ranges no walk has reached from one explicit
-stack, and `coded_depths` is `LazyCodedDepths(...).fill()`, so the split
-walk and the graft rule for zero weights are each written once.
-
-A BST is fixed by its in-order keys and their depths, so a `SearchTree` is
-those two tuples and nothing else; `sfe_to_bst` pairs the keys with
-`coded_depths`. The child links are read when they are needed (by
-`format_tree` and `matching.bst_to_matchings`) from one stack pass over the
-depths, `_links`, which is also the check that the depths fit a BST.
+A coded tree is computed as a depth vector, with no trie, codeword or node
+object: `_split` finds the root of a range of keys from their CDF midpoints,
+`LazyCodedDepths` walks those splits from the root down to the keys asked
+for, and `coded_depths` is its `fill`. A `SearchTree` is its in-order keys
+and their depths; `_links` reads its child links from the depths and checks
+that they fit a BST.
 """
 
 from __future__ import annotations
@@ -51,9 +21,9 @@ from .sfe import ProbabilityDistribution, code_length, common_weights
 
 @dataclass(frozen=True)
 class SearchTree:
-    """BST as its keys in symmetric order and their depths, root at depth 1.
-
-    `tree_from_depths` is the constructor that checks the depths fit a BST.
+    """BST as its keys in symmetric order and their depths, root at depth 1,
+    which fix it. `tree_from_depths` is the constructor that checks the
+    depths fit a BST.
     """
 
     keys: tuple[int, ...]
@@ -76,7 +46,22 @@ def _split(
     mids: list[int], weights: Sequence[int], total: int, lo: int, hi: int, d: int, p: int
 ) -> int:
     """The root of keys lo..hi of positive weight, whose codewords share the
-    d-bit prefix p."""
+    d-bit prefix p.
+
+    Bit d splits such a range into a run of 0s and a run of 1s, as the code
+    is prefix-free and order-preserving. The root is the shorter-coded of
+    the two keys flanking the split (ties go left), or the flank on the side
+    of an empty run: lo if every bit d is 1, hi if every one is 0. It sits
+    at depth d+1, and the keys below and above it share the prefixes 2p and
+    2p+1. This is the tree the code trie would give by promoting flanking
+    leaves: keys stay in symmetric order and none is deeper than its trie
+    leaf (code length + 1). A key's codeword is the first bits of its
+    midpoint M_i / 2S, and every key of a range of two or more has more
+    than d bits, so bit d is 1 exactly when M_i >= ceil((2p+1) S / 2^d).
+    The midpoints rise with rank, so the split is one `bisect_left`, as
+    Mehlhorn's nearly optimal trees (Acta Informatica 5, 1975) bisect
+    cumulative weights, and only the two flanks' code lengths are computed.
+    """
     if lo == hi:
         return lo
     s = bisect_left(mids, -(-(2 * p + 1) * total >> d), lo, hi + 1)  # first bit d of 1
@@ -278,10 +263,6 @@ def depth_map(tree: SearchTree) -> dict[int, int]:
     return dict(zip(tree.keys, tree.depths))
 
 
-def in_order(tree: SearchTree) -> list[int]:
-    return list(tree.keys)
-
-
 def format_tree(tree: SearchTree) -> str:
     """Serialize as nested `(key left right)` with `.` for empty."""
     root, left, right = _links(tree.depths)
@@ -297,42 +278,6 @@ def format_tree(tree: SearchTree) -> str:
             parts.append(f"({tree.keys[item]} ")
             stack += [")", right[item], " ", left[item]]
     return "".join(parts)
-
-
-def parse_tree(text: str) -> SearchTree:
-    """Inverse of format_tree."""
-    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
-
-    def take() -> str:
-        tok = next(tokens, None)
-        if tok is None:
-            raise ValueError("unexpected end of tree text")
-        return tok
-
-    keys, depths = [], []
-    # open nodes, each with whether its left subtree is already complete
-    open_keys: list[tuple[int, bool]] = []
-    while True:
-        tok = take()
-        if tok == "(":
-            open_keys.append((int(take()), False))
-            continue
-        if tok != ".":
-            raise ValueError(f"expected '(' or '.', got {tok!r}")
-        while open_keys and open_keys[-1][1]:  # a right subtree just completed
-            open_keys.pop()
-            closing = take()
-            if closing != ")":
-                raise ValueError(f"expected ')', got {closing!r}")
-        if not open_keys:
-            break
-        key = open_keys[-1][0]  # its left subtree is done: it comes next in order
-        keys.append(key)
-        depths.append(len(open_keys))
-        open_keys[-1] = (key, True)
-    if next(tokens, None) is not None:
-        raise ValueError("trailing tokens after tree")
-    return SearchTree(tuple(keys), tuple(depths))
 
 
 def build_balanced(n: int) -> SearchTree:

@@ -1,7 +1,9 @@
 """Seeded request-sequence generation and trace file I/O.
 
 All randomness comes from `random.Random`, i.e. the Mersenne Twister
-(MT19937); identical seeds reproduce identical sequences on any platform.
+(MT19937), and float sums are added left to right, so identical seeds
+reproduce identical sequences on any platform and any supported Python
+version.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice, repeat
+from operator import add
 from typing import Sequence
 
 from .errors import TraceParseError
@@ -109,7 +113,7 @@ def generate(spec: WorkloadSpec) -> list[int]:
             raise ValueError(
                 f"zipf exponent {spec.s} overflows a float weight at n={spec.n}"
             ) from None
-        total = sum(mass)
+        total = reduce(add, mass, 0.0)  # left to right, as `sum` before 3.12
         cdf = []
         acc = 0.0
         for x in mass:

@@ -15,11 +15,12 @@ from abst.baselines import WeightVector, brute_force_static_cost, optimal_static
 from abst.checks import (
     ENTROPY_TOL,
     RunLedger,
+    _cell_trace,
+    _ledger_run,
     check_report_bounds,
     depth_bound_ok,
     grid_m,
     random_distribution,
-    run_cell,
     suite_code_properties,
     suite_matching_properties,
     suite_tree_properties,
@@ -33,6 +34,12 @@ from abst.workload import generate, parse_workload
 SEED = 20260810
 SUITE_CASES = 500
 GRID_SEED = 99
+
+
+def run_cell(n, alpha, workload, smoothing, seed):
+    """Generate one grid cell's trace and run it through `checks._ledger_run`;
+    returns the report and the ledger."""
+    return _ledger_run(n, alpha, _cell_trace(n, alpha, workload, seed), smoothing)
 
 
 def _conclude(name: str, violations: list[str]) -> None:
@@ -96,8 +103,9 @@ def test_c3_worked_example_goldens():
     violations = []
     dist_a = (Fraction(1, 10), Fraction(2, 10), Fraction(4, 10), Fraction(2, 10), Fraction(1, 10))
     table = build_sfe_code(dist_a)
-    if table.lengths() != [5, 4, 3, 4, 5]:
-        violations.append(f"code lengths {table.lengths()}")
+    lengths = [e.length for e in table.entries]
+    if lengths != [5, 4, 3, 4, 5]:
+        violations.append(f"code lengths {lengths}")
     tree = sfe_to_bst(dist_a)
     if format_tree(tree) != "(3 (2 (1 . .) .) (4 . (5 . .)))":
         violations.append(f"tree {format_tree(tree)}")

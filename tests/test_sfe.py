@@ -1,3 +1,4 @@
+import builtins
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from abst.sfe import (
     parse_distribution,
     sfe_code,
 )
+from abst.workload import generate, parse_workload
 
 EXAMPLE_A = parse_distribution("0.1,0.2,0.4,0.2,0.1")
 EXAMPLE_B = parse_distribution("3/12,2/12,4/12,2/12,1/12")
@@ -21,7 +23,7 @@ EXAMPLE_B = parse_distribution("3/12,2/12,4/12,2/12,1/12")
 
 def test_example_a_code_table():
     table = build_sfe_code(EXAMPLE_A)
-    assert table.lengths() == [5, 4, 3, 4, 5]
+    assert [e.length for e in table.entries] == [5, 4, 3, 4, 5]
     assert table.codewords() == ["00001", "0011", "100", "1100", "11110"]
     assert [e.cum for e in table.entries] == [
         Fraction(1, 10), Fraction(3, 10), Fraction(7, 10), Fraction(9, 10), Fraction(1),
@@ -33,7 +35,7 @@ def test_example_a_code_table():
 
 def test_example_b_code_table():
     table = build_sfe_code(EXAMPLE_B)
-    assert table.lengths() == [3, 4, 3, 4, 5]
+    assert [e.length for e in table.entries] == [3, 4, 3, 4, 5]
     assert table.codewords() == ["001", "0101", "100", "1101", "11110"]
 
 
@@ -45,7 +47,7 @@ def test_two_even_keys():
 
 def test_single_key():
     table = build_sfe_code([Fraction(1)])
-    assert table.lengths() == [1]
+    assert [e.length for e in table.entries] == [1]
     assert table.entries[0].midpoint == Fraction(1, 2)
     assert table.codewords() == ["1"]
 
@@ -85,6 +87,24 @@ def test_entropy_of_weights_skips_zeros():
     assert entropy_of_weights((0, 4, 0, 4)) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
         entropy_of_weights((0, 0))
+
+
+def test_no_float_goes_through_the_builtin_sum(monkeypatch):
+    # from Python 3.12 `sum` adds floats compensated, so a float sum through
+    # it gives other bits than on 3.10 and 3.11
+    builtin_sum = builtins.sum
+
+    def sum_of_no_floats(items, start=0):
+        items = list(items)
+        if any(isinstance(x, float) for x in [start, *items]):
+            raise AssertionError("a float went through the built-in sum")
+        return builtin_sum(items, start)
+
+    monkeypatch.setattr(builtins, "sum", sum_of_no_floats)
+    assert entropy_of_weights((1, 2, 4, 2, 1)) == pytest.approx(2.1219280948873624, abs=1e-9)
+    assert entropy(EXAMPLE_A) == pytest.approx(2.1219280948873624, abs=1e-9)
+    for s in ("0.5", "1.0", "1.5"):
+        assert len(generate(parse_workload(f"zipf:{s}", n=64, m=100, seed=99))) == 100
 
 
 @pytest.mark.parametrize("text", ["0,1", "-1/2,3/2", "1/2,1/3", "0.5,0.6", ""])

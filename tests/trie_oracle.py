@@ -31,7 +31,9 @@ The oracles here build a `LinkedTree` of `Node`s, as the library once did,
 and only what they return is converted, by `LinkedTree.search_tree`.
 `format_linked` and `linked_matchings` are the node walks that
 `trees.format_tree` and `matching.bst_to_matchings` ran before the tree lost
-its nodes. Only tests import this module.
+its nodes. `parse_tree` reads `trees.format_tree`'s text back into a
+`SearchTree`, the inverse that the format tests check it against. Only
+tests import this module.
 """
 
 from __future__ import annotations
@@ -89,6 +91,42 @@ def format_linked(tree: LinkedTree) -> str:
             parts.append(f"({item.key} ")
             stack += [")", item.right, " ", item.left]
     return "".join(parts)
+
+
+def parse_tree(text: str) -> SearchTree:
+    """Inverse of `trees.format_tree`."""
+    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
+
+    def take() -> str:
+        tok = next(tokens, None)
+        if tok is None:
+            raise ValueError("unexpected end of tree text")
+        return tok
+
+    keys, depths = [], []
+    # open nodes, each with whether its left subtree is already complete
+    open_keys: list[tuple[int, bool]] = []
+    while True:
+        tok = take()
+        if tok == "(":
+            open_keys.append((int(take()), False))
+            continue
+        if tok != ".":
+            raise ValueError(f"expected '(' or '.', got {tok!r}")
+        while open_keys and open_keys[-1][1]:  # a right subtree just completed
+            open_keys.pop()
+            closing = take()
+            if closing != ")":
+                raise ValueError(f"expected ')', got {closing!r}")
+        if not open_keys:
+            break
+        key = open_keys[-1][0]  # its left subtree is done: it comes next in order
+        keys.append(key)
+        depths.append(len(open_keys))
+        open_keys[-1] = (key, True)
+    if next(tokens, None) is not None:
+        raise ValueError("trailing tokens after tree")
+    return SearchTree(tuple(keys), tuple(depths))
 
 
 def linked_matchings(tree: LinkedTree) -> tuple[dict[int, int], dict[int, int]]:
