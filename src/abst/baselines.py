@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from typing import Iterator
 
-from .trees import SearchTree, build_balanced, build_from_roots, depth_map
+from .trees import SearchTree, build_balanced, build_from_roots, depth_map, graft_zero_weights
 
 BRUTE_FORCE_MAX_N = 12
 
@@ -45,38 +45,48 @@ def tree_cost(tree: SearchTree, weights: WeightVector) -> int:
 def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
     """Minimum total depth-weighted cost over all BSTs on 1..n, with an argmin.
 
-    Interval dynamic program: the cost of the best subtree on keys i..j is
-    the interval's weight (every key pays one visit to the subtree root)
-    plus the best split. Only successful searches carry weight, so there are
-    no gap terms. Root ties break toward the smaller key.
+    Interval dynamic program over the k keys of positive weight, by rank:
+    the cost of the best subtree on ranks i..j is the interval's weight
+    (every key pays one visit to the subtree root) plus the best split. Only
+    successful searches carry weight, so there are no gap terms. Root ties
+    break toward the smaller key.
 
-    The root scan of keys i..j is limited to root(i, j-1)..root(i+1, j),
-    which makes the whole table O(n^2). Knuth (1971, "Optimum binary search
+    The n - k keys of zero weight are then grafted by the coded tree's rule
+    (`trees.graft_zero_weights`): each run of them hangs as a chain one
+    below the deeper of its two ranked neighbours. The cost is the optimum
+    over all n keys: a zero-weight key hung as a leaf costs nothing, and
+    taking one out of any tree (splicing it out, or putting its predecessor
+    in its place) makes no other key deeper. The tree is the one the DP over
+    all n keys would pick, as the tests check against that DP.
+
+    The root scan of ranks i..j is limited to root(i, j-1)..root(i+1, j),
+    which makes the whole table O(k^2). Knuth (1971, "Optimum binary search
     trees", Acta Informatica 1) proved that bound, and Yao (1980, "Efficient
     dynamic programming using quadrangle inequalities") showed that it holds
     for the smallest optimal root, the one the tie rule picks.
 
-    Rows are filled i from n down to 1, j rising, so both bounds of a cell
+    Rows are filled i from k down to 1, j rising, so both bounds of a cell
     are known: root(i, j-1) is the root just found, carried in `lo`, and
     root(i+1, j) comes from the row below. The tables are triangular. Root r
-    of keys i..j costs `left[r] + cols[j][r]`: `left[r]` is the cost of keys
-    i..r-1, kept for the row being filled, and `cols[j][r]` that of keys
-    r+1..j, with column j filled bottom-up. `roots[i][j - i]` is the root
-    of keys i..j.
+    of ranks i..j costs `left[r] + cols[j][r]`: `left[r]` is the cost of
+    ranks i..r-1, kept for the row being filled, and `cols[j][r]` that of
+    ranks r+1..j, with column j filled bottom-up. `roots[i][j - i]` is the
+    root of ranks i..j.
     """
     n = weights.n
-    w = weights.weights
+    w = list(filter(None, weights.weights))
+    k = len(w)
     prefix = [0, *accumulate(w)]
-    left = [0] * (n + 2)  # left[i] = 0 is the empty interval
-    cols = [[0] * (j + 1) for j in range(n + 1)]  # cols[j][j] = 0 likewise
-    roots = [[] for _ in range(n + 2)]
-    for i in range(n, 0, -1):
+    left = [0] * (k + 2)  # left[i] = 0 is the empty interval
+    cols = [[0] * (j + 1) for j in range(k + 1)]  # cols[j][j] = 0 likewise
+    roots = [[] for _ in range(k + 2)]
+    for i in range(k, 0, -1):
         left[i + 1] = cols[i][i - 1] = w[i - 1]
         lo = i
         roots_i = roots[i] = [i]
         below = prefix[i - 1]
         # cell (i, j) for j rising, and j1 = j + 1
-        for j1, hi, col_j, prefix_j in zip(range(i + 2, n + 2), roots[i + 1],
+        for j1, hi, col_j, prefix_j in zip(range(i + 2, k + 2), roots[i + 1],
                                            islice(cols, i + 1, None), islice(prefix, i + 1, None)):
             best = left[lo] + col_j[lo]
             if hi > lo:  # most cells have one candidate root
@@ -87,7 +97,12 @@ def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
             left[j1] = col_j[i - 1] = best + prefix_j - below
             roots_i.append(lo)
 
-    return cols[n][0], build_from_roots(n, lambda i, j: roots[i][j - i])
+    tree = build_from_roots(k, lambda i, j: roots[i][j - i])
+    if k < n:
+        depths = [0] * n
+        graft_zero_weights(depths, list(compress(range(n), weights.weights)), tree.depths)
+        tree = SearchTree(tuple(range(1, n + 1)), tuple(depths))
+    return cols[k][0], tree
 
 
 def _all_shapes(lo: int, hi: int) -> Iterator:

@@ -14,6 +14,8 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 from .baselines import (
@@ -337,7 +339,7 @@ def check_report_bounds(report: SimulationReport, ledger: RunLedger) -> list[str
         limit = w * math.log2(m / w) + 2 * w
         if qlog > limit + tol:
             v.append(f"key {key}: frequency-log sum {qlog:.6f} > {limit:.6f}")
-    total_qlog = sum(q for _, _, q in qlogs)
+    total_qlog = reduce(add, [q for _, _, q in qlogs], 0.0)  # as `entropy_of_weights` adds
     agg_limit = m * report.entropy_empirical + 2 * m
     if total_qlog > agg_limit + tol:
         v.append(f"aggregate frequency-log sum {total_qlog:.6f} > {agg_limit:.6f}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
-from operator import add, not_
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .sfe import ProbabilityDistribution, code_length, common_weights
@@ -79,7 +79,7 @@ def coded_depths(weights: Sequence[int], total: int) -> list[int]:
     """Depth in the coded tree of each key, for integer weights over `total`;
     `tree_from_depths` gives the tree these depths fix. Keys of positive
     weight are placed by their Shannon-Fano-Elias codes, and keys of zero
-    weight, which get no codeword, are grafted (`LazyCodedDepths`)."""
+    weight, which get no codeword, are grafted (`graft_zero_weights`)."""
     return LazyCodedDepths(weights, total).fill()
 
 
@@ -97,8 +97,8 @@ class LazyCodedDepths:
     `_split` runs once per placed rank, and a level already walked costs
     one list read. With no zero weight a rank is a key's position and
     `rank_depths` is `depths`. A key of zero weight is grafted below its
-    coded neighbours by `_grafted_depth`, the one place that rule is
-    written, from the walks to those two neighbours only.
+    coded neighbours by the rule of `graft_zero_weights`: `_grafted_depth`
+    applies it to one key, `fill` to all at once.
     """
 
     def __init__(self, weights: Sequence[int], total: int):
@@ -154,9 +154,8 @@ class LazyCodedDepths:
 
     def _grafted_depth(self, i: int) -> int:
         """Depth of key i of a weight vector with a zero: a coded key's
-        walk, or for a zero-weight key the graft rule: each run of them
-        hangs as a chain one below the deeper of its coded neighbours, as
-        leaf insertion in increasing order would put it."""
+        walk, or for a zero-weight key the rule of `graft_zero_weights`,
+        from the walks to its two coded neighbours only."""
         coded, by_rank = self.coded, self.rank_depths
         r = bisect_left(coded, i)  # the coded keys before i
         if r < len(coded) and coded[r] == i:
@@ -190,13 +189,30 @@ class LazyCodedDepths:
                 stack.append((lo, r - 1, d, 2 * p))
             if r < hi:
                 stack.append((r + 1, hi, d, 2 * p + 1))
-        depths = self.depths
         if self.coded is not None:
-            for i, depth in zip(self.coded, by_rank):
-                depths[i] = depth
-            for i in compress(range(len(depths)), map(not_, depths)):  # zero weights
-                self._grafted_depth(i)
-        return depths
+            graft_zero_weights(self.depths, self.coded, by_rank)
+        return self.depths
+
+
+def graft_zero_weights(depths: list[int], coded: Sequence[int], by_rank: Sequence[int]) -> None:
+    """Write into `depths` the depth of every key, given the rising positions
+    `coded` of the keys of positive weight and their depths `by_rank` in a
+    BST on those keys alone.
+
+    A key of zero weight is placed by the graft rule: each run of them hangs
+    as a chain one below the deeper of its two coded neighbours (or of the
+    one it has), as leaf insertion in increasing order would put it. The
+    coded keys keep their depths, so the weighted cost is that of their tree.
+    """
+    prev, prev_depth = -1, 0  # the coded key before the current run
+    for i, depth in zip(coded, by_rank):
+        depths[i] = depth
+        if i - prev > 1:
+            base = max(prev_depth, depth)
+            depths[prev + 1:i] = range(base + 1, base + i - prev)
+        prev, prev_depth = i, depth
+    if prev < len(depths) - 1:
+        depths[prev + 1:] = range(prev_depth + 1, prev_depth + len(depths) - prev)
 
 
 def _links(depths: Sequence[int]) -> tuple[int, list[int], list[int]]:

@@ -1,5 +1,7 @@
 import random
 import sys
+from bisect import bisect_left
+from itertools import accumulate, islice
 
 import pytest
 
@@ -88,10 +90,50 @@ def square_knuth_optimal_static_cost(weights: WeightVector) -> tuple[int, Search
     return cost[1][n], build_from_roots(n, lambda i, j: root[i][j])
 
 
+def all_keys_optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
+    """Knuth's O(n^2) DP run over all n keys, zero weights included, as
+    `optimal_static_cost` was before it ran over the keys of positive weight
+    only and grafted the rest. Test oracle.
+
+    Rows are filled i from n down to 1, j rising, so both bounds of a cell
+    are known: root(i, j-1) is the root just found, carried in `lo`, and
+    root(i+1, j) comes from the row below. The tables are triangular. Root r
+    of keys i..j costs `left[r] + cols[j][r]`: `left[r]` is the cost of keys
+    i..r-1, kept for the row being filled, and `cols[j][r]` that of keys
+    r+1..j, with column j filled bottom-up. `roots[i][j - i]` is the root
+    of keys i..j.
+    """
+    n = weights.n
+    w = weights.weights
+    prefix = [0, *accumulate(w)]
+    left = [0] * (n + 2)  # left[i] = 0 is the empty interval
+    cols = [[0] * (j + 1) for j in range(n + 1)]  # cols[j][j] = 0 likewise
+    roots = [[] for _ in range(n + 2)]
+    for i in range(n, 0, -1):
+        left[i + 1] = cols[i][i - 1] = w[i - 1]
+        lo = i
+        roots_i = roots[i] = [i]
+        below = prefix[i - 1]
+        # cell (i, j) for j rising, and j1 = j + 1
+        for j1, hi, col_j, prefix_j in zip(range(i + 2, n + 2), roots[i + 1],
+                                           islice(cols, i + 1, None), islice(prefix, i + 1, None)):
+            best = left[lo] + col_j[lo]
+            if hi > lo:  # most cells have one candidate root
+                for r in range(lo + 1, hi + 1):
+                    c = left[r] + col_j[r]
+                    if c < best:
+                        best, lo = c, r
+            left[j1] = col_j[i - 1] = best + prefix_j - below
+            roots_i.append(lo)
+
+    return cols[n][0], build_from_roots(n, lambda i, j: roots[i][j - i])
+
+
 def assert_matches_oracles(weights: WeightVector) -> None:
-    """The DP's cost and tree equal both oracles'."""
+    """The DP's cost and tree equal every oracle's."""
     cost, tree = optimal_static_cost(weights)
-    for oracle in (cubic_optimal_static_cost, square_knuth_optimal_static_cost):
+    for oracle in (cubic_optimal_static_cost, square_knuth_optimal_static_cost,
+                   all_keys_optimal_static_cost):
         want_cost, want_tree = oracle(weights)
         assert cost == want_cost, oracle.__name__
         assert format_tree(tree) == format_tree(want_tree), oracle.__name__
@@ -172,6 +214,49 @@ def test_knuth_dp_matches_oracles_on_generated_counts(workload):
             for key in generate(parse_workload(workload, n=n, m=m, seed=n + m)):
                 counts[key - 1] += 1
             assert_matches_oracles(WeightVector(tuple(counts)))
+
+
+def assert_zero_weight_keys_grafted(weights: WeightVector, tree: SearchTree) -> None:
+    """Each zero-weight key is one deeper than the deeper of its coded (positive
+    weight) neighbours, plus its offset in its run of zero-weight keys."""
+    w, depths = weights.weights, tree.depths
+    coded = [i for i, x in enumerate(w) if x]
+    for i, x in enumerate(w):
+        if not x:
+            r = bisect_left(coded, i)
+            before = coded[r - 1] if r else -1
+            neighbours = [depths[c] for c in (before, *coded[r:r + 1]) if c >= 0]
+            assert depths[i] == max(neighbours) + i - before, (w, i)
+
+
+def sparse_weight_vectors(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """Weight vectors of length n with runs of zero weight at both ends and
+    inside: one with a single positive key, one with all positive weights
+    equal (many tied roots), and one from a random palette at a random zero
+    share."""
+    zero_share = rng.random()
+    palette = rng.choice([(1, 2), (1, 2, 4, 8), (1, 5, 50, 500), tuple(range(1, 30))])
+    single = [0] * n
+    single[rng.randrange(n)] = rng.choice(palette)
+    equal = [0 if rng.random() < zero_share else 3 for _ in range(n)]
+    mixed = [0 if rng.random() < zero_share else rng.choice(palette) for _ in range(n)]
+    vectors = [single]
+    for weights in (equal, mixed):
+        if n >= 3:  # zero runs at both ends and inside
+            weights[0] = weights[-1] = weights[rng.randrange(1, n - 1)] = 0
+        if not any(weights):
+            weights[rng.randrange(n)] = 1
+        vectors.append(weights)
+    return [tuple(weights) for weights in vectors]
+
+
+def test_dp_over_positive_keys_matches_all_keys_oracles_random():
+    rng = random.Random(1975)
+    for case in range(160):
+        n = rng.randint(150, 200) if case % 40 == 0 else rng.randint(1, 40)
+        for weights in map(WeightVector, sparse_weight_vectors(rng, n)):
+            assert_matches_oracles(weights)
+            assert_zero_weight_keys_grafted(weights, optimal_static_cost(weights)[1])
 
 
 def test_zero_weight_keys_stay_in_tree():

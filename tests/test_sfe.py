@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abst.checks import _ledger_run, check_report_bounds
 from abst.errors import DimensionMismatchError, InvalidDistributionError
 from abst.sfe import (
     ProbabilityDistribution,
@@ -105,6 +106,8 @@ def test_no_float_goes_through_the_builtin_sum(monkeypatch):
     assert entropy(EXAMPLE_A) == pytest.approx(2.1219280948873624, abs=1e-9)
     for s in ("0.5", "1.0", "1.5"):
         assert len(generate(parse_workload(f"zipf:{s}", n=64, m=100, seed=99))) == 100
+    trace = generate(parse_workload("zipf:1.0", n=16, m=768, seed=99))
+    assert check_report_bounds(*_ledger_run(16, 8, trace, "laplace")) == []
 
 
 @pytest.mark.parametrize("text", ["0,1", "-1/2,3/2", "1/2,1/3", "0.5,0.6", ""])
