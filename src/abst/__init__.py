@@ -20,12 +20,10 @@ from .dynamic import (
     run,
     step,
     theorem_threshold,
-    tree_for_probs,
 )
 from .errors import (
     AbstError,
     BoundViolationError,
-    DimensionMismatchError,
     InvalidDistributionError,
     InvalidMatchingError,
     InvalidRequestError,
@@ -51,6 +49,7 @@ from .trees import (
     depth_map,
     format_tree,
     sfe_to_bst,
+    tree_for_probs,
     tree_from_depths,
 )
 from .workload import (

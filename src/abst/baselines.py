@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice
+from operator import index
 from typing import Iterator
 
 from .trees import SearchTree, build_balanced, build_from_roots, depth_map, graft_zero_weights
@@ -13,12 +14,15 @@ BRUTE_FORCE_MAX_N = 12
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative per-key access counts with positive total."""
+    """Nonnegative integer per-key access counts with positive total."""
 
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        weights = tuple(int(w) for w in self.weights)
+        for i, w in enumerate(self.weights, 1):
+            if not hasattr(type(w), "__index__"):  # what `operator.index` takes
+                raise ValueError(f"weight {i} = {w!r} is not an integer")
+        weights = tuple(map(index, self.weights))
         if not weights:
             raise ValueError("empty weight vector")
         if any(w < 0 for w in weights):

@@ -108,13 +108,13 @@ def suite_code_properties(cases: int, n_hi: int, seed: int) -> list[str]:
             violations.append(f"case {case}: codewords not prefix-free")
         if any(a >= b for a, b in zip(words, words[1:])):
             violations.append(f"case {case}: codewords not strictly increasing")
-        for entry, p in zip(table.entries, dist.probs):
-            if entry.length - 1 != _ceil_log2_oracle(p):
+        for entry in table.entries:
+            if entry.length - 1 != _ceil_log2_oracle(entry.p):
                 violations.append(
-                    f"case {case}: length {entry.length} disagrees with oracle for p={p}"
+                    f"case {case}: length {entry.length} disagrees with oracle for p={entry.p}"
                 )
                 break
-        length = average_code_length(table, dist)
+        length = average_code_length(table)
         h = entropy(dist)
         if not (float(length) >= h + 1 - ENTROPY_TOL):
             violations.append(
@@ -141,8 +141,8 @@ def suite_tree_properties(cases: int, n_hi: int, seed: int) -> list[str]:
         depths = depth_map(tree)
         if list(tree.keys) != list(range(1, dist.n + 1)):
             violations.append(f"case {case}: output violates symmetric order")
-        for entry, p in zip(table.entries, dist.probs):
-            key = entry.key
+        for entry in table.entries:
+            key, p = entry.key, entry.p
             if not depth_bound_ok(depths[key], p):
                 violations.append(
                     f"case {case}: depth {depths[key]} >= log2(1/p)+3 for key {key}, p={p}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -46,10 +47,10 @@ def cmd_encode(args) -> int:
     dist = parse_distribution(args.distribution)
     table = build_sfe_code(dist)
     print(f"{'i':>3} {'p':>10} {'F':>10} {'Fmid':>10} {'len':>4}  codeword")
-    for p, e in zip(dist.probs, table.entries):
-        print(f"{e.key:>3} {str(p):>10} {str(e.cum):>10} {str(e.midpoint):>10} "
+    for e in table.entries:
+        print(f"{e.key:>3} {str(e.p):>10} {str(e.cum):>10} {str(e.midpoint):>10} "
               f"{e.length:>4}  {e.codeword}")
-    length = average_code_length(table, dist)
+    length = average_code_length(table)
     print(f"H = {entropy(dist):.6f} bits")
     print(f"L = {length} ({float(length):.6f} bits)")
     return EXIT_OK
@@ -241,6 +242,7 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abst",
@@ -251,11 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="print the code table for a distribution")
     p.add_argument("distribution", help='comma-separated, e.g. "0.1,0.2,0.4,0.2,0.1"')
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("build", help="print the biased BST and its matchings")
     p.add_argument("distribution")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("simulate", help="run one trace and report costs")
     _add_sim_args(p)
@@ -265,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify cost-accounting invariants; exit 4 on violation")
     p.add_argument("--steps-csv", metavar="PATH",
                    help="write per-step records (t,key,depth,rebuilt)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="simulate across alphas/workloads with rho")
     p.add_argument("--n", type=int, required=True)
@@ -278,12 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run the randomized property suites")
     p.add_argument("scale", choices=["quick", "full"])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -303,10 +300,9 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except BoundViolationError as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return EXIT_BOUND

@@ -25,7 +25,7 @@ from operator import index
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidRequestError
-from .sfe import ProbabilityDistribution, common_weights, entropy_of_weights
+from .sfe import entropy_of_weights
 from .trees import LazyCodedDepths, SearchTree, build_balanced, tree_from_depths
 
 SMOOTHING_LAPLACE = "laplace"
@@ -198,19 +198,6 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
         known_depths=list(build_balanced(n).depths),
         floors=[0] * n,
     )
-
-
-def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
-    """Biased tree for a probability vector that may contain zeros.
-
-    The nonzero probabilities must form a distribution. Zero-probability keys
-    (possible in raw-frequency mode before every key has been seen) are
-    grafted as leaves, see `trees.coded_depths`.
-    """
-    probs = [Fraction(p) for p in probs]
-    ProbabilityDistribution(tuple(p for p in probs if p))
-    weights, total = common_weights(probs)
-    return tree_from_depths(range(1, len(probs) + 1), LazyCodedDepths(weights, total).fill())
 
 
 def serve(

@@ -9,10 +9,6 @@ class InvalidDistributionError(AbstError, ValueError):
     """Probabilities are not strictly positive rationals summing to one."""
 
 
-class DimensionMismatchError(AbstError, ValueError):
-    """Two inputs that must agree in length do not."""
-
-
 class KeyNotFoundError(AbstError, LookupError):
     """A requested key is absent from the structure."""
 

@@ -1,7 +1,8 @@
 """Shannon-Fano-Elias coding over ordered keys, in exact integer arithmetic.
 
 A distribution is coded as integer weights over one total S, so p_i = w_i/S
-(`common_weights`), and `sfe_code` gives each key its length and codeword.
+(`ProbabilityDistribution.weights` and `.total`, computed once when it is
+validated), and `sfe_code` gives each key its length and codeword.
 Code construction never touches floating point, so a flipped rounding bit
 can never break the prefix property; `Fraction` appears only at the parsing
 and printing boundary, and floats only in entropy reporting.
@@ -10,13 +11,13 @@ and printing boundary, and floats only in entropy reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, InvalidDistributionError
+from .errors import InvalidDistributionError
 
 
 def _as_fraction(value) -> Fraction:
@@ -31,10 +32,13 @@ class ProbabilityDistribution:
     """Strictly positive rational probabilities for keys ranked 1..n.
 
     Rank order is the sorted-value order of the keys; the distribution is
-    immutable and safe to share.
+    immutable and safe to share. `weights` over `total`, the lcm S of the
+    denominators, are the probabilities as integers: p_i = w_i / S.
     """
 
     probs: tuple[Fraction, ...]
+    total: int = field(init=False, repr=False, compare=False)
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = tuple(_as_fraction(p) for p in self.probs)
@@ -42,13 +46,14 @@ class ProbabilityDistribution:
             raise InvalidDistributionError("empty distribution")
         for i, p in enumerate(probs):
             if p <= 0:
-                raise InvalidDistributionError(
-                    f"p_{i + 1} = {p} is not strictly positive"
-                )
-        total = sum(probs)
-        if total != 1:
-            raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
+                raise InvalidDistributionError(f"p_{i + 1} = {p} is not strictly positive")
+        total = math.lcm(*(p.denominator for p in probs))
+        weights = tuple(p.numerator * (total // p.denominator) for p in probs)
+        if (mass := sum(weights)) != total:
+            raise InvalidDistributionError(f"probabilities sum to {Fraction(mass, total)}, not 1")
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n(self) -> int:
@@ -64,15 +69,6 @@ def parse_distribution(text: str) -> ProbabilityDistribution:
     if not any(items):
         raise InvalidDistributionError("empty distribution literal")
     return ProbabilityDistribution(tuple(_as_fraction(tok) for tok in items))
-
-
-def common_weights(probs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer weights over the lcm S of the denominators: p_i = w_i / S.
-
-    S is the total weight whenever the probabilities sum to one.
-    """
-    total = math.lcm(*(p.denominator for p in probs))
-    return [p.numerator * (total // p.denominator) for p in probs], total
 
 
 def sfe_code(weights: Sequence[int], total: int) -> tuple[list[int], list[int]]:
@@ -105,9 +101,10 @@ def code_length(weight: int, total: int) -> int:
 
 @dataclass(frozen=True)
 class CodeEntry:
-    """Per-key code record: CDF value, CDF midpoint, length and codeword."""
+    """Per-key code record: probability, CDF value and midpoint, length, codeword."""
 
     key: int
+    p: Fraction
     cum: Fraction
     midpoint: Fraction
     length: int
@@ -135,31 +132,27 @@ def build_sfe_code(dist: ProbabilityDistribution | Iterable) -> CodeTable:
     """
     if not isinstance(dist, ProbabilityDistribution):
         dist = ProbabilityDistribution(tuple(dist))
-    weights, total = common_weights(dist.probs)
+    weights, total = dist.weights, dist.total
     entries = []
     cum = 0
     lengths, words = sfe_code(weights, total)
-    for rank, (w, length, code) in enumerate(zip(weights, lengths, words), start=1):
+    for rank, (p, w, length, code) in enumerate(zip(dist.probs, weights, lengths, words), 1):
         midpoint = Fraction(2 * cum + w, 2 * total)
         cum += w
         entries.append(
-            CodeEntry(rank, Fraction(cum, total), midpoint, length, f"{code:0{length}b}")
+            CodeEntry(rank, p, Fraction(cum, total), midpoint, length, f"{code:0{length}b}")
         )
     return CodeTable(tuple(entries))
 
 
-def average_code_length(table: CodeTable, dist: ProbabilityDistribution) -> Fraction:
+def average_code_length(table: CodeTable) -> Fraction:
     """Expected codeword length, exact."""
-    if table.n != dist.n:
-        raise DimensionMismatchError(
-            f"table has {table.n} entries, distribution has {dist.n}"
-        )
-    return sum((p * e.length for p, e in zip(dist.probs, table.entries)), Fraction(0))
+    return sum((e.p * e.length for e in table.entries), Fraction(0))
 
 
 def entropy(dist: ProbabilityDistribution) -> float:
     """Binary entropy in bits; float, compare at 1e-9 tolerance."""
-    return entropy_of_weights(common_weights(dist.probs)[0])
+    return entropy_of_weights(dist.weights)
 
 
 def entropy_of_weights(weights: Sequence[int]) -> float:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import add
 from typing import Callable, Iterable, Sequence
 
-from .sfe import ProbabilityDistribution, code_length, common_weights
+from .sfe import ProbabilityDistribution, code_length
 
 
 @dataclass(frozen=True)
@@ -270,8 +271,19 @@ def sfe_to_bst(
             raise ValueError("keys and distribution differ in length")
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("keys must be strictly increasing")
-    weights, total = common_weights(dist.probs)
-    return tree_from_depths(keys, coded_depths(weights, total))
+    return tree_from_depths(keys, coded_depths(dist.weights, dist.total))
+
+
+def tree_for_probs(probs: Sequence) -> SearchTree:
+    """The coded tree over keys 1..n for probabilities that may include zeros,
+    as raw frequencies give before every key is seen. The nonzero ones must
+    form a `ProbabilityDistribution`; the zero-probability keys are grafted
+    (`graft_zero_weights`)."""
+    probs = [Fraction(p) for p in probs]
+    dist = ProbabilityDistribution(tuple(filter(None, probs)))
+    positive = iter(dist.weights)
+    weights = [next(positive) if p else 0 for p in probs]
+    return tree_from_depths(range(1, len(probs) + 1), coded_depths(weights, dist.total))
 
 
 def depth_map(tree: SearchTree) -> dict[int, int]:

@@ -75,7 +75,7 @@ def test_c1_code_length_sandwich(distribution_suite):
     started = time.perf_counter()
     violations = []
     for i, dist in enumerate(distribution_suite):
-        length = average_code_length(build_sfe_code(dist), dist)
+        length = average_code_length(build_sfe_code(dist))
         h = entropy(dist)
         if not (float(length) >= h + 1 - ENTROPY_TOL and float(length) < h + 2 + ENTROPY_TOL):
             violations.append(

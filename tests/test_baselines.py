@@ -149,6 +149,16 @@ def test_weight_vector_validation():
         WeightVector((0, 0, 0))
 
 
+@pytest.mark.parametrize("weights, bad", [
+    ((2.5, 1), "weight 1 = 2.5"),
+    ((1, "3"), "weight 2 = '3'"),
+    ((1, 2, 2.0), "weight 3 = 2.0"),
+])
+def test_weight_vector_rejects_what_is_no_integer(weights, bad):
+    with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
+        WeightVector(weights)
+
+
 def test_optimal_single_key():
     cost, tree = optimal_static_cost(WeightVector((5,)))
     assert cost == 5

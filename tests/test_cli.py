@@ -430,6 +430,16 @@ def test_unexpected_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: something broke\n"
 
 
+def test_main_builds_the_parser_once_and_finds_each_command_when_called(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("encode", "1/2,1/2")
+    assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
+    monkeypatch.setattr(cli, "cmd_encode", lambda args: 42)
+    assert run_cli(capsys, *argv) == (42, "", "")
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv)[1].startswith("  i ")
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "quick", "--seed", "7")
     assert code == 0

@@ -30,10 +30,9 @@ from abst.dynamic import (
     run,
     step,
     theorem_threshold,
-    tree_for_probs,
 )
 from abst.errors import BoundViolationError, InvalidRequestError
-from abst.trees import format_tree, tree_from_depths
+from abst.trees import format_tree, tree_for_probs, tree_from_depths
 from abst.workload import generate, parse_workload
 
 TREE_B = "(3 (1 . (2 . .)) (4 . (5 . .)))"

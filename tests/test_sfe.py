@@ -1,11 +1,13 @@
 import builtins
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sfe_oracle
 from abst.checks import _ledger_run, check_report_bounds
-from abst.errors import DimensionMismatchError, InvalidDistributionError
+from abst.errors import InvalidDistributionError
 from abst.sfe import (
     ProbabilityDistribution,
     average_code_length,
@@ -60,22 +62,17 @@ def test_midpoint_matches_cum_minus_half_prob():
 
 
 def test_average_length_example_a():
-    assert average_code_length(build_sfe_code(EXAMPLE_A), EXAMPLE_A) == Fraction(19, 5)
+    assert average_code_length(build_sfe_code(EXAMPLE_A)) == Fraction(19, 5)
 
 
 def test_average_length_uniform_dyadic():
     dist = ProbabilityDistribution((Fraction(1, 4),) * 4)
-    assert average_code_length(build_sfe_code(dist), dist) == 3
+    assert average_code_length(build_sfe_code(dist)) == 3
 
 
 def test_average_length_single_key():
     dist = ProbabilityDistribution((Fraction(1),))
-    assert average_code_length(build_sfe_code(dist), dist) == 1
-
-
-def test_average_length_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        average_code_length(build_sfe_code(EXAMPLE_A), parse_distribution("1/2,1/2"))
+    assert average_code_length(build_sfe_code(dist)) == 1
 
 
 def test_entropy_values():
@@ -159,7 +156,9 @@ def test_code_properties_random(weights):
     words = table.codewords()
     assert is_prefix_free(words)
     assert all(a < b for a, b in zip(words, words[1:]))
-    length = average_code_length(table, dist)
+    assert [e.p for e in table.entries] == list(dist.probs)
+    length = average_code_length(table)
+    assert length == sfe_oracle.average_code_length(table, dist)
     h = entropy(dist)
     assert float(length) >= h + 1 - 1e-9
     assert float(length) < h + 2 + 1e-9
@@ -172,3 +171,47 @@ def test_code_properties_random(weights):
         # the codeword is floor(midpoint * 2^length), written in length bits
         x = e.midpoint
         assert int(e.codeword, 2) == x.numerator * 2**e.length // x.denominator
+
+
+JUNK = ["banana", None, "1/0", "", "nan", (1, 2)]
+
+
+@st.composite
+def rational_vectors(draw):
+    """Probability vectors as callers write them: `Fraction`s, "a/b" and
+    decimal strings, ints; summing to one or not, with zeros, negatives and
+    now and then an entry that is no number at all."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 12))
+        weights = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    else:  # over a total of 1000, which every decimal string can write
+        cuts = sorted(draw(st.sets(st.integers(1, 999), max_size=11)))
+        weights = [b - a for a, b in zip([0, *cuts], [*cuts, 1000])]
+    if weights and draw(st.integers(0, 3)) == 0:
+        weights[draw(st.integers(0, len(weights) - 1))] = draw(st.integers(-2, 0))
+    total = sum(weights) + draw(st.sampled_from([0, 0, 0, 1, -1, 9]))
+    total = total or draw(st.integers(1, 50))
+    entries = []
+    for w in weights:
+        p = Fraction(w, total)
+        decimal = str(Decimal(p.numerator) / Decimal(p.denominator))
+        forms = [p, str(p)] + ([decimal] if Fraction(decimal) == p else [])
+        forms += [int(p)] if p.denominator == 1 else []
+        entries.append(draw(st.sampled_from(forms)))
+    if entries and draw(st.integers(0, 9)) == 0:
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(JUNK))
+    return entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(probs=rational_vectors())
+def test_distribution_weights_match_fraction_sum_oracle(probs):
+    def weighed(probs):
+        dist = ProbabilityDistribution(tuple(probs))
+        return dist.probs, list(dist.weights), dist.total
+
+    def oracle(probs):
+        probs = sfe_oracle.validated_probs(probs)
+        return (probs, *sfe_oracle.common_weights(probs))
+
+    assert sfe_oracle.outcome(weighed, probs) == sfe_oracle.outcome(oracle, probs)

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sfe_oracle
 import trie_oracle
 from abst import trees
-from abst.dynamic import init, run, tree_for_probs
+from abst.dynamic import init, run
 from abst.matching import bst_to_matchings, matchings_to_bst
 from abst.sfe import (
     CodeTable,
@@ -29,6 +30,7 @@ from abst.trees import (
     depth_map,
     format_tree,
     sfe_to_bst,
+    tree_for_probs,
     tree_from_depths,
 )
 from abst.workload import generate, parse_workload
@@ -217,6 +219,25 @@ def test_conversion_invariants_random(weights):
             assert (p.numerator << e) < p.denominator
         else:
             assert p.numerator < (p.denominator << -e)
+
+
+@st.composite
+def vectors_with_zeros(draw):
+    """Probabilities with zeros written as 0, "0", 0.0 and Fraction(0); now
+    and then the nonzero ones sum to something other than one."""
+    weights = draw(st.lists(st.integers(0, 30), min_size=1, max_size=40))
+    total = (sum(weights) + draw(st.sampled_from([0, 0, 0, 1]))) or 1
+    zeros = st.sampled_from([0, "0", 0.0, Fraction(0)])
+    return [Fraction(w, total) if w else draw(zeros) for w in weights]
+
+
+@settings(max_examples=300, deadline=None)
+@given(probs=vectors_with_zeros())
+def test_tree_for_probs_matches_the_fraction_sum_oracle(probs):
+    # the tree, or the error, that validating the nonzero probabilities by a
+    # `Fraction` sum and weighing them afterwards gives
+    want = sfe_oracle.outcome(sfe_oracle.tree_for_probs, probs)
+    assert sfe_oracle.outcome(tree_for_probs, probs) == want
 
 
 def test_range_walk_matches_trie_oracle():
