@@ -4,11 +4,13 @@ below half its observed frequency.
 Serving a request costs the served key's depth and every tree swap a flat
 `alpha`, which only `report` reads. Where each mechanism lives: the exact
 drift test, and why a key's floor can be cached, at `_drift_floor`; the
-exact loop, one request at a time, at `_serve_each`; the bulk serving of a
-run with no sink at `serve` and `_serve_safe_prefix`; the current tree's
-depths, computed when a request first reads them, at
-`trees.LazyCodedDepths`. The drift-invariant guard and the cost checks read
-the `StepRecord` stream through `checks.RunLedger`.
+exact loop, one request at a time, at `_serve_each`; for a run with no
+sink, the lists its trace is read in at `_windows`, its blocks and the
+exact loop's share at `serve`, and which requests of a block are served in
+bulk at `_serve_safe_prefix`; the current tree's depths, computed when a
+request first reads them, at `trees.LazyCodedDepths`. The drift-invariant
+guard and the cost checks read the `StepRecord` stream through
+`checks.RunLedger`.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ SMOOTHING_NONE = "none"
 SMOOTHING_MODES = (SMOOTHING_LAPLACE, SMOOTHING_NONE)
 
 # Requests per block of a run without a sink (`serve`). Below the minimum,
-# counting a block costs more than serving it one request at a time; the cap
-# bounds the block a run holds, so its peak memory does not grow with m.
+# counting a block costs more than serving it one request at a time. A trace
+# that is not a list is read in lists of `_WINDOW` requests (`_windows`), so
+# a run's peak memory does not grow with m.
 _BLOCK_MIN = 256
 _BLOCK_MAX = 8192
+_WINDOW = 2 * _BLOCK_MAX
 
 
 def _delta(smoothing: str) -> int:
@@ -211,65 +215,76 @@ def serve(
 
     A run with a sink takes every request through the exact loop,
     `_serve_each`, which hands each request's record to `on_step`. A run
-    without one takes the trace in blocks: `_serve_safe_prefix` serves the
-    longest prefix of a block in which no request can drift, and the exact
-    loop the rest, so each rebuild happens where it would one request at a
-    time. A block starts at `_BLOCK_MIN` requests and doubles after each
-    block served whole, up to `_BLOCK_MAX`. After a block that was not, the
-    exact loop also serves the next `_BLOCK_MIN` requests, twice as many
-    after each such block in a row, up to `_BLOCK_MAX`, and the next block
-    starts at `_BLOCK_MIN` again: where rebuilds come every few requests,
-    as in raw mode while keys are unseen, counting blocks only costs time.
-    Each block is dropped before the next is read.
+    without one cuts the trace into blocks, slices of the lists `_windows`
+    gives. `_serve_safe_prefix` serves each block in bulk up to its first
+    request that drifts, which the exact loop then serves and rebuilds at,
+    so each rebuild happens where it would one request at a time; bulk
+    serving resumes at the next request. A block starts at `_BLOCK_MIN`
+    requests and doubles after each block served whole, up to `_BLOCK_MAX`;
+    after a stop the next block starts at `_BLOCK_MIN` again. After a stop
+    that follows a stop, the exact loop also serves the next `_BLOCK_MIN`
+    requests, twice as many after each further stop in a row, up to
+    `_BLOCK_MAX`: where rebuilds come every few requests, as in raw mode
+    while keys are unseen, counting blocks only costs time.
     """
     if on_step is not None:
         _serve_each(state, trace, on_step)
         return
-    requests = iter(trace)
     size, skip = _BLOCK_MIN, 0
-    while block := list(islice(requests, size)):
-        served = _serve_safe_prefix(state, block)
-        if served == len(block):
-            size, skip = min(2 * size, _BLOCK_MAX), 0
-        else:
-            size, skip = _BLOCK_MIN, min(2 * skip or _BLOCK_MIN, _BLOCK_MAX)
-            _serve_each(state, islice(block, served, None), None)
-            _serve_each(state, islice(requests, skip), None)
-        del block  # before the next block is read
+    for window in _windows(trace):
+        at = 0
+        while at < len(window):
+            block = window[at:at + size]
+            served = _serve_safe_prefix(state, block)
+            at += served
+            if served == len(block):
+                size, skip = min(2 * size, _BLOCK_MAX), 0
+            else:  # the request at `at` drifts
+                _serve_each(state, window[at:at + 1 + skip], None)
+                at += 1 + skip
+                size, skip = _BLOCK_MIN, min(2 * skip or _BLOCK_MIN, _BLOCK_MAX)
+        del window  # before the next one is read
+
+
+def _windows(trace: Iterable[int]) -> Iterable[list[int]]:
+    """`trace` as lists to cut blocks from: a list as it is, any other
+    iterable in lists of `_WINDOW` requests, each read when the one before
+    is done with."""
+    if isinstance(trace, list):
+        return (trace,)
+    requests = iter(trace)
+    return iter(lambda: list(islice(requests, _WINDOW)), [])
 
 
 def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
-    """Serve in bulk the longest prefix of `block` in which no request can
-    reach its key's drift floor, and return its length.
+    """Serve in bulk the prefix of `block` before its first request that
+    drifts, the whole block if none does, and return its length.
 
-    Let T0 be the observed total at the block's first request. A key whose
-    observed weight after all its requests in the block stays below its
-    cached floor, or below its floor at T0, cannot drift in the block: the
-    total only grows, so its floor does too, and the prefix holds no
-    rebuild that could lower it. Any other key may drift no earlier than at
-    its occurrence that reaches the T0 floor, and the prefix ends before the
-    first such occurrence.
+    The request at position p of the block is served at observed total
+    T0 + p, T0 being the total at its first request. A key whose observed
+    weight after all its requests in the prefix stays below its cached
+    floor, or below its floor at T0, cannot drift there: the total only
+    grows, so its floor does too. Any other key is followed through its own
+    requests (`block.index`): each that reaches the floor last computed is
+    tested against the floor at its own total, and drifts if it reaches
+    that one too; if not, that floor is the next to reach. A key that does
+    not drift caches the last floor computed, taken at a total within the
+    prefix and so a lower bound of its floor at every later total, and gets
+    its depth computed if no walk has.
 
-    The prefix is found by trying ever shorter ones, the whole block first.
-    A try is one pass over the prefix's count: each key in turn is tested
-    with its count in the prefix, and its count and search cost are added at
-    once. A key whose floor was computed at T0 caches that floor and gets
-    its depth computed if no walk has. If no key can reach its T0 floor, the
-    try serves the prefix. At the first key that can, the counts the try
-    added are taken back, and the next try's prefix ends before that key's
-    occurrence that reaches the floor, which lies inside this prefix, so the
-    tries end, at worst with an empty prefix. What a failed try leaves stays
-    valid: each cached floor is the floor at T0, a lower bound of the key's
-    floor at any later total in the block, and each computed depth is one of
-    the current tree, which stays until the exact loop rebuilds. Each key
-    the failed try tested first occurs before the key that stopped it, so
-    it lies in the next prefix, with no more requests there.
+    One pass over the prefix's count tests each key with its count and adds
+    its count and search cost at once. At the first key that drifts, the
+    pass takes back the counts it added and resets those keys' floors to
+    unknown, as they may have been taken at totals past the drift. The next
+    pass runs over the prefix that ends before the drifting request; each
+    pass is shorter, so the passes end. Every depth a pass computes belongs
+    to the current tree, which stays until the exact loop rebuilds, and to
+    a key that occurs before the drifting request.
 
     A block with a key outside 1..n, or with one that `operator.index`
-    rejects, is not served at all, so that the exact loop raises at that
-    key as it would one request at a time. (The count merges equal keys: an
-    integral float after an equal integer key in its block is served as
-    that key.)
+    rejects, goes to the exact loop whole, which raises at that key as it
+    would one request at a time. (The count merges equal keys: an integral
+    float after an equal integer key in its block is served as that key.)
     """
     counts = state.counts
     delta = _delta(state.smoothing)
@@ -278,10 +293,12 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
     total = state.t + 1 + delta * state.n
     try:
         tally = Counter(block)
-        if min(map(index, tally)) < 1 or max(tally) > state.n:
-            return 0
+        bad = min(map(index, tally)) < 1 or max(tally) > state.n
     except TypeError:  # a key that is not an integer
-        return 0
+        bad = True
+    if bad:
+        _serve_each(state, block, None)  # raises at the bad key
+        return len(block)
     stop = len(block)
     while True:
         cost = 0
@@ -290,8 +307,16 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
             w = counts[i] + c
             if w + delta >= floors[i]:
                 floor = _drift_floor(tree_weights[i], tree_total, total)
-                if w + delta >= floor:
-                    break
+                if w + delta >= floor:  # test each request that reaches the floor at its own total
+                    at = -1
+                    for weight in range(w - c + 1 + delta, w + 1 + delta):
+                        at = block.index(key, at + 1)
+                        if weight >= floor:
+                            floor = _drift_floor(tree_weights[i], tree_total, total + at)
+                            if weight >= floor:
+                                break
+                    if weight >= floor:
+                        break  # the key drifts at its request at `at`
                 floors[i] = floor
                 if not depths[i]:
                     coded.depth(i)
@@ -301,17 +326,15 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
             state.t += stop
             state.search_cost += cost
             return stop
-        # `key` reaches its floor in this prefix: take back the keys served
-        # before it, and end the next prefix before the key's request that
-        # reaches the floor, its (floor - delta - counts[i])-th in the block
+        # take back the keys served before `key`, whose floors may lie past
+        # its drift at `at`, and end the next prefix there
         for k, served in tally.items():
             if k == key:
                 break
             counts[k - 1] -= served
-        stop = block.index(key)
-        for _ in range(floor - delta - counts[i] - 1):
-            stop = block.index(key, stop + 1)
-        tally = Counter(islice(block, stop))
+            floors[k - 1] = 0
+        stop = at
+        tally = Counter(block[:stop])
 
 
 def _serve_each(

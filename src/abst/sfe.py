@@ -23,7 +23,7 @@ from .errors import InvalidDistributionError
 def _as_fraction(value) -> Fraction:
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InvalidDistributionError(f"not a rational number: {value!r}") from exc
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import add
 from typing import Callable, Iterable, Sequence
 
-from .sfe import ProbabilityDistribution, code_length
+from .sfe import ProbabilityDistribution, _as_fraction, code_length
 
 
 @dataclass(frozen=True)
@@ -278,8 +277,9 @@ def tree_for_probs(probs: Sequence) -> SearchTree:
     """The coded tree over keys 1..n for probabilities that may include zeros,
     as raw frequencies give before every key is seen. The nonzero ones must
     form a `ProbabilityDistribution`; the zero-probability keys are grafted
-    (`graft_zero_weights`)."""
-    probs = [Fraction(p) for p in probs]
+    (`graft_zero_weights`). An entry that is no rational number, such as
+    `inf`, raises `InvalidDistributionError`."""
+    probs = [_as_fraction(p) for p in probs]
     dist = ProbabilityDistribution(tuple(filter(None, probs)))
     positive = iter(dist.weights)
     weights = [next(positive) if p else 0 for p in probs]

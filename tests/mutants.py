@@ -35,3 +35,23 @@ def skip_first_rebuild(monkeypatch, n: int, trace, smoothing: str) -> StepRecord
 
     monkeypatch.setattr(dynamic, "_drift_floor", floor)
     return first
+
+
+def late_floor_admission(monkeypatch) -> None:
+    """The bulk path judges each key at its block's last total, which is too
+    high, so a request that drifts earlier in the block is served in bulk
+    and the rebuild comes late."""
+    serve_prefix = dynamic._serve_safe_prefix
+    true_floor = dynamic._drift_floor
+
+    def late(state, block):
+        last = state.t + len(block) + dynamic._delta(state.smoothing) * state.n
+        dynamic._drift_floor = lambda tree_weight, tree_total, total: true_floor(
+            tree_weight, tree_total, last
+        )
+        try:
+            return serve_prefix(state, block)
+        finally:
+            dynamic._drift_floor = true_floor
+
+    monkeypatch.setattr(dynamic, "_serve_safe_prefix", late)

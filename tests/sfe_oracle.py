@@ -23,7 +23,7 @@ from abst.trees import LazyCodedDepths, SearchTree, tree_from_depths
 def _as_fraction(value) -> Fraction:
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InvalidDistributionError(f"not a rational number: {value!r}") from exc
 
 
@@ -60,7 +60,7 @@ def tree_for_probs(probs: Sequence[Fraction]) -> SearchTree:
     (possible in raw-frequency mode before every key has been seen) are
     grafted as leaves, see `trees.coded_depths`.
     """
-    probs = [Fraction(p) for p in probs]
+    probs = [_as_fraction(p) for p in probs]
     validated_probs(p for p in probs if p)
     weights, total = common_weights(probs)
     return tree_from_depths(range(1, len(probs) + 1), LazyCodedDepths(weights, total).fill())

@@ -5,12 +5,11 @@ import math
 import pickle
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
-from itertools import islice
-from operator import index
+from itertools import cycle, islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mutants
 import trie_oracle
@@ -566,60 +565,25 @@ def test_run_writes_its_counters_back_before_errors_and_sinks():
 
 # A run with no sink serves its trace in blocks, and `dynamic._BLOCK_MIN`
 # requests or more go to each. Short traces reach the bulk path's outcomes
-# (blocks served whole, prefixes, backed-off stretches) only with small
-# blocks, so the oracle tests run both at the module's sizes and at these.
+# (blocks served whole, prefixes, backed-off stretches, window ends) only
+# with small blocks, so the oracle tests run both at the module's sizes and
+# at these.
 SMALL_BLOCKS = [None, (4, 16)]
 
 
-def two_pass_safe_prefix(state, block: list[int]) -> int:
-    """`dynamic._serve_safe_prefix` as it was before it served a block in
-    one pass: the keys are visited to find the prefix, then the prefix is
-    served in a second loop. Test oracle."""
-    counts = state.counts
-    delta = dynamic._delta(state.smoothing)
-    floors, depths, coded = state.floors, state.known_depths, state.coded
-    tree_weights, tree_total = state.tree_weights, state.tree_total
-    total = state.t + 1 + delta * state.n
-    stop = len(block)
-    try:
-        tally = prefix = Counter(block)
-        if min(map(index, tally)) < 1 or max(tally) > state.n:
-            return 0
-    except TypeError:  # a key that is not an integer
-        return 0
-    for key in tally:
-        c = prefix.get(key)
-        if c is None:  # keys come in order of first occurrence: the rest lie past the prefix
-            break
-        i = key - 1
-        if counts[i] + c + delta < floors[i]:
-            continue
-        floor = dynamic._drift_floor(tree_weights[i], tree_total, total)
-        need = floor - delta - counts[i]  # the key's requests until it reaches `floor`
-        if c >= need:
-            stop = block.index(key)
-            for _ in range(need - 1):
-                stop = block.index(key, stop + 1)
-            prefix = Counter(islice(block, stop))
-            if need < 2:  # the key's first request ends the prefix
-                continue
-        floors[i] = floor
-        if not depths[i]:
-            coded.depth(i)
-    cost = 0
-    for key, c in prefix.items():
-        i = key - 1
-        counts[i] += c
-        cost += c * depths[i]
-    state.t += stop
-    state.search_cost += cost
-    return stop
+def set_block_sizes(monkeypatch, block_min: int, block_max: int) -> None:
+    """Serve in blocks of `block_min` to `block_max` requests, and read a
+    trace that is not a list in windows that hold as many blocks at the cap
+    as the module's do."""
+    monkeypatch.setattr(dynamic, "_WINDOW", dynamic._WINDOW // dynamic._BLOCK_MAX * block_max)
+    monkeypatch.setattr(dynamic, "_BLOCK_MIN", block_min)
+    monkeypatch.setattr(dynamic, "_BLOCK_MAX", block_max)
 
 
 def copy_for_oracle(state):
-    """A copy of `state` that shares nothing `two_pass_safe_prefix` writes
-    with it. The fields it writes are pickled in one go, which keeps
-    `known_depths` the list that `coded`'s walks fill, as in `state`."""
+    """A copy of `state` that shares nothing serving writes in place with
+    it. Those fields are pickled in one go, which keeps `known_depths` the
+    list that `coded`'s walks fill, as in `state`."""
     copied = copy.copy(state)
     fields = (state.counts, state.floors, state.known_depths, state.coded)
     copied.counts, copied.floors, copied.known_depths, copied.coded = pickle.loads(
@@ -628,34 +592,70 @@ def copy_for_oracle(state):
     return copied
 
 
+def step_safe_prefix(state, block: list[int]):
+    """The prefix of `block` that `dynamic._serve_safe_prefix` must serve in
+    bulk, found by the exact loop one request at a time on copies of
+    `state`: up to the block's first rebuild, or the whole block if it has
+    none. Returns its length and the copy that served it. Raises where the
+    exact loop does. Test oracle."""
+    records = []
+    dynamic._serve_each(copy_for_oracle(state), block, records.append)
+    stop = next((p for p, rec in enumerate(records) if rec.rebuilt), len(block))
+    stepped = copy_for_oracle(state)
+    dynamic._serve_each(stepped, block[:stop], None)
+    return stop, stepped
+
+
 def bulk_fields(state):
-    return (state.counts, state.t, state.search_cost, state.rebuilds, state.floors,
-            state.known_depths)
+    return (state.counts, state.t, state.search_cost, state.rebuilds, state.known_depths,
+            [bool(floor) for floor in state.floors])
+
+
+def assert_floors_sound(state) -> None:
+    """Each cached floor lies above its key's observed weight and at most at
+    the key's drift floor at the current total, so it still bounds that
+    floor from below at every later total; and its key's depth is known."""
+    delta = dynamic._delta(state.smoothing)
+    total = state.t + delta * state.n
+    for i, floor in enumerate(state.floors):
+        if floor:
+            true_floor = dynamic._drift_floor(state.tree_weights[i], state.tree_total, total)
+            assert state.counts[i] + delta < floor <= true_floor, (i + 1, floor, true_floor)
+            assert state.known_depths[i]
+
+
+def check_bulk_prefixes(monkeypatch) -> list[int]:
+    """Wrap `dynamic._serve_safe_prefix` so that each prefix it serves, and
+    the state after it, is checked against `step_safe_prefix` on a copy of
+    the state; the cached floors, which the two compute at other totals,
+    must be sound and cached for the same keys. Returns the list of prefix
+    lengths served."""
+    served = []
+    serve_prefix = dynamic._serve_safe_prefix
+
+    def checked(state, block):
+        try:
+            stop, stepped = step_safe_prefix(state, block)
+        except InvalidRequestError:  # the bulk path must raise it too
+            return serve_prefix(state, block)
+        served.append(serve_prefix(state, block))
+        assert served[-1] == stop
+        assert bulk_fields(state) == bulk_fields(stepped)
+        assert_floors_sound(state)
+        return stop
+
+    monkeypatch.setattr(dynamic, "_serve_safe_prefix", checked)
+    return served
 
 
 @pytest.fixture
 def bulk_served(monkeypatch, request):
     """Set the block sizes to `request.param` (None keeps the module's) and
-    return the list of prefix lengths `_serve_safe_prefix` serves. Each
-    prefix, and the state after it, floors and computed depths included,
-    must be `two_pass_safe_prefix`'s on a copy of the state, and every key
-    with a cached floor must have a known depth."""
+    return the list of prefix lengths `_serve_safe_prefix` serves, each
+    checked by `check_bulk_prefixes`."""
     if request.param is not None:
-        monkeypatch.setattr(dynamic, "_BLOCK_MIN", request.param[0])
-        monkeypatch.setattr(dynamic, "_BLOCK_MAX", request.param[1])
-    served = []
-    serve_prefix = dynamic._serve_safe_prefix
-
-    def recorded(state, block):
-        oracle_state = copy_for_oracle(state)
-        served.append(serve_prefix(state, block))
-        assert served[-1] == two_pass_safe_prefix(oracle_state, block)
-        assert bulk_fields(state) == bulk_fields(oracle_state)
-        assert all(d for f, d in zip(state.floors, state.known_depths) if f)
-        return served[-1]
-
-    monkeypatch.setattr(dynamic, "_serve_safe_prefix", recorded)
-    return served
+        set_block_sizes(monkeypatch, *request.param)
+    return check_bulk_prefixes(monkeypatch)
 
 
 def assert_bulk_runs_match_the_oracle(n: int, trace, smoothing: str, alpha=4) -> None:
@@ -700,6 +700,71 @@ def test_bulk_runs_match_the_oracle_on_surges(bulk_served, smoothing):
     floors_reset = [1] + [2, 3, 4] * 20 + [1] + [2] * 80 + [1] * 40
     assert_bulk_runs_match_the_oracle(4, floors_reset, smoothing, alpha=2)
     assert bulk_served
+
+
+def relabelled_zipf_trace(n: int, phases: int, m: int, seed: int) -> list[int]:
+    """`phases` runs of `m` requests of one `zipf:1.5` law, each under a
+    fresh random relabelling of the keys: the keys hot in one phase are
+    cold in the next, so many keys come near their drift floors."""
+    rng = random.Random(seed)
+    trace = []
+    for phase in range(phases):
+        labels = rng.sample(range(1, n + 1), n)
+        law = parse_workload("zipf:1.5", n=n, m=m, seed=seed + phase)
+        trace += [labels[key - 1] for key in generate(law)]
+    return trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 24),
+    seed=st.integers(0, 10**6),
+    phases=st.integers(2, 8),
+    m=st.integers(10, 300),
+    surge=st.booleans(),
+    smoothing=st.sampled_from([SMOOTHING_LAPLACE, SMOOTHING_NONE]),
+)
+def test_bulk_runs_of_near_floor_traces_end_in_the_oracle_state(
+    n, seed, phases, m, surge, smoothing
+):
+    # whole, in random list chunks and from a generator, at both block
+    # sizes, with each bulk prefix checked by the step oracle
+    trace = checks.cold_surge_trace(n, seed) if surge else relabelled_zipf_trace(
+        n, phases, m, seed
+    )
+    oracle_state = init(n, 2, smoothing)
+    for key in trace:
+        serve_oracle(oracle_state, key)
+    rng = random.Random(seed)
+    cuts = sorted(rng.sample(range(1, len(trace)), min(6, len(trace) - 1)))
+    chunked = [trace[a:b] for a, b in zip([0, *cuts], [*cuts, len(trace)])]
+    for sizes in SMALL_BLOCKS:
+        with pytest.MonkeyPatch.context() as patch:
+            if sizes is not None:
+                set_block_sizes(patch, *sizes)
+            check_bulk_prefixes(patch)
+            for chunks in ([trace], chunked, [(key for key in trace)]):
+                state = init(n, 2, smoothing)
+                for chunk in chunks:
+                    run(state, chunk)
+                assert state == oracle_state and state.depths == oracle_state.depths
+                assert_floors_sound(state)
+
+
+def test_the_step_oracle_catches_late_floor_admission(monkeypatch):
+    # the mutant judges keys at the block's last total, so a key that drifts
+    # inside a block is served on in bulk; the run still rebuilds, late
+    trace = relabelled_zipf_trace(16, 4, 3000, seed=3)
+    oracle_state = init(16, 2)
+    for key in trace:
+        serve_oracle(oracle_state, key)
+    mutants.late_floor_admission(monkeypatch)
+    mutated = init(16, 2)
+    run(mutated, trace)
+    assert mutated.rebuilds and mutated != oracle_state
+    check_bulk_prefixes(monkeypatch)
+    with pytest.raises(AssertionError):
+        run(init(16, 2), trace)
 
 
 # Laplace counts on hand-set tree weights of total 100; raw mode takes each
@@ -824,6 +889,26 @@ def test_run_memory_does_not_grow_with_trace_length():
     # past the first blocks, which double up to the cap within 16,128 requests
     short, long = peak_bytes(160_000), peak_bytes(640_000)
     # an O(m) log would add at least a pointer per request: 3.8 MB here
+    assert long - short < 8192, (short, long)
+
+
+def test_generator_fed_run_memory_does_not_grow_with_trace_length():
+    base = generate(parse_workload("zipf:1.0", n=64, m=4096, seed=1))
+
+    def peak_bytes(m):
+        state = init(64, 8)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run(state, (key for key in islice(cycle(base), m)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_bytes(100_000), peak_bytes(1_000_000)
+    # a window holds 8 bytes a request, and so does a block; holding the
+    # trace would take 8 MB here
+    assert long < 32 * dynamic._WINDOW, long
     assert long - short < 8192, (short, long)
 
 

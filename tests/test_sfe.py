@@ -123,6 +123,12 @@ def test_parse_distribution_rejects_garbage():
         parse_distribution("1/2,banana")
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), "banana"])
+def test_a_probability_that_is_no_rational_is_a_typed_error(bad):
+    with pytest.raises(InvalidDistributionError, match="not a rational number"):
+        ProbabilityDistribution((Fraction(1, 2), bad))
+
+
 def test_ceil_log2_inverse_dyadic_boundaries():
     # a codeword is ceil(log2(S/w)) + 1 bits long
     for k in range(12):

@@ -13,6 +13,7 @@ import sfe_oracle
 import trie_oracle
 from abst import trees
 from abst.dynamic import init, run
+from abst.errors import InvalidDistributionError
 from abst.matching import bst_to_matchings, matchings_to_bst
 from abst.sfe import (
     CodeTable,
@@ -238,6 +239,12 @@ def test_tree_for_probs_matches_the_fraction_sum_oracle(probs):
     # `Fraction` sum and weighing them afterwards gives
     want = sfe_oracle.outcome(sfe_oracle.tree_for_probs, probs)
     assert sfe_oracle.outcome(tree_for_probs, probs) == want
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), "banana"])
+def test_tree_for_probs_rejects_a_probability_that_is_no_rational(bad):
+    with pytest.raises(InvalidDistributionError, match="not a rational number"):
+        tree_for_probs([Fraction(1, 2), 0, bad])
 
 
 def test_range_walk_matches_trie_oracle():
