@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress
 from operator import index
 from typing import Iterator
 
@@ -46,8 +46,12 @@ def tree_cost(tree: SearchTree, weights: WeightVector) -> int:
     return sum(w * depths[k + 1] for k, w in enumerate(weights.weights))
 
 
-def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
-    """Minimum total depth-weighted cost over all BSTs on 1..n, with an argmin.
+def optimal_static_cost(weights: WeightVector,
+                        with_tree: bool = True) -> tuple[int, SearchTree | None]:
+    """Minimum total depth-weighted cost over all BSTs on 1..n, with an
+    argmin, or with None in its place if `with_tree` is false. The CLI
+    prints only the cost and passes False; `verify` and the tests read the
+    tree.
 
     Interval dynamic program over the k keys of positive weight, by rank:
     the cost of the best subtree on ranks i..j is the interval's weight
@@ -67,15 +71,18 @@ def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
     which makes the whole table O(k^2). Knuth (1971, "Optimum binary search
     trees", Acta Informatica 1) proved that bound, and Yao (1980, "Efficient
     dynamic programming using quadrangle inequalities") showed that it holds
-    for the smallest optimal root, the one the tie rule picks.
+    for the smallest optimal root, the one the tie rule picks. Most cells
+    have one candidate and the mean is about two, so the scan prices `lo`,
+    then `lo + 1`, and loops only beyond that, building no `range`.
 
     Rows are filled i from k down to 1, j rising, so both bounds of a cell
     are known: root(i, j-1) is the root just found, carried in `lo`, and
     root(i+1, j) comes from the row below. The tables are triangular. Root r
     of ranks i..j costs `left[r] + cols[j][r]`: `left[r]` is the cost of
     ranks i..r-1, kept for the row being filled, and `cols[j][r]` that of
-    ranks r+1..j, with column j filled bottom-up. `roots[i][j - i]` is the
-    root of ranks i..j.
+    ranks r+1..j, with column j filled bottom-up. `row[j - i]` is the root
+    of ranks i..j. Only the tree needs every row, kept in `roots`, and the
+    graft; without it the DP keeps just the row below.
     """
     n = weights.n
     w = list(filter(None, weights.weights))
@@ -83,24 +90,34 @@ def optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree]:
     prefix = [0, *accumulate(w)]
     left = [0] * (k + 2)  # left[i] = 0 is the empty interval
     cols = [[0] * (j + 1) for j in range(k + 1)]  # cols[j][j] = 0 likewise
-    roots = [[] for _ in range(k + 2)]
+    roots = [None] * (k + 1)
+    row = []  # the roots of row k + 1, which has no cells
     for i in range(k, 0, -1):
         left[i + 1] = cols[i][i - 1] = w[i - 1]
         lo = i
-        roots_i = roots[i] = [i]
+        row_below, row = row, [i]
+        if with_tree:
+            roots[i] = row
         below = prefix[i - 1]
         # cell (i, j) for j rising, and j1 = j + 1
-        for j1, hi, col_j, prefix_j in zip(range(i + 2, k + 2), roots[i + 1],
-                                           islice(cols, i + 1, None), islice(prefix, i + 1, None)):
+        for j1, hi, col_j, prefix_j in zip(range(i + 2, k + 2), row_below,
+                                           cols[i + 1:], prefix[i + 1:]):
             best = left[lo] + col_j[lo]
-            if hi > lo:  # most cells have one candidate root
-                for r in range(lo + 1, hi + 1):
+            if hi > lo:
+                r = lo + 1
+                c = left[r] + col_j[r]
+                if c < best:
+                    best, lo = c, r
+                while r < hi:
+                    r += 1
                     c = left[r] + col_j[r]
                     if c < best:
                         best, lo = c, r
             left[j1] = col_j[i - 1] = best + prefix_j - below
-            roots_i.append(lo)
+            row.append(lo)
 
+    if not with_tree:
+        return cols[k][0], None
     tree = build_from_roots(k, lambda i, j: roots[i][j - i])
     if k < n:
         depths = [0] * n

@@ -82,7 +82,8 @@ def _add_stat(report: SimulationReport, stat: int | None = None) -> int:
     """Set the report's hindsight-optimal static cost, computed unless
     `stat` gives it, and its ratio rho; return the cost."""
     if stat is None:
-        stat, _ = optimal_static_cost(WeightVector(report.weights))
+        # positional, as `bench/run.py`'s wrappers forward positional arguments only
+        stat, _ = optimal_static_cost(WeightVector(report.weights), False)
     report.stat_cost, report.rho = stat, float(report.total) / stat
     return stat
 

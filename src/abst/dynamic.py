@@ -288,7 +288,8 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
     """
     counts = state.counts
     delta = _delta(state.smoothing)
-    floors, depths, coded = state.floors, state.known_depths, state.coded
+    floors, depths = state.floors, state.known_depths
+    depth_of = None if state.coded is None else state.coded.depth  # a property: read it once
     tree_weights, tree_total = state.tree_weights, state.tree_total
     total = state.t + 1 + delta * state.n
     try:
@@ -319,7 +320,7 @@ def _serve_safe_prefix(state: SimulationState, block: list[int]) -> int:
                         break  # the key drifts at its request at `at`
                 floors[i] = floor
                 if not depths[i]:
-                    coded.depth(i)
+                    depth_of(i)
             counts[i] = w
             cost += c * depths[i]
         else:
@@ -361,7 +362,9 @@ def _serve_each(
     n = state.n
     counts = state.counts
     delta = _delta(state.smoothing)
-    depths, coded = state.known_depths, state.coded
+    depths = state.known_depths
+    # `depth` is a property: read it once per tree
+    depth_of = None if state.coded is None else state.coded.depth
     tree_weights, tree_total = state.tree_weights, state.tree_total
     floors = state.floors
     pseudo_total = delta * n
@@ -386,15 +389,16 @@ def _serve_each(
                 else:
                     rebuilt = True
                     if per_step:  # only a record reads the old tree's depth
-                        depth_pre = depths[i] or coded.depth(i)
+                        depth_pre = depths[i] or depth_of(i)
                     tree_weights, tree_total = _observed_weights(counts, t, delta)
                     coded = state.coded = LazyCodedDepths(tree_weights, tree_total)
                     depths = state.known_depths = coded.depths
+                    depth_of = coded.depth
                     state.tree_weights, state.tree_total = tree_weights, tree_total
                     floors = state.floors = [0] * n
                     state.rebuilds += 1
                 if not depths[i]:
-                    coded.depth(i)
+                    depth_of(i)
             depth = depths[i]
             search += depth
             if per_step:

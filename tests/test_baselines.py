@@ -130,8 +130,10 @@ def all_keys_optimal_static_cost(weights: WeightVector) -> tuple[int, SearchTree
 
 
 def assert_matches_oracles(weights: WeightVector) -> None:
-    """The DP's cost and tree equal every oracle's."""
+    """The DP's cost and tree equal every oracle's, and its cost-only call
+    gives the same cost and no tree."""
     cost, tree = optimal_static_cost(weights)
+    assert optimal_static_cost(weights, False) == (cost, None)
     for oracle in (cubic_optimal_static_cost, square_knuth_optimal_static_cost,
                    all_keys_optimal_static_cost):
         want_cost, want_tree = oracle(weights)

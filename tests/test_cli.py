@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abst import checks, cli
+from abst import baselines, checks, cli
 from abst.dynamic import StepRecord, init, step
 from abst.workload import generate, parse_workload, write_trace
 
@@ -268,6 +268,24 @@ def test_compare_table(capsys):
         assert float(row["rho"]) > 0
         total = float(row["total"])
         assert total == float(row["search_cost"]) + float(row["adjust_cost"])
+
+
+def test_cli_prices_the_static_optimum_without_building_its_tree(capsys, monkeypatch):
+    # `simulate --with-stat` and `compare` read only the optimum's cost
+    def no_tree(*args):
+        raise AssertionError("the optimum's tree was built")
+
+    monkeypatch.setattr(baselines, "build_from_roots", no_tree)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--n", "32", "--alpha", "2", "--m", "300",
+        "--workload", "zipf:1.0", "--smoothing", "none", "--seed", "3", "--with-stat",
+    )
+    assert code == 0 and json.loads(out)["stat_cost"] > 0
+    code, out, _ = run_cli(
+        capsys, "compare", "--n", "16", "--m", "100", "--alphas", "2,8",
+        "--workloads", "uniform,zipf:1.0", "--smoothing", "none",
+    )
+    assert code == 0 and len(out.splitlines()) == 5
 
 
 def test_compare_json(capsys):
