@@ -1,26 +1,14 @@
 """Biased binary search trees from order-preserving entropy codes, with a
 drift-triggered rebuild policy priced for reconfigurable topologies: each
-search costs its depth, each tree swap costs a flat alpha."""
+search costs its depth, each tree swap costs a flat alpha.
 
-from .baselines import (
-    WeightVector,
-    balanced_static_cost,
-    brute_force_static_cost,
-    optimal_static_cost,
-    tree_cost,
-)
-from .checks import RebuildRecord, RunLedger, guarded_invariant_holds
-from .dynamic import (
-    SMOOTHING_LAPLACE,
-    SMOOTHING_NONE,
-    SimulationReport,
-    SimulationState,
-    StepRecord,
-    init,
-    run,
-    step,
-    theorem_threshold,
-)
+The package root exports the documented entry points, the types they
+return and the error classes; everything else is imported from its module.
+"""
+
+from .baselines import WeightVector, optimal_static_cost
+from .checks import RebuildRecord, RunLedger
+from .dynamic import SimulationReport, SimulationState, StepRecord, init, run, step
 from .errors import (
     AbstError,
     BoundViolationError,
@@ -32,19 +20,15 @@ from .errors import (
 )
 from .matching import MatchingPair, bst_to_matchings, matchings_to_bst, route
 from .sfe import (
-    CodeEntry,
     CodeTable,
     ProbabilityDistribution,
     average_code_length,
     build_sfe_code,
     entropy,
-    entropy_of_weights,
-    is_prefix_free,
     parse_distribution,
 )
 from .trees import (
     SearchTree,
-    build_balanced,
     coded_depths,
     depth_map,
     format_tree,
@@ -52,13 +36,6 @@ from .trees import (
     tree_for_probs,
     tree_from_depths,
 )
-from .workload import (
-    DEFAULT_SEED,
-    WorkloadSpec,
-    generate,
-    parse_workload,
-    read_trace,
-    write_trace,
-)
+from .workload import WorkloadSpec, generate, parse_workload, read_trace, write_trace
 
 __version__ = "0.1.0"

@@ -77,12 +77,14 @@ def optimal_static_cost(weights: WeightVector,
 
     Rows are filled i from k down to 1, j rising, so both bounds of a cell
     are known: root(i, j-1) is the root just found, carried in `lo`, and
-    root(i+1, j) comes from the row below. The tables are triangular. Root r
+    root(i+1, j) comes from the row below. The table is triangular. Root r
     of ranks i..j costs `left[r] + cols[j][r]`: `left[r]` is the cost of
     ranks i..r-1, kept for the row being filled, and `cols[j][r]` that of
     ranks r+1..j, with column j filled bottom-up. `row[j - i]` is the root
-    of ranks i..j. Only the tree needs every row, kept in `roots`, and the
-    graft; without it the DP keeps just the row below.
+    of ranks i..j, and only the row below is kept. The tree is read back
+    from the costs: the root of ranks i..j is the smallest r whose split
+    prices the cell, `cols[r-1][i-1] + cols[j][r]` plus the interval's
+    weight, which is the root the tie rule picks.
     """
     n = weights.n
     w = list(filter(None, weights.weights))
@@ -90,14 +92,11 @@ def optimal_static_cost(weights: WeightVector,
     prefix = [0, *accumulate(w)]
     left = [0] * (k + 2)  # left[i] = 0 is the empty interval
     cols = [[0] * (j + 1) for j in range(k + 1)]  # cols[j][j] = 0 likewise
-    roots = [None] * (k + 1)
     row = []  # the roots of row k + 1, which has no cells
     for i in range(k, 0, -1):
         left[i + 1] = cols[i][i - 1] = w[i - 1]
         lo = i
         row_below, row = row, [i]
-        if with_tree:
-            roots[i] = row
         below = prefix[i - 1]
         # cell (i, j) for j rising, and j1 = j + 1
         for j1, hi, col_j, prefix_j in zip(range(i + 2, k + 2), row_below,
@@ -118,7 +117,12 @@ def optimal_static_cost(weights: WeightVector,
 
     if not with_tree:
         return cols[k][0], None
-    tree = build_from_roots(k, lambda i, j: roots[i][j - i])
+
+    def root_of(i: int, j: int) -> int:
+        split = cols[j][i - 1] - prefix[j] + prefix[i - 1]
+        return next(r for r in range(i, j + 1) if cols[r - 1][i - 1] + cols[j][r] == split)
+
+    tree = build_from_roots(k, root_of)
     if k < n:
         depths = [0] * n
         graft_zero_weights(depths, list(compress(range(n), weights.weights)), tree.depths)

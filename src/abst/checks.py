@@ -58,15 +58,13 @@ THEOREM_GRID_ALPHA = (2, 8, 32)
 THEOREM_GRID_WORKLOADS = ("uniform", "zipf:1.0", "zipf:1.5")
 
 
-def random_distribution(
-    rng: random.Random, n_lo: int = 2, n_hi: int = 128
-) -> ProbabilityDistribution:
-    """Random exact distribution from integer weights.
+def random_distribution(rng: random.Random, n_hi: int = 128) -> ProbabilityDistribution:
+    """Random exact distribution over 2..n_hi keys from integer weights.
 
     Occasionally forces a power-of-two total so some probabilities land
     exactly on dyadic boundaries, where ceiling logs are most fragile.
     """
-    n = rng.randint(n_lo, n_hi)
+    n = rng.randint(2, n_hi)
     if rng.random() < 0.2:
         weights = [2 ** rng.randrange(0, 4) for _ in range(n - 1)]
         total = 1 << (sum(weights)).bit_length()
@@ -101,7 +99,7 @@ def suite_code_properties(cases: int, n_hi: int, seed: int) -> list[str]:
     rng = random.Random(seed)
     violations: list[str] = []
     for case in range(cases):
-        dist = random_distribution(rng, 2, n_hi)
+        dist = random_distribution(rng, n_hi)
         table = build_sfe_code(dist)
         words = table.codewords()
         if not is_prefix_free(words):
@@ -135,7 +133,7 @@ def suite_tree_properties(cases: int, n_hi: int, seed: int) -> list[str]:
     rng = random.Random(seed)
     violations: list[str] = []
     for case in range(cases):
-        dist = random_distribution(rng, 2, n_hi)
+        dist = random_distribution(rng, n_hi)
         table = build_sfe_code(dist)
         tree = sfe_to_bst(dist)
         depths = depth_map(tree)
@@ -163,7 +161,7 @@ def suite_matching_properties(cases: int, n_hi: int, seed: int) -> list[str]:
     rng = random.Random(seed)
     violations: list[str] = []
     for case in range(cases):
-        dist = random_distribution(rng, 2, n_hi)
+        dist = random_distribution(rng, n_hi)
         tree = sfe_to_bst(dist)
         pair = bst_to_matchings(tree)
         try:

@@ -190,10 +190,10 @@ def cmd_compare(args) -> int:
     starts with the served trace, as a larger default m at the same seed
     does, serves only the rest on the kept state. Any other cell, such as a
     `freq:` trace or a smaller m after a larger one, runs on a fresh state,
-    which is kept instead. Each report is priced at its cell's own alpha.
-    `init` still runs for every cell, to check its alpha and warn below 2.
-    The cost is memory: one served trace is held per workload, where a run
-    per cell would hold one in total.
+    which is kept instead. Each report is priced at its cell's own alpha,
+    checked where a fresh run's `init` would check it, so errors and
+    warnings come in the same order. The cost is memory: one served trace
+    is held per workload, where a run per cell would hold one in total.
     """
     alphas = _split_list(args.alphas, "--alphas")
     workloads = _split_workloads(args.workloads)
@@ -207,16 +207,16 @@ def cmd_compare(args) -> int:
                 spec = parse_workload(workload, n=args.n, m=m, seed=args.seed)
                 kept_spec, kept_trace, kept_state, stat = served.get(workload, (None, [], None, None))
                 trace = kept_trace if spec == kept_spec else generate(spec)
-                state = init(args.n, alpha, args.smoothing)
                 k = len(kept_trace)
                 if kept_state is not None and trace[:k] == kept_trace:
+                    kept_state.alpha = dynamic.checked_alpha(alpha)  # alpha only prices the report
                     if len(trace) > k:  # new counts, so a new static optimum
                         dynamic.serve(kept_state, islice(trace, k, None))
                         stat = None
-                    kept_state.alpha = state.alpha  # alpha only prices the report
                     state = kept_state
                     report = dynamic.report(state)
                 else:
+                    state = init(args.n, alpha, args.smoothing)
                     report, stat = run(state, trace), None
                 served[workload] = (spec, trace, state, _add_stat(report, stat))
                 row = report.to_dict()

@@ -32,7 +32,6 @@ from .trees import LazyCodedDepths, SearchTree, build_balanced, tree_from_depths
 
 SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
-SMOOTHING_MODES = (SMOOTHING_LAPLACE, SMOOTHING_NONE)
 
 # Requests per block of a run without a sink (`serve`). Below the minimum,
 # counting a block costs more than serving it one request at a time. A trace
@@ -177,24 +176,16 @@ class SimulationState:
 def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
     """Fresh state: balanced tree, uniform tree distribution, zero counts.
 
-    alpha below 2 is accepted with a warning; the cost-bound guarantee does
-    not apply there and reports flag themselves not applicable.
+    alpha below 2 is accepted with a warning (`checked_alpha`); the
+    cost-bound guarantee does not apply there and reports flag themselves
+    not applicable.
     """
     if n < 1:
         raise ValueError("need at least one key")
-    if smoothing not in SMOOTHING_MODES:
-        raise ValueError(f"unknown smoothing mode {smoothing!r}")
-    alpha = Fraction(alpha)
-    _alpha_float(alpha)
-    if alpha < 2:
-        warnings.warn(
-            "alpha < 2: accepted, but the total-cost guarantee is off",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _delta(smoothing)  # raises for an unknown mode
     return SimulationState(
         n=n,
-        alpha=alpha,
+        alpha=checked_alpha(alpha),
         smoothing=smoothing,
         counts=[0] * n,
         tree_weights=(1,) * n,
@@ -429,6 +420,19 @@ def _alpha_float(alpha: Fraction) -> float:
         shown = format((Decimal(alpha.numerator) / alpha.denominator).normalize(), ".6g")
         raise ValueError(f"alpha {shown} is too {size} for a float")
     return a
+
+
+def checked_alpha(alpha) -> Fraction:
+    """alpha as a `Fraction`: ValueError if it is no positive float-sized
+    number (`_alpha_float`), and a RuntimeWarning below 2, where the
+    cost-bound guarantee does not apply. The warning names the caller's
+    caller, such as `init`'s."""
+    alpha = Fraction(alpha)
+    _alpha_float(alpha)
+    if alpha < 2:
+        warnings.warn("alpha < 2: accepted, but the total-cost guarantee is off",
+                      RuntimeWarning, stacklevel=3)
+    return alpha
 
 
 def theorem_threshold(n: int, alpha: Fraction) -> float:

@@ -115,10 +115,6 @@ class CodeEntry:
 class CodeTable:
     entries: tuple[CodeEntry, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
     def codewords(self) -> list[str]:
         return [e.codeword for e in self.entries]
 

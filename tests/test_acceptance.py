@@ -51,7 +51,7 @@ def _conclude(name: str, violations: list[str]) -> None:
 @pytest.fixture(scope="module")
 def distribution_suite():
     rng = random.Random(SEED)
-    return [random_distribution(rng, 2, 128) for _ in range(SUITE_CASES)]
+    return [random_distribution(rng, 128) for _ in range(SUITE_CASES)]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from bisect import bisect_left
 from itertools import accumulate, islice
 
@@ -308,3 +309,19 @@ def test_optimal_argmin_builds_a_deep_chain_without_recursion():
     assert tree_cost(tree, weights) == cost
     # root ties still break toward the smaller key
     assert optimal_static_cost(WeightVector((1, 1)))[1].root == 1
+
+
+def test_tree_path_peak_memory_matches_the_cost_only_path():
+    # the tree is read back from the cost table, so building it adds no
+    # table of roots to the DP's peak
+    rng = random.Random(300)
+    weights = WeightVector(tuple(rng.randint(1, 1000) for _ in range(300)))
+    peaks = []
+    for args in ((weights,), (weights, False)):
+        tracemalloc.start()
+        try:
+            optimal_static_cost(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.05 * peaks[1], peaks

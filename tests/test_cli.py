@@ -397,9 +397,12 @@ def test_compare_runs_a_longer_trace_that_does_not_extend_the_served_one(capsys,
     (["--n", "128", "--m", "20000", "--alphas", "2,4,8,16,32"], 3, 3, 3),
     (["--n", "16", "--alphas", "2,8,32"], 3, 9, 9),  # the rest of each trace, on the kept state
     (["--n", "16", "--alphas", "32,8,2"], 9, 9, 9),  # each trace shorter than the served one
+    # the benchmark's compare-raw grid
+    (["--n", "128", "--smoothing", "none", "--seed", "99", "--alphas", "2,8"], 3, 6, 6),
 ])
 def test_compare_runs_each_workload_once_unless_its_trace_shrinks(
         capsys, monkeypatch, argv, runs, stats, traces):
+    # `init` builds a state only for a run that `compare` starts
     argv = ["compare", *argv]
     calls = Counter()
 
@@ -409,10 +412,10 @@ def test_compare_runs_each_workload_once_unless_its_trace_shrinks(
             return fn(*args)
         return call
 
-    for name in ("run", "optimal_static_cost", "generate"):
+    for name in ("init", "run", "optimal_static_cost", "generate"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     got = run_cli(capsys, *argv)
-    assert calls == {"run": runs, "optimal_static_cost": stats, "generate": traces}
+    assert calls == {"init": runs, "run": runs, "optimal_static_cost": stats, "generate": traces}
     assert got[0] == 0 and len(got[1].splitlines()) == 1 + 3 * (argv[-1].count(",") + 1)
     monkeypatch.setattr(cli, "cmd_compare", compare_one_run_per_cell)
     assert got == run_cli(capsys, *argv)

@@ -75,7 +75,7 @@ def test_init_rejects_bad_arguments():
         init(0, 2)
     with pytest.raises(ValueError):
         init(5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown smoothing mode"):
         init(5, 2, smoothing="sliding")
 
 
