@@ -4,10 +4,12 @@ search costs its depth, each tree swap costs a flat alpha.
 
 The package root exports the documented entry points, the types they
 return and the error classes; everything else is imported from its module.
+The verification layer, `abst.checks` with `RunLedger`, `RebuildRecord` and
+the `verify` suites, is imported on first use: `from abst import RunLedger`
+loads it then, and `import abst` alone does not.
 """
 
 from .baselines import WeightVector, optimal_static_cost
-from .checks import RebuildRecord, RunLedger
 from .dynamic import SimulationReport, SimulationState, StepRecord, init, run, step
 from .errors import (
     AbstError,
@@ -39,3 +41,11 @@ from .trees import (
 from .workload import WorkloadSpec, generate, parse_workload, read_trace, write_trace
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("RebuildRecord", "RunLedger"):
+        from . import checks
+
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import index
 from typing import Iterator
@@ -12,17 +11,17 @@ from .trees import SearchTree, build_balanced, build_from_roots, depth_map, graf
 BRUTE_FORCE_MAX_N = 12
 
 
-@dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative integer per-key access counts with positive total."""
+    """Nonnegative integer per-key access counts with positive total;
+    immutable, and equal to another of the same `weights`."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        for i, w in enumerate(self.weights, 1):
+    def __init__(self, weights: tuple[int, ...]):
+        for i, w in enumerate(weights, 1):
             if not hasattr(type(w), "__index__"):  # what `operator.index` takes
                 raise ValueError(f"weight {i} = {w!r} is not an integer")
-        weights = tuple(map(index, self.weights))
+        weights = tuple(map(index, weights))
         if not weights:
             raise ValueError("empty weight vector")
         if any(w < 0 for w in weights):
@@ -30,6 +29,23 @@ class WeightVector:
         if sum(weights) < 1:
             raise ValueError("total weight must be at least 1")
         object.__setattr__(self, "weights", weights)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: the weight vector is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return WeightVector, (self.weights,)
+
+    def __eq__(self, other):
+        return self.weights == other.weights if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.weights,))
+
+    def __repr__(self) -> str:
+        return f"WeightVector(weights={self.weights!r})"
 
     @property
     def n(self) -> int:

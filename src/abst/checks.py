@@ -10,13 +10,12 @@ its step stream (`RunLedger`), so the simulator's serve loop holds no checks;
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .baselines import (
     WeightVector,
@@ -34,6 +33,7 @@ from .dynamic import (
     _delta,
     _drift_floor,
     _observed_weights,
+    grid_m,
     init,
     run,
     theorem_threshold,
@@ -208,14 +208,7 @@ def suite_baseline_properties(cases: int, n_hi: int, seed: int) -> list[str]:
     return violations
 
 
-def grid_m(n: int, alpha: int) -> int:
-    """Trace length for a guarantee-regime cell: ceil(2 n alpha log2 alpha),
-    at least 20."""
-    return max(20, math.ceil(theorem_threshold(n, Fraction(alpha))))
-
-
-@dataclasses.dataclass
-class RebuildRecord:
+class RebuildRecord(NamedTuple):
     """A tree swap: who fired it, their count now and at the previous swap."""
 
     t: int
@@ -421,7 +414,7 @@ def fault_injection_selftest() -> list[str]:
     bad_word = table.entries[0].codeword[:-1]  # a prefix of key 1's codeword
     corrupted = CodeTable(
         tuple(
-            dataclasses.replace(e, codeword=bad_word) if e.key == 3 else e
+            e._replace(codeword=bad_word) if e.key == 3 else e
             for e in table.entries
         )
     )

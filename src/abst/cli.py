@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verify failure, 2 bad configuration or input,
 3 trace parse error, 4 cost-bound violation during a checked run,
 5 internal error (an unexpected exception, reported on one stderr line).
+
+`abst.checks` is imported only by `verify` and `simulate --check-bounds`,
+the commands that run it, so the others start without it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable
 
-from . import checks, dynamic
+from . import dynamic
 from .baselines import WeightVector, optimal_static_cost
 from .dynamic import SMOOTHING_LAPLACE, SMOOTHING_NONE, SimulationReport, StepRecord, init, run
 from .errors import AbstError, BoundViolationError, TraceParseError
@@ -137,6 +140,8 @@ def cmd_simulate(args) -> int:
             fh = stack.enter_context(open(args.steps_csv, "w", encoding="utf-8", newline=""))
             sinks.append(_steps_csv_sink(fh))
         if args.check_bounds:
+            from . import checks
+
             ledger = checks.RunLedger(state)
             sinks.append(ledger)
 
@@ -203,7 +208,7 @@ def cmd_compare(args) -> int:
         alpha = _parse_alpha(alpha_text)
         with _warnings_as_lines():  # once per alpha, not per workload
             for workload in workloads:
-                m = args.m if args.m is not None else checks.grid_m(args.n, alpha)
+                m = args.m if args.m is not None else dynamic.grid_m(args.n, alpha)
                 spec = parse_workload(workload, n=args.n, m=m, seed=args.seed)
                 kept_spec, kept_trace, kept_state, stat = served.get(workload, (None, [], None, None))
                 trace = kept_trace if spec == kept_spec else generate(spec)
@@ -230,6 +235,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     results = checks.run_verify(args.scale, seed=args.seed)
     failed = False
     for name, violations in results.items():

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidRequestError
 from .sfe import entropy_of_weights
-from .trees import LazyCodedDepths, SearchTree, build_balanced, tree_from_depths
+from .trees import LazyCodedDepths, SearchTree, build_balanced, checked_n, tree_from_depths
 
 SMOOTHING_LAPLACE = "laplace"
 SMOOTHING_NONE = "none"
@@ -71,38 +70,52 @@ def _drift_floor(tree_weight: int, tree_total: int, total: int) -> int:
     return 2 * tree_weight * total // tree_total + 1
 
 
-@dataclass
-class StepRecord:
+class _Record:
+    """Equality and repr over the fields named by `_shown`, as a dataclass
+    gives them; a record is mutable, so it has no hash."""
+
+    __slots__ = ()
+    _shown: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._shown])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+
+class StepRecord(_Record):
     """One served request; `depth_pre` is the key's depth in the tree that
     was current before any rebuild, so either cost accounting can be
     recomputed from the log."""
 
-    t: int
-    key: int
-    count: int
-    depth: int
-    depth_pre: int
-    rebuilt: bool
+    __slots__ = _shown = ("t", "key", "count", "depth", "depth_pre", "rebuilt")
+
+    def __init__(self, t: int, key: int, count: int, depth: int, depth_pre: int, rebuilt: bool):
+        self.t, self.key, self.count = t, key, count
+        self.depth, self.depth_pre, self.rebuilt = depth, depth_pre, rebuilt
 
 
-@dataclass
-class SimulationReport:
+class SimulationReport(_Record):
     """A run's costs and counts. The entropy of the observed frequencies
     (`weights`, the request counts) and the theorem's bound are computed
     when first read, so a run that never reports them pays no O(n) pass."""
 
-    n: int
-    m: int
-    alpha: Fraction
-    smoothing: str
-    search_cost: int
-    adjust_cost: Fraction
-    rebuilds: int
-    total: Fraction
-    theorem_applicable: bool
-    weights: tuple[int, ...]
-    stat_cost: int | None = None
-    rho: float | None = None
+    _shown = ("n", "m", "alpha", "smoothing", "search_cost", "adjust_cost", "rebuilds", "total",
+              "theorem_applicable", "weights", "stat_cost", "rho")
+
+    def __init__(self, n: int, m: int, alpha: Fraction, smoothing: str, search_cost: int,
+                 adjust_cost: Fraction, rebuilds: int, total: Fraction, theorem_applicable: bool,
+                 weights: tuple[int, ...], stat_cost: int | None = None, rho: float | None = None):
+        self.n, self.m, self.alpha, self.smoothing = n, m, alpha, smoothing
+        self.search_cost, self.adjust_cost, self.rebuilds, self.total = (
+            search_cost, adjust_cost, rebuilds, total)
+        self.theorem_applicable, self.weights = theorem_applicable, weights
+        self.stat_cost, self.rho = stat_cost, rho
 
     @cached_property
     def entropy_empirical(self) -> float:
@@ -137,27 +150,31 @@ def _as_number(x: Fraction | int) -> int | float:
     return int(frac) if frac.denominator == 1 else float(frac)
 
 
-@dataclass
-class SimulationState:
-    """Mutable state of one run; confine to a single execution context."""
+class SimulationState(_Record):
+    """Mutable state of one run; confine to a single execution context.
+    Equality and repr leave out the depth caches and floors."""
 
-    n: int
-    alpha: Fraction
-    smoothing: str
-    counts: list[int]  # requests per key: key k has counts[k - 1]
-    tree_weights: tuple[int, ...]  # the tree's distribution: weight / tree_total
-    tree_total: int
-    # depth of key k in the current tree is known_depths[k - 1] (coded.depths),
-    # or 0 until coded.depth(k - 1) computes it, as it has once floors[k - 1]
-    # is set; coded is None for a tree whose depths are all known
-    known_depths: list[int] = field(compare=False, repr=False)
-    search_cost: int = 0
-    t: int = 0  # requests served, the sum of counts
-    rebuilds: int = 0
-    # key k cannot drift while its observed weight is below floors[k - 1], a
-    # drift floor of the current tree at some earlier total; 0 means unknown
-    floors: list[int] = field(default_factory=list, compare=False, repr=False)
-    coded: LazyCodedDepths | None = field(default=None, compare=False, repr=False)
+    _shown = ("n", "alpha", "smoothing", "counts", "tree_weights", "tree_total", "search_cost",
+              "t", "rebuilds")
+    __slots__ = _shown + ("known_depths", "floors", "coded")
+
+    def __init__(self, n: int, alpha: Fraction, smoothing: str, counts: list[int],
+                 tree_weights: tuple[int, ...], tree_total: int, known_depths: list[int],
+                 search_cost: int = 0, t: int = 0, rebuilds: int = 0,
+                 floors: list[int] | None = None, coded: LazyCodedDepths | None = None):
+        self.n, self.alpha, self.smoothing = n, alpha, smoothing
+        self.counts = counts  # requests per key: key k has counts[k - 1]
+        # the tree's distribution: weight / tree_total
+        self.tree_weights, self.tree_total = tree_weights, tree_total
+        # depth of key k in the current tree is known_depths[k - 1] (coded.depths),
+        # or 0 until coded.depth(k - 1) computes it, as it has once floors[k - 1]
+        # is set; coded is None for a tree whose depths are all known
+        self.known_depths, self.coded = known_depths, coded
+        self.search_cost, self.rebuilds = search_cost, rebuilds
+        self.t = t  # requests served, the sum of counts
+        # key k cannot drift while its observed weight is below floors[k - 1], a
+        # drift floor of the current tree at some earlier total; 0 means unknown
+        self.floors = [] if floors is None else floors
 
     @property
     def depths(self) -> list[int]:
@@ -180,8 +197,7 @@ def init(n: int, alpha, smoothing: str = SMOOTHING_LAPLACE) -> SimulationState:
     cost-bound guarantee does not apply there and reports flag themselves
     not applicable.
     """
-    if n < 1:
-        raise ValueError("need at least one key")
+    n = checked_n(n)
     _delta(smoothing)  # raises for an unknown mode
     return SimulationState(
         n=n,
@@ -439,6 +455,12 @@ def theorem_threshold(n: int, alpha: Fraction) -> float:
     """Minimum trace length for the total-cost guarantee: 2 n alpha log2(alpha)."""
     a = _alpha_float(alpha)
     return 2.0 * n * a * math.log2(a)
+
+
+def grid_m(n: int, alpha: int) -> int:
+    """Trace length for a guarantee-regime cell: `theorem_threshold` rounded
+    up, at least 20."""
+    return max(20, math.ceil(theorem_threshold(n, Fraction(alpha))))
 
 
 def run(

@@ -11,19 +11,30 @@ matchings back, or the matchings break symmetric order.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
 
 from .errors import InvalidMatchingError, KeyNotFoundError
 from .trees import SearchTree, _links
 
 
-@dataclass
 class MatchingPair:
-    """Left- and right-child matchings over ports 1..n."""
+    """Left- and right-child matchings over ports 1..n; a fresh pair's
+    matchings are empty."""
 
-    n: int
-    left: dict[int, int] = field(default_factory=dict)
-    right: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("n", "left", "right")
+
+    def __init__(self, n: int, left: dict[int, int] | None = None,
+                 right: dict[int, int] | None = None):
+        self.n = n
+        self.left = {} if left is None else left
+        self.right = {} if right is None else right
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.left, self.right) == (other.n, other.left, other.right)
+
+    def __repr__(self) -> str:
+        return f"MatchingPair(n={self.n!r}, left={self.left!r}, right={self.right!r})"
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,11 +11,10 @@ and printing boundary, and floats only in entropy reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidDistributionError
 
@@ -27,21 +26,19 @@ def _as_fraction(value) -> Fraction:
         raise InvalidDistributionError(f"not a rational number: {value!r}") from exc
 
 
-@dataclass(frozen=True)
 class ProbabilityDistribution:
     """Strictly positive rational probabilities for keys ranked 1..n.
 
     Rank order is the sorted-value order of the keys; the distribution is
-    immutable and safe to share. `weights` over `total`, the lcm S of the
-    denominators, are the probabilities as integers: p_i = w_i / S.
+    immutable and safe to share, and equal to another of the same `probs`.
+    `weights` over `total`, the lcm S of the denominators, are the
+    probabilities as integers: p_i = w_i / S.
     """
 
-    probs: tuple[Fraction, ...]
-    total: int = field(init=False, repr=False, compare=False)
-    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("probs", "total", "weights")
 
-    def __post_init__(self):
-        probs = tuple(_as_fraction(p) for p in self.probs)
+    def __init__(self, probs: tuple[Fraction, ...]):
+        probs = tuple(_as_fraction(p) for p in probs)
         if not probs:
             raise InvalidDistributionError("empty distribution")
         for i, p in enumerate(probs):
@@ -54,6 +51,23 @@ class ProbabilityDistribution:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "weights", weights)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: the distribution is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ProbabilityDistribution, (self.probs,)
+
+    def __eq__(self, other):
+        return self.probs == other.probs if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.probs,))
+
+    def __repr__(self) -> str:
+        return f"ProbabilityDistribution(probs={self.probs!r})"
 
     @property
     def n(self) -> int:
@@ -99,8 +113,7 @@ def code_length(weight: int, total: int) -> int:
     return k + 1 if weight << k >= total else k + 2
 
 
-@dataclass(frozen=True)
-class CodeEntry:
+class CodeEntry(NamedTuple):
     """Per-key code record: probability, CDF value and midpoint, length, codeword."""
 
     key: int
@@ -111,8 +124,7 @@ class CodeEntry:
     codeword: str
 
 
-@dataclass(frozen=True)
-class CodeTable:
+class CodeTable(NamedTuple):
     entries: tuple[CodeEntry, ...]
 
     def codewords(self) -> list[str]:

@@ -11,16 +11,14 @@ that they fit a BST.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress
-from operator import add
-from typing import Callable, Iterable, Sequence
+from operator import add, index
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .sfe import ProbabilityDistribution, _as_fraction, code_length
 
 
-@dataclass(frozen=True)
-class SearchTree:
+class SearchTree(NamedTuple):
     """BST as its keys in symmetric order and their depths, root at depth 1,
     which fix it. `tree_from_depths` is the constructor that checks the
     depths fit a BST.
@@ -79,7 +77,18 @@ def coded_depths(weights: Sequence[int], total: int) -> list[int]:
     """Depth in the coded tree of each key, for integer weights over `total`;
     `tree_from_depths` gives the tree these depths fix. Keys of positive
     weight are placed by their Shannon-Fano-Elias codes, and keys of zero
-    weight, which get no codeword, are grafted (`graft_zero_weights`)."""
+    weight, which get no codeword, are grafted (`graft_zero_weights`).
+
+    ValueError unless the weights are nonnegative integers summing to
+    `total`. Callers that hold weights known to be valid, such as a rebuild,
+    use `LazyCodedDepths`, which does not check them."""
+    mass = 0
+    for i, w in enumerate(weights, 1):
+        if not hasattr(type(w), "__index__") or w < 0:  # what `operator.index` takes
+            raise ValueError(f"weight {i} = {w!r} is not a nonnegative integer")
+        mass += w
+    if mass != total:
+        raise ValueError(f"weights sum to {mass}, not to the total {total!r}")
     return LazyCodedDepths(weights, total).fill()
 
 
@@ -270,7 +279,7 @@ def sfe_to_bst(
             raise ValueError("keys and distribution differ in length")
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("keys must be strictly increasing")
-    return tree_from_depths(keys, coded_depths(dist.weights, dist.total))
+    return tree_from_depths(keys, LazyCodedDepths(dist.weights, dist.total).fill())
 
 
 def tree_for_probs(probs: Sequence) -> SearchTree:
@@ -283,7 +292,7 @@ def tree_for_probs(probs: Sequence) -> SearchTree:
     dist = ProbabilityDistribution(tuple(filter(None, probs)))
     positive = iter(dist.weights)
     weights = [next(positive) if p else 0 for p in probs]
-    return tree_from_depths(range(1, len(probs) + 1), coded_depths(weights, dist.total))
+    return tree_from_depths(range(1, len(probs) + 1), LazyCodedDepths(weights, dist.total).fill())
 
 
 def depth_map(tree: SearchTree) -> dict[int, int]:
@@ -308,10 +317,19 @@ def format_tree(tree: SearchTree) -> str:
     return "".join(parts)
 
 
+def checked_n(n) -> int:
+    """`n` as a number of keys: an integer, taken through `operator.index`,
+    of at least 1. ValueError naming n for anything else, a bool included."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise ValueError(f"n must be an integer, not {n!r}")
+    if (n := index(n)) < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
+    return n
+
+
 def build_balanced(n: int) -> SearchTree:
     """Balanced BST over 1..n: each range's root is its median (lower on even)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = checked_n(n)
     return build_from_roots(n, lambda lo, hi: (lo + hi) // 2)
 
 

@@ -11,19 +11,17 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, repeat
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import TraceParseError
 
 DEFAULT_SEED = 12345
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(NamedTuple):
     kind: str  # "uniform" | "zipf" | "freq" | "file"
     n: int
     m: int | None

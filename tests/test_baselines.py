@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 import tracemalloc
@@ -160,6 +161,15 @@ def test_weight_vector_validation():
 def test_weight_vector_rejects_what_is_no_integer(weights, bad):
     with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
         WeightVector(weights)
+
+
+def test_weight_vector_is_an_immutable_value_of_its_weights():
+    vec = WeightVector([1, 0, 2])
+    assert vec == WeightVector((1, 0, 2)) != (1, 0, 2) and hash(vec) == hash(WeightVector((1, 0, 2)))
+    assert pickle.loads(pickle.dumps(vec)) == vec
+    assert repr(vec) == "WeightVector(weights=(1, 0, 2))"
+    with pytest.raises(AttributeError):
+        vec.weights = (1,)
 
 
 def test_optimal_single_key():

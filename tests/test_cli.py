@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import tempfile
@@ -114,10 +113,10 @@ def test_depth_check_reports_a_fabricated_record():
     assert checks.check_served_depth(deep, 5, "laplace") == [
         "t=35: key 2 served at depth 7, not below log2(1/q) + 4"
     ]
-    assert checks.check_served_depth(dataclasses.replace(deep, depth=6), 5, "laplace") == []
+    assert checks.check_served_depth(StepRecord(35, 2, 4, 6, 7, False), 5, "laplace") == []
     # raw q = 4/35 allows depth < 7.13
     assert checks.check_served_depth(deep, 5, "none") == []
-    assert checks.check_served_depth(dataclasses.replace(deep, depth=8), 5, "none") != []
+    assert checks.check_served_depth(StepRecord(35, 2, 4, 8, 7, False), 5, "none") != []
 
 
 def test_simulate_check_bounds_catches_a_bad_streamed_record(capsys, monkeypatch):

@@ -31,7 +31,7 @@ from abst.dynamic import (
     theorem_threshold,
 )
 from abst.errors import BoundViolationError, InvalidRequestError
-from abst.trees import format_tree, tree_for_probs, tree_from_depths
+from abst.trees import build_balanced, format_tree, tree_for_probs, tree_from_depths
 from abst.workload import generate, parse_workload
 
 TREE_B = "(3 (1 . (2 . .)) (4 . (5 . .)))"
@@ -77,6 +77,36 @@ def test_init_rejects_bad_arguments():
         init(5, 0)
     with pytest.raises(ValueError, match="unknown smoothing mode"):
         init(5, 2, smoothing="sliding")
+
+
+def test_state_and_records_compare_and_print_by_their_fields():
+    state, other = init(8, 2), init(8, 2)
+    assert run(state, [1, 2, 3]) == run(other, [1, 2, 3]) and state == other
+    assert run(state, [4]) != run(other, [5]) and state != other
+    uncached = init(8, 2)
+    uncached.known_depths, uncached.floors, uncached.coded = [], [], None
+    assert uncached == init(8, 2) and "known_depths" not in repr(uncached)
+    assert repr(state).startswith("SimulationState(n=8, alpha=Fraction(2, 1), smoothing='laplace', ")
+    rec = step(init(4, 2), 2)
+    assert repr(rec) == "StepRecord(t=1, key=2, count=1, depth=1, depth_pre=1, rebuilt=False)"
+    assert rec == StepRecord(1, 2, 1, 1, 1, False) != (1, 2, 1, 1, 1, False)
+    rec.depth = 5
+    assert rec != StepRecord(1, 2, 1, 1, 1, False)
+    with pytest.raises(TypeError):
+        hash(rec)
+
+
+def test_a_key_count_that_is_no_integer_is_a_value_error_naming_n():
+    for make in (lambda: init(2.5, 2), lambda: build_balanced(2.5), lambda: init("3", 2),
+                 lambda: init(True, 2)):
+        with pytest.raises(ValueError, match="^n must be an integer, not "):
+            make()
+
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert type(init(Three(), 2).n) is int and build_balanced(Three()).keys == (1, 2, 3)
 
 
 def test_init_warns_below_alpha_two():

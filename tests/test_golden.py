@@ -14,7 +14,6 @@ its `compare` table the pinned grid, its table over m fresh `simulate` runs.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -80,7 +79,7 @@ def run_logs(argv: list[str]) -> dict:
     ledger = RunLedger(state)
     report = run(state, trace, on_step=ledger)
     qlog = [(key, q.hex()) for key, (q, w) in enumerate(zip(ledger.qlog, report.weights), 1) if w]
-    rebuilds = [dataclasses.astuple(rec) for rec in ledger.rebuilds]
+    rebuilds = [tuple(rec) for rec in ledger.rebuilds]
     return {
         "qlog_sha256": _sha256(json.dumps(qlog).encode()),
         "rebuild_log_sha256": _sha256(json.dumps(rebuilds).encode()),

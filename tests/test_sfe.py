@@ -1,4 +1,6 @@
 import builtins
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -142,6 +144,20 @@ def test_ceil_log2_inverse_dyadic_boundaries():
 
 def test_build_is_deterministic():
     assert build_sfe_code(EXAMPLE_A) == build_sfe_code(EXAMPLE_A)
+
+
+def test_distribution_is_an_immutable_value_of_its_probs():
+    dist = parse_distribution("1/2,1/2")
+    same = ProbabilityDistribution([Fraction(1, 2), 0.5])
+    assert dist == same and hash(dist) == hash(same) and dist != dist.probs
+    assert pickle.loads(pickle.dumps(dist)) == dist == copy.copy(dist)
+    assert repr(dist) == "ProbabilityDistribution(probs=(Fraction(1, 2), Fraction(1, 2)))"
+    for name in ("probs", "weights", "total", "other"):
+        with pytest.raises(AttributeError):
+            setattr(dist, name, None)
+    with pytest.raises(AttributeError):
+        del dist.probs
+    assert (dist.weights, dist.total) == ((1, 1), 2)
 
 
 def test_is_prefix_free_detects_prefixes_and_duplicates():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import sys
@@ -76,7 +75,7 @@ def test_trie_rejects_prefix_collision():
     table = build_sfe_code(EXAMPLE_A)
     bad = CodeTable(
         tuple(
-            dataclasses.replace(e, codeword="0000") if e.key == 3 else e
+            e._replace(codeword="0000") if e.key == 3 else e
             for e in table.entries
         )
     )
@@ -102,6 +101,20 @@ def test_conversion_single_leaf():
 def test_conversion_empty_trie_gives_empty_tree():
     assert coded_depths([], 0) == []
     assert tree_from_depths([], []).root is None
+
+
+@pytest.mark.parametrize(
+    "weights, total, message",
+    [
+        ([1, 1], 5, "weights sum to 2, not to the total 5"),
+        ([1, 2], 0, "weights sum to 3, not to the total 0"),
+        ([1, -2], 3, "weight 2 = -2 is not a nonnegative integer"),
+        ([1, 0.5, 0.5], 2, "weight 2 = 0.5 is not a nonnegative integer"),
+    ],
+)
+def test_coded_depths_rejects_weights_that_are_no_counts_of_the_total(weights, total, message):
+    with pytest.raises(ValueError, match=message):
+        coded_depths(weights, total)
 
 
 def test_sfe_to_bst_depths():
