@@ -4,16 +4,26 @@ All randomness comes from `random.Random`, i.e. the Mersenne Twister
 (MT19937), and float sums are added left to right, so identical seeds
 reproduce identical sequences on any platform and any supported Python
 version.
+
+A zipf draw r in [0, 1) becomes the key `perm[bisect_right(cdf, r)]`, but
+by table lookup (Chen and Asau's guide table): [0, 1) is cut into B = 2**k
+equal buckets, k = min(14, m.bit_length()), and each bucket that no CDF
+value cuts holds the one key all its draws map to. Multiplying a float by
+a power of two is exact, so `floor(r * B)` is r's bucket and a CDF value c
+cuts bucket b exactly when b < c * B < b + 1. A cut bucket holds 0, and
+only the draws that land in one take the bisection. The trace is the one
+the bisection alone would give, draw for draw.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
 from functools import reduce
 from itertools import islice, repeat
-from operator import add
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .errors import TraceParseError
@@ -50,10 +60,15 @@ def parse_workload(
             raise ValueError(f"zipf exponent must be finite and nonnegative, got {arg}")
         return WorkloadSpec(kind="zipf", n=n, m=m, seed=seed, s=s)
     if kind == "freq":
-        weights = tuple(int(w) for w in arg.split(","))
+        weights = []
+        for w in arg.split(","):
+            try:
+                weights.append(int(w))
+            except ValueError:
+                raise ValueError(f"freq count {w.strip()!r} is not an integer") from None
         if len(weights) != n or any(w < 0 for w in weights) or sum(weights) < 1:
             raise ValueError(f"freq needs {n} nonnegative counts with positive sum")
-        return WorkloadSpec(kind="freq", n=n, m=m, seed=seed, weights=weights)
+        return WorkloadSpec(kind="freq", n=n, m=m, seed=seed, weights=tuple(weights))
     if kind == "file":
         if not arg:
             raise ValueError("file needs a path, e.g. file:trace.txt")
@@ -73,6 +88,37 @@ def _apportion(weights: Sequence[int], m: int) -> list[int]:
     return base
 
 
+_WINDOW = 1024  # draws per pass of `_zipf_keys`: only a window is held as floats
+
+
+def _zipf_keys(draws, m: int, cdf: list[float], perm: list[int]) -> list[int]:
+    """`perm[bisect_right(cdf, r)]` for each of the next m draws r, read
+    from the bucket table of the module docstring, `_WINDOW` draws a pass."""
+    size = 1 << min(14, m.bit_length())
+    scale = float(size)
+    table: list[int] = []
+    for key, c in zip(perm, cdf):
+        x = c * scale
+        b = math.floor(x)
+        if b > len(table):  # buckets up to b lie between the last value and c
+            table += [key] * (b - len(table))
+        if x != b and b == len(table):  # c cuts bucket b, not yet marked
+            table.append(0)
+    trace: list[int] = []
+    for start in range(0, m, _WINDOW):
+        window = list(islice(draws, min(_WINDOW, m - start)))
+        keys = list(map(table.__getitem__, map(math.floor, map(mul, window, repeat(scale)))))
+        at = -1
+        try:
+            while True:  # a draw in a cut bucket takes the bisection
+                at = keys.index(0, at + 1)
+                keys[at] = perm[bisect_right(cdf, window[at])]
+        except ValueError:  # no 0 is left
+            pass
+        trace += keys
+    return trace
+
+
 def generate(spec: WorkloadSpec) -> list[int]:
     """Deterministic request sequence: same WorkloadSpec, same trace."""
     if spec.kind == "file":
@@ -90,16 +136,19 @@ def generate(spec: WorkloadSpec) -> list[int]:
         raise ValueError("generated workloads need m >= 1")
     if spec.n < 1:
         raise ValueError("need at least one key")
+    if spec.m > sys.maxsize:
+        raise ValueError(f"m is too large: {spec.m} requests, at most {sys.maxsize}")
     rng = random.Random(spec.seed)
     # The m draws of the uniform and zipf traces, mapped to keys at C speed.
     # Lazy: zipf's shuffle takes its draws first. random() < 1.0, so the
     # sentinel never ends the stream early.
-    draws = islice(iter(rng.random, 1.0), spec.m)
+    draws = iter(rng.random, 1.0)
     if spec.kind == "uniform":
-        # key 1 + int(n r), clamped to n where n r rounds up to n
+        # key 1 + floor(n r), clamped to n where n r rounds up to n
         keys = list(range(1, spec.n + 1))
         keys.append(spec.n)
-        return list(map(keys.__getitem__, map(int, map(float(spec.n).__mul__, draws))))
+        buckets = map(math.floor, map(mul, islice(draws, spec.m), repeat(float(spec.n))))
+        return list(map(keys.__getitem__, buckets))
     if spec.kind == "zipf":
         # CDF draw over ranks, then a seeded relabeling so the hot key is
         # not always key 1
@@ -118,7 +167,7 @@ def generate(spec: WorkloadSpec) -> list[int]:
             acc += x / total
             cdf.append(acc)
         cdf[-1] = 1.0
-        return list(map(perm.__getitem__, map(bisect_right, repeat(cdf), draws)))
+        return _zipf_keys(draws, spec.m, cdf, perm)
     if spec.kind == "freq":
         counts = _apportion(spec.weights, spec.m)
         seq = [k for k, c in enumerate(counts, start=1) for _ in range(c)]

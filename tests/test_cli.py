@@ -201,6 +201,25 @@ def test_simulate_overflowing_inputs_are_config_errors(capsys, workload, alpha, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("workload", ["uniform", "zipf:1.0", "freq:1,2,3,2,1"])
+def test_an_m_past_the_largest_list_is_a_config_error_naming_m(capsys, workload):
+    code, _, err = run_cli(
+        capsys, "simulate", "--n", "5", "--alpha", "2", "--m", "99999999999999999999",
+        "--workload", workload,
+    )
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: m is too large: 99999999999999999999 requests")
+    assert "islice" not in err
+
+
+def test_a_freq_count_that_is_no_integer_is_a_config_error_naming_it(capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "--n", "3", "--alpha", "2", "--m", "10", "--workload", "freq:1,x,2",
+    )
+    assert code == cli.EXIT_CONFIG
+    assert err == "error: freq count 'x' is not an integer\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,9 +1,12 @@
 import bisect
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from abst import workload
 from abst.errors import TraceParseError
 from abst.workload import (
     WorkloadSpec,
@@ -12,6 +15,7 @@ from abst.workload import (
     read_trace,
     write_trace,
 )
+from workload_oracle import oracle, zipf_cdf
 
 
 def test_same_seed_same_sequence():
@@ -112,25 +116,6 @@ def test_generated_workloads_need_m():
         generate(WorkloadSpec(kind="uniform", n=5, m=None))
 
 
-def _oracle_trace(kind: str, n: int, m: int, seed: int, s: float = 1.0) -> list[int]:
-    """The uniform and zipf traces as one comprehension a draw, as
-    `generate` built them before it mapped the draws at C speed."""
-    rng = random.Random(seed)
-    if kind == "uniform":
-        return [min(n, 1 + int(rng.random() * n)) for _ in range(m)]
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    mass = [1.0 / (r ** s) for r in range(1, n + 1)]
-    total = sum(mass)
-    cdf = []
-    acc = 0.0
-    for x in mass:
-        acc += x / total
-        cdf.append(acc)
-    cdf[-1] = 1.0
-    return [perm[bisect.bisect_right(cdf, rng.random())] for _ in range(m)]
-
-
 @pytest.mark.parametrize("seed", [0, 7, 99, 12345])
 @pytest.mark.parametrize(
     "kind, s, n, m",
@@ -147,16 +132,16 @@ def _oracle_trace(kind: str, n: int, m: int, seed: int, s: float = 1.0) -> list[
 )
 def test_generated_trace_equals_the_per_draw_oracle(kind, s, n, m, seed):
     text = kind if s is None else f"{kind}:{s}"
-    trace = generate(parse_workload(text, n=n, m=m, seed=seed))
-    assert trace == _oracle_trace(kind, n, m, seed, s)
+    spec = parse_workload(text, n=n, m=m, seed=seed)
+    trace = generate(spec)
+    assert trace == oracle(spec)
     assert all(type(key) is int for key in trace)
 
 
 @pytest.mark.parametrize("text", ["uniform", "zipf:1.0"])
 def test_long_generated_trace_equals_the_per_draw_oracle(text):
-    kind, _, s = text.partition(":")
-    trace = generate(parse_workload(text, n=64, m=300_000, seed=99))
-    assert trace == _oracle_trace(kind, 64, 300_000, 99, float(s or 0))
+    spec = parse_workload(text, n=64, m=300_000, seed=99)
+    assert generate(spec) == oracle(spec)
 
 
 def test_uniform_clamps_a_draw_that_rounds_up_to_n(monkeypatch):
@@ -166,5 +151,56 @@ def test_uniform_clamps_a_draw_that_rounds_up_to_n(monkeypatch):
             return 1.0 - 2.0 ** -53
 
     monkeypatch.setattr(random, "Random", TopDraw)
-    trace = generate(parse_workload("uniform", n=3, m=4, seed=0))
-    assert trace == _oracle_trace("uniform", 3, 4, 0) == [3, 3, 3, 3]
+    spec = parse_workload("uniform", n=3, m=4, seed=0)
+    assert generate(spec) == oracle(spec) == [3, 3, 3, 3]
+
+
+WINDOW_EDGES = [k * workload._WINDOW + d for k in (1, 2) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["uniform", "zipf"]),
+    n=st.integers(1, 3000),
+    m=st.one_of(st.integers(1, 20_000), st.sampled_from(WINDOW_EDGES)),
+    s=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 30.0, 60.0]), st.floats(0, 60)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# At s=30 and n=50 the CDF holds 3 distinct values; at s=60 all are 1.0.
+@example(kind="zipf", n=50, m=workload._WINDOW + 1, s=30.0, seed=99)
+@example(kind="zipf", n=50, m=workload._WINDOW + 1, s=60.0, seed=99)
+def test_generated_trace_equals_the_oracle(kind, n, m, s, seed):
+    spec = WorkloadSpec(kind, n, m, seed, s=s if kind == "zipf" else None)
+    assert generate(spec) == oracle(spec)
+
+
+@pytest.mark.parametrize(
+    "text, n, m, cut",
+    [("zipf:1.5", 1024, 50_000, True), ("zipf:1.0", 64, 3_000, True),
+     ("zipf:60", 50, 3_000, False), ("zipf:1.0", 1, 3_000, False),
+     ("zipf:0", 4, 3_000, False)],  # CDF values on bucket edges cut nothing
+)
+def test_only_draws_in_cut_buckets_take_the_bisection(monkeypatch, text, n, m, cut):
+    spec = parse_workload(text, n=n, m=m, seed=99)
+    bisected = []
+
+    def counting_bisect_right(cdf, r):
+        bisected.append(r)
+        return bisect.bisect_right(cdf, r)
+
+    monkeypatch.setattr(workload, "bisect_right", counting_bisect_right)
+    assert generate(spec) == oracle(spec)
+    # The draws again, after the shuffle's; a bucket is cut when a CDF value
+    # lies strictly inside it.
+    rng = random.Random(spec.seed)
+    rng.shuffle(list(range(n)))
+    cdf = zipf_cdf(n, spec.s)
+    size = 2 ** min(14, m.bit_length())
+    in_cut = []
+    for _ in range(m):
+        r = rng.random()
+        b = math.floor(r * size)
+        if bisect.bisect_right(cdf, b / size) != bisect.bisect_left(cdf, (b + 1) / size):
+            in_cut.append(r)
+    assert bisected == in_cut
+    assert (0 < len(in_cut) < m) if cut else not in_cut
